@@ -230,8 +230,8 @@ def cmd_sweep(args) -> int:
         rows = ["grid_level,quantity"]
         rows.extend(f"{l},{v:.12g}" for l, v in rep.levels)
     text = "\n".join(rows) + "\n"
-    if args.out or config.out:
-        Path(args.out or config.out).write_text(text, encoding="utf-8")
+    if args.out:
+        Path(args.out).write_text(text, encoding="utf-8")
     print(text, end="")
     return 0
 

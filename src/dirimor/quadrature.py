@@ -226,7 +226,8 @@ def _tail_estimate(per_level):
 def _check_finite(vals, z, what):
     bad = ~np.isfinite(vals)
     if np.any(bad):
-        loc = complex(np.asarray(z).ravel()[np.flatnonzero(bad.ravel())[0]])
+        z = np.broadcast_to(np.asarray(z), bad.shape)
+        loc = complex(z.ravel()[np.flatnonzero(bad.ravel())[0]])
         raise QuadratureError(
             f"{what}: non-finite sample at node z={loc:.12g}", location=loc
         )
@@ -519,8 +520,13 @@ def arc_double_integral(
 ) -> QuadratureResult:
     """Integral of F(u, v) over I x I with raw arc-length measure dtheta^2.
 
-    F takes two angle arrays and returns nonnegative reals; it may blow up
-    like |u-v|^-beta (beta < 1) at the diagonal.  The difference angle t is
+    F takes two angle arrays that broadcast against each other (a stacked
+    ``(t_order, n)`` block against a ``(t_order, n)`` or ``(n,)`` array)
+    and returns nonnegative reals of the broadcast shape; it may blow up
+    like |u-v|^-beta (beta < 1) at the diagonal.  F must be symmetric,
+    F(u, v) = F(v, u): a proper arc integrates 2 F(u, v) over the half
+    u > v, and raises ValueError when F(v, u) differs from F(u, v) beyond
+    rtol 1e-12 on one row of nodes.  The difference angle t is
     resolved on dyadic panels refining toward t=0 (and toward t=2 pi for the
     full circle), so no node ever lands on the diagonal.  The error estimate
     combines a coarse re-run with the geometric tail of the t-panels.
@@ -564,23 +570,33 @@ def _double_proper_arc(F, arc, t_depth, t_order, s_base, s_order, v_foci):
         tt, tw = _gauss_on(tlo, thi, t_order)
         t_mid = 0.5 * (tlo + thi)
         s_nodes, s_wts = _s_layout(a0, L, t_mid, v_foci, s_base, s_order)
+        # Gauss t-nodes are interior to (0, L], so every span L - t is positive
+        span = L - tt
+        v = a0 + s_nodes[None, :] * span[:, None]
+        u = v + tt[:, None]
+        vals = np.asarray(F(u, v), dtype=float)
+        _check_finite(vals, v, "arc_double_integral")
+        if not panel_sums:
+            _require_symmetric(F, u[0], v[0], vals[0])
+        vals = 2.0 * vals
         panel = 0.0
         for k in range(len(tt)):
-            t = tt[k]
-            span = L - t
-            if span <= 0.0:
-                continue
-            v = a0 + s_nodes * span
-            u = v + t
-            vals = np.asarray(F(u, v), dtype=float) + np.asarray(F(v, u), dtype=float)
-            _check_finite(vals, v + 0j, "arc_double_integral")
-            panel += tw[k] * span * float(np.dot(s_wts, vals))
-            n_nodes += s_nodes.size
+            panel += tw[k] * span[k] * float(np.dot(s_wts, vals[k]))
+        n_nodes += vals.size
         total += panel
         panel_sums.append(panel)
     # dyadic panels run coarse to fine, so the finest (diagonal-adjacent)
     # contributions sit last, where the tail extrapolation reads them
     return total, panel_sums, n_nodes
+
+
+def _require_symmetric(F, u, v, vals):
+    back = np.asarray(F(v, u), dtype=float)
+    if not np.allclose(back, vals, rtol=1e-12, atol=0.0):
+        raise ValueError(
+            "arc_double_integral needs a symmetric integrand: F(v, u) differs "
+            f"from F(u, v) by up to {float(np.max(np.abs(back - vals))):.3e}"
+        )
 
 
 def _s_layout(a0, L, t_mid, v_foci, s_base, s_order):
@@ -614,12 +630,12 @@ def _double_full_circle(F, t_depth, t_order, s_base, s_order, v_foci):
         th, tww = angular_nodes(
             0.0, TWO_PI, max(0.25 * gap_scale, 1e-9), tuple(foci), s_base, s_order, wrap=True
         )
+        vals = np.asarray(F(th[None, :] + tt[:, None], th), dtype=float)
+        _check_finite(vals, th, "arc_double_integral")
         panel = 0.0
         for k in range(len(tt)):
-            vals = np.asarray(F(th + tt[k], th), dtype=float)
-            _check_finite(vals, th + 0j, "arc_double_integral")
-            panel += tw[k] * float(np.dot(tww, vals))
-            n_nodes += th.size
+            panel += tw[k] * float(np.dot(tww, vals[k]))
+        n_nodes += vals.size
         total += panel
         panel_sums.append(panel)
     return total, panel_sums, n_nodes
@@ -666,12 +682,12 @@ class BoxMassTable:
     def box_masses(self, r_lo: np.ndarray, pieces_list) -> np.ndarray:
         """Masses for Q query boxes given radial floors and piece lists."""
         q = len(r_lo)
-        lo1 = np.zeros(q); hi1 = np.zeros(q); lo2 = np.zeros(q); hi2 = np.zeros(q)
+        # one column per angular piece; empty columns hold (0, 0), mass 0
+        m = max(2, max(map(len, pieces_list), default=0))
+        lo = np.zeros((m, q)); hi = np.zeros((m, q))
         for i, pieces in enumerate(pieces_list):
-            if len(pieces) >= 1:
-                lo1[i], hi1[i] = pieces[0]
-            if len(pieces) >= 2:
-                lo2[i], hi2[i] = pieces[1]
+            for c, (a, b) in enumerate(pieces):
+                lo[c, i], hi[c, i] = a, b
         out = np.zeros(q)
         r_lo = np.asarray(r_lo, dtype=float)
         for (slo, shi, n, cum) in self._rows:
@@ -681,8 +697,10 @@ class BoxMassTable:
                 continue
             scale = n / TWO_PI
             grid = np.arange(n + 1, dtype=float)
-            seg = np.interp(hi1 * scale, grid, cum) - np.interp(lo1 * scale, grid, cum)
-            seg += np.interp(hi2 * scale, grid, cum) - np.interp(lo2 * scale, grid, cum)
+            cols = np.interp(hi * scale, grid, cum) - np.interp(lo * scale, grid, cum)
+            seg = cols[0]
+            for col in cols[1:]:
+                seg = seg + col
             out += frac * seg
         return out
 

@@ -275,6 +275,39 @@ def test_double_integral_rotation_invariance():
     assert a == pytest.approx(b, rel=1e-12)
 
 
+def _integrand_calls(arc, t_depth):
+    calls = []
+
+    def F(u, v):
+        calls.append(np.shape(u))
+        return chord_gap(u, v) ** 0.5
+
+    arc_double_integral(F, arc, t_depth=t_depth, resolution_check=False)
+    return len(calls)
+
+
+def test_double_integral_one_call_per_t_panel():
+    assert _integrand_calls(Arc(0.7, 0.25), 36) <= 36 + 1
+    assert _integrand_calls(Arc(0.7, 1.0), 36) <= 2 * 36
+
+
+def test_double_integral_rejects_asymmetric_integrand():
+    F = lambda u, v: 1.0 + 0.5 * np.sin(u - v)
+    with pytest.raises(ValueError, match="symmetric"):
+        arc_double_integral(F, Arc(0.7, 0.25), resolution_check=False)
+
+
+@pytest.mark.parametrize("arc", [Arc(1.0, 0.25), Arc(1.0, 1.0)])
+def test_double_integral_nan_near_diagonal_names_node(arc):
+    F = lambda u, v: np.where(chord_gap(u, v) < 1e-6, np.nan, 1.0)
+    with pytest.raises(QuadratureError) as exc:
+        arc_double_integral(F, arc, resolution_check=False)
+    loc = exc.value.location
+    assert loc.imag == 0.0
+    offset = (loc.real - arc.center + math.pi) % TWO_PI - math.pi
+    assert abs(offset) <= 0.5 * arc.radian_length
+
+
 # -- mass tables ----------------------------------------------------------------
 
 
@@ -310,3 +343,15 @@ def test_graded_grid_weights_cover_disc():
     assert np.all(w > 0)
     covered = (1 - 2.0 ** -18) ** 2
     assert abs(np.sum(w) - covered) / covered < 1e-12
+
+
+def test_mass_table_counts_every_piece():
+    # two wrapped boxes whose intersection has three angular pieces
+    both = region_intersect(
+        Region.box_of_arc(Arc(-1.25, 3.5 / TWO_PI)),
+        Region.box_of_arc(Arc(1.6, 3.8 / TWO_PI)),
+    )
+    assert len(both.pieces) == 3
+    table = BoxMassTable(lambda z: np.ones(z.shape), depth=6)
+    singles = [table.region_mass(Region("piece", both.r_lo, (pc,))) for pc in both.pieces]
+    assert table.region_mass(both) == pytest.approx(sum(singles), rel=1e-12)

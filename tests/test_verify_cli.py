@@ -167,6 +167,14 @@ def test_cli_norm_json(tmp_path, capsys):
     assert payload["function"] == "taylor:0,1"
 
 
+def test_cli_sweep_without_out_writes_no_file(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    rc = main(["sweep", "--mode", "levels", "--function", "taylor:0,1", "--k-arc", "2"])
+    assert rc == 0
+    assert capsys.readouterr().out.startswith("grid_level,quantity")
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_cli_norm_rejects_bad_spec(capsys):
     rc = main(["norm", "--quantity", "dp", "--function", "wat:1"])
     assert rc == 2
