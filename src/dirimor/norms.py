@@ -40,7 +40,9 @@ from .quadrature import (
     Region,
     TWO_PI,
     _canonical_pieces,
+    _gauss_on,
     _intersect_pieces,
+    _window_nodes,
     arc_double_integral,
     chord_gap,
     integrate_disc,
@@ -212,13 +214,6 @@ def grid_for_function(
     return RadialAnnuliGrid(depth=depth, n_min=f.angular_hint, growth_cap=growth_cap)
 
 
-def _deriv_density(f: AnalyticFunction, p: float):
-    def density(z):
-        return np.abs(f.derivative(z)) ** 2 * (1.0 - np.abs(z) ** 2) ** p
-
-    return density
-
-
 @dataclass(frozen=True)
 class WeightedDerivativeMeasure:
     """The measure |g'(z)|^2 (1-|z|^2)^p dm(z) attached to a symbol g."""
@@ -260,7 +255,7 @@ def dirichlet_norm(
     """sqrt(|f(0)|^2 + integral of |f'|^2 (1-|z|^2)^p dm)."""
     if grid is None:
         grid = grid_for_function(f, depth, panel_order=8, base_panels=24)
-    res = integrate_disc(_deriv_density(f, p), grid)
+    res = integrate_disc(WeightedDerivativeMeasure(f, p).density, grid)
     f0 = abs(f.at_zero())
     value = math.sqrt(f0 * f0 + max(res.value, 0.0))
     prev = math.sqrt(f0 * f0 + max(res.value - res.level_sums[-1], 0.0))
@@ -311,7 +306,7 @@ def translate_seminorm(
             g, depth, panel_order=panel_order, base_panels=base_panels,
             growth_cap=_growth_for_radius(abs(a)),
         )
-        res = integrate_disc(_deriv_density(g, p), grid)
+        res = integrate_disc(WeightedDerivativeMeasure(g, p).density, grid)
         return math.sqrt(max(res.value, 0.0))
     if route != "weight":
         raise ValueError(f"unknown route {route!r}")
@@ -320,10 +315,7 @@ def translate_seminorm(
         f, depth, extra_foci=extra, panel_order=panel_order,
         base_panels=base_panels, growth_cap=_growth_for_radius(abs(a)),
     )
-    z, w, lv = grid.nodes()
-    base = np.abs(f.derivative(z)) ** 2 * (1.0 - np.abs(z) ** 2) ** p * w
-    q = (1.0 - abs(a) ** 2) / np.abs(1.0 - np.conj(a) * z) ** 2
-    return math.sqrt(max(float(np.sum(base * q ** p)), 0.0))
+    return _scan_group(f, p, lambda r: 1.0, [(0, a)], grid)[0][2]
 
 
 def _growth_for_radius(r: float) -> int:
@@ -376,15 +368,29 @@ def _translate_scan(
 
 
 def _scan_group(f, p, weight_of_a, pts, disc):
+    """(level, a, weight_of_a(|a|) * seminorm) for each (level, a) in pts.
+
+    The Mobius weight ((1-|a|^2)/|1-conj(a) z|^2)^p is built in two reused
+    work arrays in the operation order of the plain expression, so values
+    match it bit for bit; ``**=`` keeps numpy's scalar-power fast paths.
+    """
     z, w, _ = disc.nodes()
     base = np.abs(f.derivative(z)) ** 2 * (1.0 - np.abs(z) ** 2) ** p * w
+    zw = np.empty_like(z)
+    q = np.empty(z.shape)
     out = []
     for level, a in pts:
         if a == 0:
             sem2 = float(np.sum(base))
         else:
-            q = (1.0 - abs(a) ** 2) / np.abs(1.0 - np.conj(a) * z) ** 2
-            sem2 = float(np.sum(base * q ** p))
+            np.multiply(np.conj(a), z, out=zw)
+            np.subtract(1.0, zw, out=zw)
+            np.absolute(zw, out=q)
+            q **= 2
+            np.divide(1.0 - abs(a) ** 2, q, out=q)
+            q **= p
+            np.multiply(base, q, out=q)
+            sem2 = float(np.sum(q))
         sem = math.sqrt(max(sem2, 0.0))
         out.append((level, a, weight_of_a(abs(a)) * sem))
     return out
@@ -528,8 +534,6 @@ def _level_sums_from_nodes(f, p_arr, z, w, lv):
 
 def _plain_box_sums(f, p_arr, arcs, length, *, rel_depth, radial_order,
                     panel_order, base_panels, max_level):
-    from .quadrature import _gauss_on, _window_nodes
-
     centers = np.array([a.center for a in arcs])
     half = math.pi * length
     d = length

@@ -91,6 +91,8 @@ def _panel_nodes(breaks: np.ndarray, order: int):
 # ---------------------------------------------------------------------------
 
 
+# 1024 holds a whole scan: the default suite over 8 translate directions asks for 360
+@lru_cache(maxsize=1024)
 def graded_breakpoints(lo, hi, delta, foci, base_panels, *, wrap=False):
     """Sorted panel breakpoints on [lo, hi], graded toward the given angles.
 
@@ -98,6 +100,10 @@ def graded_breakpoints(lo, hi, delta, foci, base_panels, *, wrap=False):
     2 delta, ... on both sides (using periodic images when ``wrap``), on top
     of ``base_panels`` uniform background cells.  The finest panels adjacent
     to a focus have width ~delta/2, matching the local radial scale.
+
+    Results are memoized on the arguments (``foci`` must be a tuple) and
+    returned read-only, since one array is shared by every caller and
+    thread that asks for the same breakpoints.
     """
     width = hi - lo
     pts = [np.linspace(lo, hi, max(1, int(base_panels)) + 1)]
@@ -122,11 +128,12 @@ def graded_breakpoints(lo, hi, delta, foci, base_panels, *, wrap=False):
         b = np.append(b[:-1] if hi - b[-1] < delta * 2.0 ** -10 else b, hi)
     if b[0] != lo:
         b = np.insert(b, 0, lo)
+    b.flags.writeable = False
     return b
 
 
 def angular_nodes(lo, hi, delta, foci, base_panels, order, *, wrap=False):
-    breaks = graded_breakpoints(lo, hi, delta, foci, base_panels, wrap=wrap)
+    breaks = graded_breakpoints(lo, hi, delta, tuple(foci), base_panels, wrap=wrap)
     return _panel_nodes(breaks, order)
 
 

@@ -16,11 +16,14 @@ from dirimor.norms import (
     box_quantity_pair,
     classify_trend,
     dirichlet_norm,
+    _growth_for_radius,
+    _scan_group,
     dirichlet_norm_coeff,
     dm_norm_translate,
     dm_seminorm_box,
     general_morrey_norm,
     gpcm_quantity,
+    grid_for_function,
     growth_envelope,
     hinf_sup,
     qp_log_quantity,
@@ -97,6 +100,38 @@ def test_translate_two_routes_agree(f, a):
     v1 = translate_seminorm(f, 0.5, a, route="weight", **kw)
     v2 = translate_seminorm(f, 0.5, a, route="translate", **kw)
     assert abs(v1 - v2) / v1 < 1e-5
+
+
+def _plain_seminorm(f, p, a, grid):
+    z, w, _ = grid.nodes()
+    base = np.abs(f.derivative(z)) ** 2 * (1.0 - np.abs(z) ** 2) ** p * w
+    q = (1.0 - abs(a) ** 2) / np.abs(1.0 - np.conj(a) * z) ** 2
+    return math.sqrt(max(float(np.sum(base * q ** p)), 0.0))
+
+
+@pytest.mark.parametrize("p", [0.5, 0.3])
+@pytest.mark.parametrize(
+    "f, scan_grid",
+    [
+        (make_power_kernel(0.9, 0.15),
+         dict(extra_foci=(math.pi / 4,), panel_order=4)),  # graded
+        (gap(0.5), dict(growth_cap=11)),  # uniform
+    ],
+    ids=["graded", "uniform"],
+)
+def test_scan_group_equals_plain_weight_bitwise(f, scan_grid, p):
+    # the work-array reduction must reproduce the plain expression bit for bit
+    disc = grid_for_function(f, 24, **scan_grid)
+    pts = [(k, (1.0 - 2.0 ** -k) * np.exp(1j * math.pi / 4)) for k in range(1, 11)]
+    got = _scan_group(f, p, lambda r: 1.0, pts, disc)
+    for (level, a), (lv, ga, val) in zip(pts, got):
+        assert (lv, ga) == (level, a)
+        assert val == _plain_seminorm(f, p, a, disc)
+        # the grid translate_seminorm builds for a
+        own = grid_for_function(f, 24, extra_foci=(float(np.angle(a)) % (2 * math.pi),),
+                                panel_order=4, growth_cap=_growth_for_radius(abs(a)))
+        assert translate_seminorm(f, p, a, route="weight", depth=24, panel_order=4) == \
+            _plain_seminorm(f, p, a, own)
 
 
 # -- dm norms -------------------------------------------------------------------

@@ -14,6 +14,7 @@ from dirimor.quadrature import (
     Region,
     arc_double_integral,
     chord_gap,
+    graded_breakpoints,
     integrate_disc,
     integrate_region,
     region_intersect,
@@ -355,3 +356,14 @@ def test_mass_table_counts_every_piece():
     table = BoxMassTable(lambda z: np.ones(z.shape), depth=6)
     singles = [table.region_mass(Region("piece", both.r_lo, (pc,))) for pc in both.pieces]
     assert table.region_mass(both) == pytest.approx(sum(singles), rel=1e-12)
+
+
+def test_breakpoints_cached_read_only_and_list_foci_accepted():
+    field = lambda z: np.abs(z) ** 2
+    reg = Region.box_of_arc(Arc(0.3, 0.25))
+    as_list = integrate_region(field, reg, foci=[0.0]).value
+    assert as_list == integrate_region(field, reg, foci=(0.0,)).value
+    b = graded_breakpoints(0.0, TWO_PI, 2.0 ** -6, (1.0,), 16, wrap=True)
+    assert b is graded_breakpoints(0.0, TWO_PI, 2.0 ** -6, (1.0,), 16, wrap=True)
+    with pytest.raises(ValueError):
+        b[0] = 1.0
