@@ -3,7 +3,6 @@
 from .analytic import (
     AnalyticFunction,
     BoundaryPoint,
-    DiscPoint,
     EvaluationDomainError,
     MobiusMap,
     SpaceParams,

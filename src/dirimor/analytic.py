@@ -26,9 +26,6 @@ import numpy as np
 
 TWO_PI = 2.0 * math.pi
 
-#: Interior points of the disc are plain complex numbers.
-DiscPoint = complex
-
 
 class EvaluationDomainError(ValueError):
     """Raised when a function is evaluated outside its certified radius."""
@@ -146,7 +143,6 @@ class AnalyticFunction:
     eval_fn: Callable
     deriv_fn: Callable
     taylor_coeffs: Optional[tuple] = None
-    taylor_r_max: float = 1.0
     taylor_tail_bound: float = 0.0
     boundary_fn: Optional[Callable] = None
     singular_angles: tuple = ()
@@ -202,7 +198,6 @@ class AnalyticFunction:
             deriv_fn=lambda z: fd(z) + gd(z),
             taylor_coeffs=coeffs,
             taylor_tail_bound=self.taylor_tail_bound + other.taylor_tail_bound,
-            taylor_r_max=min(self.taylor_r_max, other.taylor_r_max),
             boundary_fn=bnd,
             singular_angles=tuple(sorted(set(self.singular_angles) | set(other.singular_angles))),
             angular_hint=max(self.angular_hint, other.angular_hint),

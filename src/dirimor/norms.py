@@ -39,9 +39,9 @@ from .quadrature import (
     RadialAnnuliGrid,
     Region,
     TWO_PI,
-    _canonical_pieces,
     _gauss_on,
-    _intersect_pieces,
+    _piece_columns,
+    _point_box_pieces,
     _window_nodes,
     arc_double_integral,
     chord_gap,
@@ -396,13 +396,19 @@ def _scan_group(f, p, weight_of_a, pts, disc):
     return out
 
 
-def _scan_report(name, f0, entries, per_level, grid_desc) -> NormReport:
-    best = max(entries, key=lambda e: e[2])
+def _running_trace(per_level: dict) -> list:
+    """(level, running maximum of per_level from 0) in increasing level order."""
     trace = []
     running = 0.0
     for level in sorted(per_level):
         running = max(running, per_level[level])
-        trace.append((level, f0 + running))
+        trace.append((level, running))
+    return trace
+
+
+def _scan_report(name, f0, entries, per_level, grid_desc) -> NormReport:
+    best = max(entries, key=lambda e: e[2])
+    trace = [(level, f0 + running) for level, running in _running_trace(per_level)]
     value = f0 + best[2]
     return NormReport(
         quantity=name,
@@ -702,11 +708,7 @@ def boundary_double_seminorm(
         per_level[j] = max(per_level.get(j, 0.0), val)
         if val > best_val:
             best_val, best_arc, err = val, arc, res.error
-    trace = []
-    running = 0.0
-    for j in sorted(per_level):
-        running = max(running, per_level[j])
-        trace.append((j, running))
+    trace = _running_trace(per_level)
     return NormReport(
         quantity="boundary-double",
         value=best_val,
@@ -798,7 +800,10 @@ def gpcm_quantity(
     for the derivative measure mu of g.
 
     Box masses of mu come from a cumulative table over a fixed grid (built
-    once per symbol); intersections are exact interval geometry.  Points
+    once per symbol): every mu(S(w)) in one batched query, then one query per
+    w for the boxes S(z) cap S(w) at all nodes z of S(w).  Those
+    intersections are exact interval geometry, computed on the whole node
+    array at once; batches never span several w, which bounds memory.  Points
     with vanishing mu(S(w)) are skipped and recorded; a fully skipped scan
     reports 0 with a "degenerate" flag."""
     measure = WeightedDerivativeMeasure(g, p)
@@ -811,12 +816,15 @@ def gpcm_quantity(
         n = min(max(8, 8 * 2 ** k), w_angle_cap)
         pts.extend((k, r * np.exp(2j * math.pi * m / n)) for m in range(n))
 
+    boxes = [Region.box_of_point(wpt) for _, wpt in pts]
+    mu_boxes = table.box_masses(
+        np.array([sw.r_lo for sw in boxes]), *_piece_columns([sw.pieces for sw in boxes])
+    ).tolist()
+
     best, best_w = 0.0, None
     skipped = 0
     per_level: dict = {}
-    for k, wpt in pts:
-        sw = Region.box_of_point(wpt)
-        mu_sw = table.region_mass(sw)
+    for (k, wpt), sw, mu_sw in zip(pts, boxes, mu_boxes):
         if not (mu_sw > 1e-14 * max(total, 1e-300)):
             skipped += 1
             continue
@@ -830,13 +838,7 @@ def gpcm_quantity(
             skipped += 1
             continue
         r0 = np.abs(z)
-        pieces_list = []
-        for zz in z:
-            halfw = math.pi * (1.0 - abs(zz))
-            c = math.atan2(zz.imag, zz.real)
-            pz = _canonical_pieces(c - halfw, c + halfw)
-            pieces_list.append(_intersect_pieces(pz, sw.pieces))
-        masses = table.box_masses(r0, pieces_list)
+        masses = table.box_masses(r0, *_point_box_pieces(z, sw.pieces))
         integrand = masses ** 2 / (1.0 - r0 ** 2) ** (2.0 + p)
         val = float(np.sum(integrand * w)) / mu_sw
         per_level[k] = max(per_level.get(k, 0.0), val)
@@ -846,11 +848,7 @@ def gpcm_quantity(
     if best_w is None:
         flags = ("degenerate",)
         best = 0.0
-    trace = []
-    running = 0.0
-    for k in sorted(per_level):
-        running = max(running, per_level[k])
-        trace.append((k, running))
+    trace = _running_trace(per_level)
     report = NormReport(
         quantity="gpcm",
         value=best,

@@ -291,6 +291,67 @@ def _intersect_pieces(a_pieces, b_pieces):
     return tuple(sorted(out))
 
 
+def _piece_columns(pieces_list):
+    """Piece lists as (m, q) arrays (lo, hi), one column per list; empty
+    slots hold (0, 0) and m = max(2, longest list)."""
+    m = max(2, max(map(len, pieces_list), default=0))
+    lo = np.zeros((m, len(pieces_list))); hi = np.zeros((m, len(pieces_list)))
+    for i, pieces in enumerate(pieces_list):
+        for c, (a, b) in enumerate(pieces):
+            lo[c, i], hi[c, i] = a, b
+    return lo, hi
+
+
+def _point_box_pieces(z: np.ndarray, pieces):
+    """Angular pieces of S(v) cap ``pieces`` for every node v of ``z``.
+
+    Column i of the (m, q) arrays (lo, hi) holds the pieces of
+    ``_intersect_pieces(_canonical_pieces(c - h, c + h), pieces)`` for z[i],
+    bit for bit and in the same order; empty slots hold (0, 0), and
+    m = max(2, longest).  h and c come from Python's ``abs`` and
+    ``math.atan2``, which can differ from numpy's by an ulp; every later
+    step repeats the scalar code elementwise.
+    """
+    zl = z.tolist()
+    q = len(zl)
+    h = math.pi * (1.0 - np.array([abs(v) for v in zl], dtype=float))
+    c = np.array([math.atan2(v.imag, v.real) for v in zl], dtype=float)
+    # _canonical_pieces as two slots; unused slots hold (0, 0)
+    width = (c + h) - (c - h)
+    lo = np.mod(c - h, TWO_PI)
+    hi = lo + width
+    full = width >= TWO_PI - 1e-15
+    live = (width > 0.0) & ~full
+    wrap = live & (hi > TWO_PI)
+    a_lo = np.zeros((2, q)); a_hi = np.zeros((2, q))
+    a_lo[0] = np.where(live, lo, 0.0)
+    a_hi[0] = np.select([full | wrap, live], [TWO_PI, hi], 0.0)
+    a_hi[1] = np.where(wrap, hi - TWO_PI, 0.0)
+    # _pieces_width: 0 + (2 pi - lo) + ((hi - 2 pi) - 0.0) for two pieces
+    a_full = (a_hi[0] - a_lo[0]) + (a_hi[1] - a_lo[1]) >= TWO_PI - 1e-15
+    b = np.array(pieces, dtype=float).reshape(len(pieces), 2)
+    if _pieces_width(pieces) >= TWO_PI - 1e-15:
+        lo, hi, longest = a_lo, a_hi, 2
+    else:
+        lo = np.maximum(a_lo[:, None], b[:, 0, None]).reshape(2 * len(b), q)
+        hi = np.minimum(a_hi[:, None], b[:, 1, None]).reshape(2 * len(b), q)
+        keep = hi - lo > 1e-15
+        order = np.lexsort((hi, np.where(keep, lo, np.inf)), axis=0)  # as sorted()
+        keep = np.take_along_axis(keep, order, 0)
+        lo = np.where(keep, np.take_along_axis(lo, order, 0), 0.0)
+        hi = np.where(keep, np.take_along_axis(hi, order, 0), 0.0)
+        longest = int(keep.sum(axis=0).max(initial=0))
+    m = max(2, longest, len(b) if a_full.any() else 0)
+    out_lo = np.zeros((m, q)); out_hi = np.zeros((m, q))
+    k = min(m, len(lo))
+    out_lo[:k], out_hi[:k] = lo[:k], hi[:k]
+    if a_full.any():  # a full point box returns ``pieces`` as given
+        out_lo[:, a_full] = out_hi[:, a_full] = 0.0
+        out_lo[:len(b), a_full] = b[:, :1]
+        out_hi[:len(b), a_full] = b[:, 1:]
+    return out_lo, out_hi
+
+
 @dataclass(frozen=True)
 class Arc:
     """Subarc of the circle: center angle (radians) and normalized length."""
@@ -686,16 +747,12 @@ class BoxMassTable:
     def total_mass(self) -> float:
         return float(sum(cum[-1] for (_, _, _, cum) in self._rows))
 
-    def box_masses(self, r_lo: np.ndarray, pieces_list) -> np.ndarray:
-        """Masses for Q query boxes given radial floors and piece lists."""
-        q = len(r_lo)
-        # one column per angular piece; empty columns hold (0, 0), mass 0
-        m = max(2, max(map(len, pieces_list), default=0))
-        lo = np.zeros((m, q)); hi = np.zeros((m, q))
-        for i, pieces in enumerate(pieces_list):
-            for c, (a, b) in enumerate(pieces):
-                lo[c, i], hi[c, i] = a, b
-        out = np.zeros(q)
+    def box_masses(self, r_lo: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+        """Masses of the Q = len(r_lo) boxes [r_lo[i], 1) x (angular pieces).
+
+        ``lo`` and ``hi`` are (m, Q) arrays: column i holds box i's pieces,
+        one per row; empty slots hold (0, 0) and add an exact zero."""
+        out = np.zeros(len(r_lo))
         r_lo = np.asarray(r_lo, dtype=float)
         for (slo, shi, n, cum) in self._rows:
             frac = np.clip((shi - r_lo) / (shi - slo), 0.0, 1.0)
@@ -714,4 +771,4 @@ class BoxMassTable:
     def region_mass(self, region: Region) -> float:
         if region.is_empty:
             return 0.0
-        return float(self.box_masses(np.array([region.r_lo]), [region.pieces])[0])
+        return float(self.box_masses(np.array([region.r_lo]), *_piece_columns([region.pieces]))[0])

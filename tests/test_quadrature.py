@@ -6,18 +6,24 @@ import math
 import numpy as np
 import pytest
 
+from dirimor.analytic import make_power_kernel
 from dirimor.quadrature import (
     Arc,
     BoxMassTable,
     QuadratureError,
     RadialAnnuliGrid,
     Region,
+    _canonical_pieces,
+    _intersect_pieces,
+    _piece_columns,
+    _point_box_pieces,
     arc_double_integral,
     chord_gap,
     graded_breakpoints,
     integrate_disc,
     integrate_region,
     region_intersect,
+    region_node_arrays,
 )
 
 TWO_PI = 2 * math.pi
@@ -356,6 +362,78 @@ def test_mass_table_counts_every_piece():
     table = BoxMassTable(lambda z: np.ones(z.shape), depth=6)
     singles = [table.region_mass(Region("piece", both.r_lo, (pc,))) for pc in both.pieces]
     assert table.region_mass(both) == pytest.approx(sum(singles), rel=1e-12)
+
+
+def _scalar_point_box_pieces(z, pieces):
+    out = []
+    for v in z.tolist():
+        h = math.pi * (1.0 - abs(v))
+        c = math.atan2(v.imag, v.real)
+        out.append(_intersect_pieces(_canonical_pieces(c - h, c + h), pieces))
+    return out
+
+
+def _assert_columns_equal(lo, hi, want):
+    m = max(2, max(map(len, want), default=0))
+    assert lo.shape == hi.shape == (m, len(want))
+    for i, pieces in enumerate(want):
+        padded = list(pieces) + [(0.0, 0.0)] * (m - len(pieces))
+        assert [(lo[c, i], hi[c, i]) for c in range(m)] == padded
+
+
+def test_point_box_pieces_match_scalar_loop():
+    # the nodes of every S(w) of a gpcm scan at k_w=3, w_angle_cap=8: the
+    # full box at w = 0, one-piece boxes and the two-piece box at angle 0
+    counts = set()
+    for k in range(4):
+        n = 1 if k == 0 else min(max(8, 8 * 2 ** k), 8)
+        for m in range(n):
+            w = (1.0 - 2.0 ** -k) * np.exp(2j * math.pi * m / n)
+            sw = Region.box_of_point(w)
+            counts.add(len(sw.pieces))
+            foci = (float(np.angle(w)) % TWO_PI,) if w != 0 else ()
+            z, _, _ = region_node_arrays(sw, rel_depth=8, radial_order=4, foci=foci,
+                                         base_panels=4, panel_order=4, max_level=12)
+            _assert_columns_equal(*_point_box_pieces(z, sw.pieces),
+                                  _scalar_point_box_pieces(z, sw.pieces))
+    assert counts == {1, 2}
+    # z = 0 (full width), angle exactly pi, boxes wrapping across 0 / 2 pi,
+    # and box edges within 1e-15 of a piece edge
+    edge = 1.0
+    hand = np.array(
+        [0j, -0.5 + 0j, -0.5 - 0j, 0.3 + 0j, 0.9 * np.exp(-0.05j), 0.7 * np.exp(6.2j)]
+        + [0.5 * np.exp(1j * (edge + 0.5 * math.pi + d)) for d in (-1e-15, 0.0, 1e-15)]
+    )
+    for pieces in [((0.0, TWO_PI),), ((edge, 2.5),), ((5.9, TWO_PI), (0.0, edge)),
+                   Region.box_of_point(0.6).pieces]:
+        _assert_columns_equal(*_point_box_pieces(hand, pieces),
+                              _scalar_point_box_pieces(hand, pieces))
+
+
+def test_box_masses_batch_equals_region_mass():
+    f = make_power_kernel(0.9, 0.35)
+    table = BoxMassTable(lambda z: np.abs(f.derivative(z)) ** 2 * (1 - np.abs(z) ** 2) ** 0.5,
+                         depth=8)
+    three = region_intersect(
+        Region.box_of_arc(Arc(-1.25, 3.5 / TWO_PI)),
+        Region.box_of_arc(Arc(1.6, 3.8 / TWO_PI)),
+    )
+    boxes = [three, Region.box_of_point(0.0)]
+    for r, t in [(0.5, 0.0), (0.9, 0.0), (0.3, 3.0), (0.75, -2.0), (0.95, 1.0), (0.6, 6.0)]:
+        boxes.append(Region.box_of_point(r * np.exp(1j * t)))
+    for a, b in [(0.4, 0.6j), (0.5, -0.4), (0.8, 0.7 * np.exp(0.3j)), (0.2j, -0.3j),
+                 (0.9, 0.9 * np.exp(-0.05j)), (0.1 + 0.1j, 0.6), (-0.7, -0.6 + 0.1j),
+                 (0.3, 0.0), (0.85j, 0.8j), (0.5 * np.exp(2.5j), 0.6 * np.exp(3.2j)),
+                 (0.99, 0.98), (0.4 * np.exp(-0.4j), 0.45 * np.exp(0.3j))]:
+        boxes.append(region_intersect(Region.box_of_point(a), Region.box_of_point(b)))
+    assert len(boxes) == 20 and {len(b.pieces) for b in boxes} == {1, 2, 3}
+    singles = [table.region_mass(b) for b in boxes]
+    batch = table.box_masses(np.array([b.r_lo for b in boxes]),
+                             *_piece_columns([b.pieces for b in boxes]))
+    assert batch.tolist() == singles
+    back = table.box_masses(np.array([b.r_lo for b in boxes[::-1]]),
+                            *_piece_columns([b.pieces for b in boxes[::-1]]))
+    assert back.tolist() == singles[::-1]
 
 
 def test_breakpoints_cached_read_only_and_list_foci_accepted():
