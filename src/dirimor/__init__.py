@@ -4,7 +4,6 @@ from .analytic import (
     AnalyticFunction,
     BoundaryPoint,
     EvaluationDomainError,
-    MobiusMap,
     SpaceParams,
     TruncationError,
     constant,
@@ -48,7 +47,6 @@ from .operators import (
     IG,
     JG,
     MG,
-    OperatorKind,
     RatioScanReport,
     apply_Ig,
     apply_Jg,

@@ -102,26 +102,6 @@ def mobius_derivative(a, z):
     return -(1.0 - np.abs(a) ** 2) / (1.0 - np.conj(a) * z) ** 2
 
 
-@dataclass(frozen=True)
-class MobiusMap:
-    """The involutive automorphism determined by its fixed swap pair {0, a}."""
-
-    a: complex
-
-    def __post_init__(self):
-        if abs(self.a) >= 1.0:
-            raise ValueError("MobiusMap requires |a| < 1")
-
-    def apply(self, z):
-        return mobius_apply(self.a, z)
-
-    def derivative(self, z):
-        return mobius_derivative(self.a, z)
-
-    def __call__(self, z):
-        return mobius_apply(self.a, z)
-
-
 # ---------------------------------------------------------------------------
 # The function type
 # ---------------------------------------------------------------------------
@@ -243,7 +223,7 @@ def make_taylor(coeffs: Sequence[complex]) -> AnalyticFunction:
     coeffs = tuple(complex(c) for c in coeffs)
     if not coeffs:
         coeffs = (0.0 + 0.0j,)
-    dcoeffs = tuple(k * c for k, c in enumerate(coeffs))[1:] or (0.0 + 0.0j,)
+    dcoeffs = _derivative_coeffs(coeffs)
     deg = len(coeffs) - 1
     label = "taylor:" + ",".join(_format_complex(c) for c in coeffs)
 
@@ -264,6 +244,11 @@ def make_taylor(coeffs: Sequence[complex]) -> AnalyticFunction:
         boundary_fn=bnd,
         angular_hint=max(64, 4 * deg + 8),
     )
+
+
+def _derivative_coeffs(cs: Sequence[complex]) -> tuple:
+    """Taylor coefficients of the derivative; (0j,) for a constant."""
+    return tuple(k * c for k, c in enumerate(cs))[1:] or (0j,)
 
 
 def constant(c: complex) -> AnalyticFunction:

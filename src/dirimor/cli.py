@@ -39,6 +39,7 @@ from .operators import IG, JG, MG, ratio_scan
 from .verify import (
     FunctionSpecError,
     RunConfig,
+    _test_family,
     emit_report,
     parse_function_spec,
     resolve_config,
@@ -135,12 +136,7 @@ def cmd_operator(args) -> int:
     except FunctionSpecError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    kind = KIND_BY_NAME[args.kind]
-    rep = ratio_scan(
-        kind, g, params,
-        norm_grid=config.scan_grid(), scan_opts=config.scan_opts(),
-        k_c=config.k_c, n_directions=config.c_directions,
-    )
+    rep = ratio_scan(KIND_BY_NAME[args.kind], g, _test_family(config, params))
     _emit(rep.as_dict(), args.out)
     return 0
 

@@ -375,7 +375,7 @@ def _scan_group(f, p, weight_of_a, pts, disc):
     match it bit for bit; ``**=`` keeps numpy's scalar-power fast paths.
     """
     z, w, _ = disc.nodes()
-    base = np.abs(f.derivative(z)) ** 2 * (1.0 - np.abs(z) ** 2) ** p * w
+    base = WeightedDerivativeMeasure(f, p).density(z) * w
     zw = np.empty_like(z)
     q = np.empty(z.shape)
     out = []
@@ -675,8 +675,6 @@ def boundary_double_seminorm(
     grid: Optional[ParamGrid] = None,
     *,
     t_depth: int = 36,
-    s_base: int = 8,
-    s_order: int = 8,
     resolution_check: bool = False,
 ) -> NormReport:
     """sup over arcs of |I|^(-p lam) double integral over I x I of
@@ -701,7 +699,7 @@ def boundary_double_seminorm(
     for j, arc in grid.arcs():
         res = arc_double_integral(
             F, arc, beta=1.0 - p,
-            t_depth=t_depth, s_base=s_base, s_order=s_order,
+            t_depth=t_depth,
             v_foci=f.singular_angles, resolution_check=resolution_check,
         )
         val = res.value * arc.length ** -params.box_exponent
@@ -782,6 +780,10 @@ def hinf_sup(g: AnalyticFunction, *, k_levels: int = 10, n_max: int = 8192) -> N
 # Measure self-interaction scan
 # ---------------------------------------------------------------------------
 
+# Dyadic depth of the box-mass table, and the fitted quadrature of each S(w).
+GPCM_TABLE_DEPTH = 12
+GPCM_OUTER_OPTS = dict(rel_depth=8, radial_order=4, base_panels=4, panel_order=4)
+
 
 def gpcm_quantity(
     g: AnalyticFunction,
@@ -789,11 +791,6 @@ def gpcm_quantity(
     *,
     k_w: int = 6,
     w_angle_cap: int = 16,
-    table_depth: int = 12,
-    outer_rel_depth: int = 8,
-    outer_radial_order: int = 4,
-    outer_base_panels: int = 4,
-    outer_panel_order: int = 4,
 ) -> NormReport:
     """sup over the w-grid of
     mu(S(w))^-1 integral over S(w) of mu(S(z) cap S(w))^2 (1-|z|^2)^(-2-p) dm(z)
@@ -807,14 +804,10 @@ def gpcm_quantity(
     with vanishing mu(S(w)) are skipped and recorded; a fully skipped scan
     reports 0 with a "degenerate" flag."""
     measure = WeightedDerivativeMeasure(g, p)
-    table_depth = min(table_depth, effective_depth(g, table_depth))
+    table_depth = min(GPCM_TABLE_DEPTH, effective_depth(g, GPCM_TABLE_DEPTH))
     table = BoxMassTable(measure.density, depth=table_depth)
     total = table.total_mass()
-    pts = [(0, 0.0 + 0.0j)]
-    for k in range(1, k_w + 1):
-        r = 1.0 - 2.0 ** -k
-        n = min(max(8, 8 * 2 ** k), w_angle_cap)
-        pts.extend((k, r * np.exp(2j * math.pi * m / n)) for m in range(n))
+    pts = ParamGrid(k_a=k_w, a_angle_cap=w_angle_cap).a_points()
 
     boxes = [Region.box_of_point(wpt) for _, wpt in pts]
     mu_boxes = table.box_masses(
@@ -829,11 +822,7 @@ def gpcm_quantity(
             skipped += 1
             continue
         foci = tuple(sorted(set(g.singular_angles) | ({float(np.angle(wpt)) % TWO_PI} if wpt != 0 else set())))
-        z, w, _ = region_node_arrays(
-            sw, rel_depth=outer_rel_depth, radial_order=outer_radial_order,
-            foci=foci, base_panels=outer_base_panels, panel_order=outer_panel_order,
-            max_level=table_depth,
-        )
+        z, w, _ = region_node_arrays(sw, foci=foci, max_level=table_depth, **GPCM_OUTER_OPTS)
         if z.size == 0:
             skipped += 1
             continue

@@ -21,27 +21,19 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional
 
 import numpy as np
 
-from .analytic import AnalyticFunction, SpaceParams, make_power_kernel
+from .analytic import AnalyticFunction, SpaceParams, _derivative_coeffs, make_power_kernel
 from .norms import ParamGrid, classify_trend, dm_norm_translate, trend_slope
 from .quadrature import TWO_PI, _gauss_on
 
 
-@dataclass(frozen=True)
-class OperatorKind:
-    tag: str  # "Jg" | "Ig" | "Mg"
-
-    def __post_init__(self):
-        if self.tag not in ("Jg", "Ig", "Mg"):
-            raise ValueError(f"unknown operator kind {self.tag!r}")
-
-
-JG = OperatorKind("Jg")
-IG = OperatorKind("Ig")
-MG = OperatorKind("Mg")
+# Operator kinds are plain string tags.
+JG = "Jg"
+IG = "Ig"
+MG = "Mg"
 
 
 # ---------------------------------------------------------------------------
@@ -105,12 +97,11 @@ def apply_Jg(f: AnalyticFunction, g: AnalyticFunction) -> AnalyticFunction:
         return fe(z) * gd(z)
 
     def ev(z):
-        return path_integral(lambda w: fe(w) * gd(w), z)
+        return path_integral(dv, z)
 
     coeffs = None
     if f.taylor_coeffs is not None and g.taylor_coeffs is not None:
-        gprime = tuple(k * c for k, c in enumerate(g.taylor_coeffs))[1:] or (0j,)
-        coeffs = _integrated_taylor(np.convolve(f.taylor_coeffs, gprime))
+        coeffs = _integrated_taylor(np.convolve(f.taylor_coeffs, _derivative_coeffs(g.taylor_coeffs)))
     return AnalyticFunction(
         label=f"Jg[{g.label}]({f.label})",
         eval_fn=ev,
@@ -128,12 +119,11 @@ def apply_Ig(f: AnalyticFunction, g: AnalyticFunction) -> AnalyticFunction:
         return fd(z) * ge(z)
 
     def ev(z):
-        return path_integral(lambda w: fd(w) * ge(w), z)
+        return path_integral(dv, z)
 
     coeffs = None
     if f.taylor_coeffs is not None and g.taylor_coeffs is not None:
-        fprime = tuple(k * c for k, c in enumerate(f.taylor_coeffs))[1:] or (0j,)
-        coeffs = _integrated_taylor(np.convolve(fprime, g.taylor_coeffs))
+        coeffs = _integrated_taylor(np.convolve(_derivative_coeffs(f.taylor_coeffs), g.taylor_coeffs))
     return AnalyticFunction(
         label=f"Ig[{g.label}]({f.label})",
         eval_fn=ev,
@@ -170,8 +160,20 @@ def apply_Mg(f: AnalyticFunction, g: AnalyticFunction) -> AnalyticFunction:
     )
 
 
-def apply_operator(kind: OperatorKind, f: AnalyticFunction, g: AnalyticFunction) -> AnalyticFunction:
-    return {"Jg": apply_Jg, "Ig": apply_Ig, "Mg": apply_Mg}[kind.tag](f, g)
+def _operator(kind: str) -> Callable:
+    """The apply function of an operator tag; rejects an unknown tag by name.
+
+    Looked up at call time, so a rebinding of ``apply_Jg`` and its siblings
+    (as a tracer does) reaches every caller."""
+    ops = {JG: apply_Jg, IG: apply_Ig, MG: apply_Mg}
+    if kind not in ops:
+        raise ValueError(f"unknown operator kind {kind!r}; expected one of {sorted(ops)}")
+    return ops[kind]
+
+
+def apply_operator(kind: str, f: AnalyticFunction, g: AnalyticFunction) -> AnalyticFunction:
+    """T f for the operator tag ``kind`` ("Jg", "Ig" or "Mg")."""
+    return _operator(kind)(f, g)
 
 
 # ---------------------------------------------------------------------------
@@ -211,18 +213,23 @@ class TestFamilyEntry:
 
 @dataclass(frozen=True)
 class TestFamily:
+    """The kernels f_c with their translate-norms, and the scan that normed
+    them: ``k_c`` radii 1 - 2^-k times ``n_directions`` directions, each norm
+    a ``dm_norm_translate`` on ``params``, ``norm_grid`` and ``scan_opts``.
+    Ratio scans norm every image T f_c with this same scan."""
+
     params: SpaceParams
     entries: tuple
     norm_max: float
     norm_min: float
+    k_c: int
+    n_directions: int
+    norm_grid: ParamGrid
+    scan_opts: dict
 
     def describe(self) -> dict:
-        return {
-            "size": len(self.entries),
-            "norm_max": self.norm_max,
-            "norm_min": self.norm_min,
-            "exponent": self.params.translate_exponent,
-        }
+        """The scan settings, as ratio scans report them under ``grid``."""
+        return {"k_c": self.k_c, "n_directions": self.n_directions, **self.norm_grid.describe()}
 
 
 def make_test_family(
@@ -239,9 +246,11 @@ def make_test_family(
     The c-grid follows the a-grid radii 1 - 2^-k on the positive real axis
     plus rotations; the proofs this scan operationalizes localize at c
     approaching the boundary, and rotations guard against direction-specific
-    mesh artifacts."""
+    mesh artifacts.  ``norm_grid`` defaults to ``ParamGrid(k_a=max(8, k_c),
+    a_angle_cap=16)`` and ``scan_opts`` (keywords of ``dm_norm_translate``)
+    to none; the family records both, and ``ratio_scan`` norms with them."""
     norm_grid = norm_grid or ParamGrid(k_a=max(8, k_c), a_angle_cap=16)
-    scan_opts = scan_opts or {}
+    scan_opts = dict(scan_opts or {})
     s = params.translate_exponent
     entries = [
         TestFamilyEntry(0.0 + 0.0j, 0, make_power_kernel(0.0, 0.0), 1.0)
@@ -254,7 +263,10 @@ def make_test_family(
             norm = dm_norm_translate(fc, params, norm_grid, **scan_opts).value
             entries.append(TestFamilyEntry(complex(c), k, fc, norm))
     norms = [e.norm for e in entries]
-    return TestFamily(params, tuple(entries), max(norms), min(norms))
+    return TestFamily(
+        params, tuple(entries), max(norms), min(norms),
+        k_c=k_c, n_directions=n_directions, norm_grid=norm_grid, scan_opts=scan_opts,
+    )
 
 
 @dataclass(frozen=True)
@@ -288,42 +300,32 @@ class RatioScanReport:
         }
 
 
-def ratio_scan(
-    kind: OperatorKind,
-    g: AnalyticFunction,
-    params: SpaceParams,
-    *,
-    family: Optional[TestFamily] = None,
-    norm_grid: Optional[ParamGrid] = None,
-    scan_opts: Optional[dict] = None,
-    k_c: int = 10,
-    n_directions: int = 8,
-) -> RatioScanReport:
+def ratio_scan(kind: str, g: AnalyticFunction, family: TestFamily) -> RatioScanReport:
     """Norm ratios ||T f_c|| / ||f_c|| over the test family, with the tail
-    trend of log(ratio) against the level k (radius 1 - 2^-k)."""
-    norm_grid = norm_grid or ParamGrid(k_a=max(8, k_c), a_angle_cap=16)
-    scan_opts = scan_opts or {}
-    if family is None or family.params != params:
-        family = make_test_family(
-            params, k_c=k_c, n_directions=n_directions,
-            norm_grid=norm_grid, scan_opts=scan_opts,
-        )
+    trend of log(ratio) against the level k (radius 1 - 2^-k).
+
+    ``kind`` is an operator tag ("Jg", "Ig" or "Mg"); an unknown tag raises
+    ``ValueError``.  Each T f_c is normed with the family's own scan
+    (``family.params``, ``family.norm_grid``, ``family.scan_opts``), so both
+    sides of a ratio come from one grid, and ``grid`` reports
+    ``family.describe()``."""
+    apply = _operator(kind)
     rows = []
     per_level: dict = {}
     for e in family.entries:
-        h = apply_operator(kind, e.function, g)
-        nh = dm_norm_translate(h, params, norm_grid, **scan_opts).value
+        h = apply(e.function, g)
+        nh = dm_norm_translate(h, family.params, family.norm_grid, **family.scan_opts).value
         ratio = nh / e.norm if e.norm > 0 else 0.0
         rows.append((e.c, e.level, e.norm, nh, ratio))
         per_level[e.level] = max(per_level.get(e.level, 0.0), ratio)
     levels = sorted(per_level)
     slope = trend_slope(levels, [per_level[l] for l in levels])
     return RatioScanReport(
-        kind=kind.tag,
+        kind=kind,
         symbol=g.label,
         rows=tuple(rows),
         max_ratio=max(r for *_, r in rows) if rows else 0.0,
         slope=slope,
         classification=classify_trend(slope),
-        grid={"k_c": k_c, "n_directions": n_directions, **norm_grid.describe()},
+        grid=family.describe(),
     )

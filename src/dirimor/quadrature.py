@@ -724,16 +724,19 @@ class BoxMassTable:
     measure is queried against thousands of boxes.
     """
 
-    def __init__(self, density: Callable, *, depth: int = 12, slabs: int = 8,
-                 n_min: int = 64, growth_cap: int = 10):
+    SLABS = 8  # midpoint slabs per dyadic annulus
+    N_MIN = 64  # angular cells: max(N_MIN, 8 * 2^min(j, GROWTH_CAP)) in annulus j
+    GROWTH_CAP = 10
+
+    def __init__(self, density: Callable, *, depth: int = 12):
         rows = []
         for j in range(depth):
             r0 = 1.0 - 2.0 ** -j
-            h = (2.0 ** -j - 2.0 ** -(j + 1)) / slabs
-            n = max(n_min, 8 * 2 ** min(j, growth_cap))
+            h = (2.0 ** -j - 2.0 ** -(j + 1)) / self.SLABS
+            n = max(self.N_MIN, 8 * 2 ** min(j, self.GROWTH_CAP))
             th = (np.arange(n) + 0.5) * (TWO_PI / n)
             e = np.exp(1j * th)
-            for i in range(slabs):
+            for i in range(self.SLABS):
                 lo = r0 + i * h
                 rc = lo + 0.5 * h
                 dens = np.asarray(density(rc * e), dtype=float)

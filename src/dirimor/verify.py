@@ -29,6 +29,7 @@ from .analytic import AnalyticFunction, BoundaryPoint, SpaceParams, log_kernel, 
 from .gaps import GapCoefficients, gap_block_sums, remark_coefficient_rule, remark_example
 from .norms import (
     ParamGrid,
+    WeightedDerivativeMeasure,
     boundary_double_seminorm,
     box_quantity_pair,
     dm_norm_translate,
@@ -133,12 +134,6 @@ class RunConfig:
         d["suite"] = list(self.suite)
         d["tasks"] = list(self.tasks)
         return d
-
-    @staticmethod
-    def from_file(path) -> "RunConfig":
-        with open(path, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
-        return RunConfig().with_overrides(data)
 
     def with_overrides(self, data: dict) -> "RunConfig":
         known = {f.name for f in dataclasses.fields(RunConfig)}
@@ -358,7 +353,7 @@ def _v3(config: RunConfig, fixed: dict):
     params = SpaceParams(p, lam)
     f = make_power_kernel(BoundaryPoint(0.0), params.translate_exponent)
     spread_cap = fixed["spread_cap"]
-    density = lambda z: np.abs(f.derivative(z)) ** 2 * (1 - np.abs(z) ** 2) ** p
+    density = WeightedDerivativeMeasure(f, p).density
     vals = []
     for j in range(1, fixed["h_levels"] + 1):
         h = 2.0 ** -j
@@ -423,13 +418,18 @@ def _v5(config: RunConfig, fixed: dict):
     return measured, ok
 
 
-def _v6(config: RunConfig, fixed: dict):
-    """Test-family norm uniformity up to |c| = 1 - 2^-k_c."""
-    params = config.space_params()
-    family = make_test_family(
+def _test_family(config: RunConfig, params: SpaceParams):
+    """The operator test family of ``params`` on the config's scan grid."""
+    return make_test_family(
         params, k_c=config.k_c, n_directions=config.c_directions,
         norm_grid=config.scan_grid(), scan_opts=config.scan_opts(),
     )
+
+
+def _v6(config: RunConfig, fixed: dict):
+    """Test-family norm uniformity up to |c| = 1 - 2^-k_c."""
+    params = config.space_params()
+    family = _test_family(config, params)
     per_level: dict = {}
     for e in family.entries:
         per_level.setdefault(e.level, []).append(e.norm)
@@ -449,16 +449,9 @@ def _v6(config: RunConfig, fixed: dict):
 def _v7(config: RunConfig, fixed: dict):
     """I_g dichotomy: bounded symbol bounded-trend, log symbol unbounded."""
     params = config.space_params()
-    family = make_test_family(
-        params, k_c=config.k_c, n_directions=config.c_directions,
-        norm_grid=config.scan_grid(), scan_opts=config.scan_opts(),
-    )
-    kw = dict(
-        family=family, norm_grid=config.scan_grid(), scan_opts=config.scan_opts(),
-        k_c=config.k_c, n_directions=config.c_directions,
-    )
-    bounded = ratio_scan(IG, parse_function_spec(fixed["bounded_symbol"], params), params, **kw)
-    unbounded = ratio_scan(IG, parse_function_spec(fixed["unbounded_symbol"], params), params, **kw)
+    family = _test_family(config, params)
+    bounded = ratio_scan(IG, parse_function_spec(fixed["bounded_symbol"], params), family)
+    unbounded = ratio_scan(IG, parse_function_spec(fixed["unbounded_symbol"], params), family)
     ok = (
         bounded.classification == "bounded-trend"
         and unbounded.classification == "unbounded-trend"
@@ -479,14 +472,8 @@ def _v8(config: RunConfig, fixed: dict):
     q = fixed["q"]
     params = SpaceParams(fixed["p"], q / fixed["p"])
     g = remark_example(q)
-    family = make_test_family(
-        params, k_c=config.k_c, n_directions=config.c_directions,
-        norm_grid=config.scan_grid(), scan_opts=config.scan_opts(),
-    )
-    scan = ratio_scan(
-        JG, g, params, family=family, norm_grid=config.scan_grid(),
-        scan_opts=config.scan_opts(), k_c=config.k_c, n_directions=config.c_directions,
-    )
+    family = _test_family(config, params)
+    scan = ratio_scan(JG, g, family)
     qp = qp_quantity(g, q, ParamGrid(k_arc=6, n_centers=16), **config.box_opts())
     lv = dict(qp.levels)
     j_lo, j_hi = fixed["depth_window"]

@@ -9,7 +9,6 @@ import pytest
 from dirimor.analytic import (
     BoundaryPoint,
     EvaluationDomainError,
-    MobiusMap,
     SpaceParams,
     TruncationError,
     constant,
@@ -36,6 +35,8 @@ def test_mobius_swaps_zero_and_a():
     assert mobius_apply(0.5, 0.5) == pytest.approx(0.0)
     z = random_interior(50)
     assert np.allclose(mobius_apply(0.0, z), -z)
+    with pytest.raises(ValueError):
+        mobius_apply(1.2, 0.0)
 
 
 def test_mobius_involution():
@@ -59,14 +60,6 @@ def test_mobius_boundary_to_boundary():
     u = np.exp(1j * RNG.uniform(0, 2 * np.pi, 100))
     w = mobius_apply(0.3 + 0.4j, u)
     assert np.max(np.abs(np.abs(w) - 1.0)) < 1e-12
-
-
-def test_mobius_map_object():
-    m = MobiusMap(0.3 - 0.2j)
-    assert m(0.0) == pytest.approx(0.3 - 0.2j)
-    assert abs(m(0.3 - 0.2j)) < 1e-15
-    with pytest.raises(ValueError):
-        MobiusMap(1.2)
 
 
 def test_space_params_derived():

@@ -12,10 +12,10 @@ from dirimor.operators import (
     IG,
     JG,
     MG,
-    OperatorKind,
     apply_Ig,
     apply_Jg,
     apply_Mg,
+    apply_operator,
     ibp_residual,
     interior_samples,
     make_test_family,
@@ -26,9 +26,11 @@ from dirimor.operators import (
 Z = interior_samples(40, seed=7)
 
 
-def test_operator_kind_validates():
-    with pytest.raises(ValueError):
-        OperatorKind("Xg")
+def test_unknown_operator_kind_named():
+    with pytest.raises(ValueError, match="'Xg'"):
+        ratio_scan("Xg", make_taylor([1]), make_test_family(PARAMS, k_c=0))
+    with pytest.raises(ValueError, match="'Xg'"):
+        apply_operator("Xg", make_taylor([1]), make_taylor([1]))
 
 
 def test_jg_of_constant_recovers_symbol():
@@ -155,10 +157,7 @@ def test_family_norms_rotation_invariant():
 
 def test_ratio_scan_constant_symbol_jg():
     fam = small_family(k_c=4, n_directions=4)
-    rep = ratio_scan(
-        JG, make_taylor([3]), PARAMS, family=fam,
-        norm_grid=SMALL_GRID, scan_opts=SMALL_OPTS, k_c=4, n_directions=4,
-    )
+    rep = ratio_scan(JG, make_taylor([3]), fam)
     assert rep.max_ratio == 0.0
     assert rep.classification == "bounded-trend"
 
@@ -169,10 +168,9 @@ def test_ratio_scan_bounded_vs_unbounded_ig():
     grid = ParamGrid(k_a=10, a_angle_cap=8)
     opts = dict(depth=20, panel_order=4, base_panels=10)
     fam = make_test_family(PARAMS, k_c=10, n_directions=2, norm_grid=grid, scan_opts=opts)
-    kw = dict(norm_grid=grid, scan_opts=opts, k_c=10, n_directions=2)
-    bounded = ratio_scan(IG, make_taylor([0.5, 0.5]), PARAMS, family=fam, **kw)
+    bounded = ratio_scan(IG, make_taylor([0.5, 0.5]), fam)
     assert bounded.classification == "bounded-trend"
-    unbounded = ratio_scan(IG, log_kernel(), PARAMS, family=fam, **kw)
+    unbounded = ratio_scan(IG, log_kernel(), fam)
     assert unbounded.classification == "unbounded-trend"
     assert unbounded.slope > 0.1
     assert unbounded.max_ratio > bounded.max_ratio
@@ -180,12 +178,10 @@ def test_ratio_scan_bounded_vs_unbounded_ig():
 
 def test_ratio_scan_report_serializes():
     fam = small_family(k_c=3, n_directions=2)
-    rep = ratio_scan(
-        MG, make_taylor([1, 0.25]), PARAMS, family=fam,
-        norm_grid=SMALL_GRID, scan_opts=SMALL_OPTS, k_c=3, n_directions=2,
-    )
+    rep = ratio_scan(MG, make_taylor([1, 0.25]), fam)
     d = rep.as_dict()
     assert d["kind"] == "Mg"
+    assert d["grid"] == {"k_c": 3, "n_directions": 2, **SMALL_GRID.describe()}
     assert len(d["rows"]) == len(fam.entries)
     assert d["classification"] in ("bounded-trend", "unbounded-trend")
 
@@ -198,10 +194,7 @@ def test_multiplier_bounded_trend_implies_symbol_conditions():
 
     g = make_taylor([0.5, 0.5])
     fam = small_family(k_c=6, n_directions=2)
-    rep = ratio_scan(
-        MG, g, PARAMS, family=fam,
-        norm_grid=SMALL_GRID, scan_opts=SMALL_OPTS, k_c=6, n_directions=2,
-    )
+    rep = ratio_scan(MG, g, fam)
     assert rep.classification == "bounded-trend"
     assert "bounded-trend" in hinf_sup(g).flags
     assert "bounded-trend" in qp_quantity(g, PARAMS.p, ParamGrid(k_arc=6, n_centers=8)).flags
