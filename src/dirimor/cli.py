@@ -48,6 +48,11 @@ from .verify import (
 )
 
 KIND_BY_NAME = {"jg": JG, "ig": IG, "mg": MG}
+# grid flags by RunConfig field; the dp, gpcm and growth quantities read none
+GRID_FLAGS = {
+    "depth": "--depth", "k_a": "--k-a", "k_arc": "--k-arc",
+    "base_panels": "--angular-min", "box_radial_order": "--radial-order",
+}
 
 
 def _add_common(ap: argparse.ArgumentParser):
@@ -86,6 +91,13 @@ def _emit(payload: dict, out: str | None):
 
 
 def cmd_norm(args) -> int:
+    q = args.quantity
+    if q in ("dp", "gpcm", "growth"):
+        given = [flag for key, flag in GRID_FLAGS.items() if getattr(args, key) is not None]
+        if given:
+            print(f"error: --quantity {q} reads no grid flag, got {', '.join(given)}",
+                  file=sys.stderr)
+            return 2
     config = _config_from_args(args)
     params = SpaceParams(config.p, config.lam)
     try:
@@ -94,7 +106,6 @@ def cmd_norm(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     grid = config.param_grid()
-    q = args.quantity
     if q == "dp":
         rep = dirichlet_norm(f, config.p)
     elif q == "dm-translate":
@@ -112,11 +123,9 @@ def cmd_norm(args) -> int:
     elif q == "gpcm":
         rep = gpcm_quantity(f, config.p)
     elif q == "hinf":
-        rep = hinf_sup(f)
+        rep = hinf_sup(f, k_levels=config.k_a)
     elif q == "growth":
-        value = growth_envelope(f, params)
-        _emit({"quantity": "growth", "value": value, "function": args.function}, args.out)
-        return 0
+        rep = growth_envelope(f, params)
     elif q == "morrey":
         rep = general_morrey_norm(f, config.p, args.s, grid, **config.translate_opts())
     else:

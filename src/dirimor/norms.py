@@ -27,7 +27,7 @@ polynomials; tests hold these pairs together.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -39,13 +39,13 @@ from .quadrature import (
     RadialAnnuliGrid,
     Region,
     TWO_PI,
-    _gauss_on,
     _piece_columns,
     _point_box_pieces,
     _window_nodes,
     arc_double_integral,
     chord_gap,
     integrate_disc,
+    radial_panels,
     region_node_arrays,
 )
 
@@ -166,15 +166,19 @@ def classify_trend(slope: float) -> str:
     return "unbounded-trend" if slope > TREND_SLOPE_THRESHOLD else "bounded-trend"
 
 
-def _trace_flags(levels_trace) -> tuple:
-    slope = trend_slope([l for l, _ in levels_trace], [v for _, v in levels_trace])
-    return (classify_trend(slope),)
-
-
-def _delta(trace) -> float:
-    if len(trace) < 2 or trace[-1][1] == 0.0:
-        return 0.0
-    return abs(trace[-1][1] - trace[-2][1]) / abs(trace[-1][1])
+def _trace_report(quantity, value, maximizer, grid, trace, *, error=0.0, flags=()) -> NormReport:
+    """A scanned quantity's report.  Its refinement delta (the relative
+    change over the last step), trend flag and levels all come from the
+    (level, running value) ``trace``; an empty trace adds no trend flag."""
+    delta = 0.0
+    if len(trace) >= 2 and trace[-1][1] != 0.0:
+        delta = abs(trace[-1][1] - trace[-2][1]) / abs(trace[-1][1])
+    if trace:
+        slope = trend_slope([l for l, _ in trace], [v for _, v in trace])
+        flags = tuple(flags) + (classify_trend(slope),)
+    return NormReport(quantity=quantity, value=value, maximizer=maximizer, grid=grid,
+                      refinement_delta=delta, error=error, flags=tuple(flags),
+                      levels=tuple(trace))
 
 
 # ---------------------------------------------------------------------------
@@ -409,16 +413,7 @@ def _running_trace(per_level: dict) -> list:
 def _scan_report(name, f0, entries, per_level, grid_desc) -> NormReport:
     best = max(entries, key=lambda e: e[2])
     trace = [(level, f0 + running) for level, running in _running_trace(per_level)]
-    value = f0 + best[2]
-    return NormReport(
-        quantity=name,
-        value=value,
-        maximizer=complex(best[1]),
-        grid=grid_desc,
-        refinement_delta=_delta(trace),
-        flags=_trace_flags(trace),
-        levels=tuple(trace),
-    )
+    return _trace_report(name, f0 + best[2], complex(best[1]), grid_desc, trace)
 
 
 def dm_norm_translate(
@@ -542,19 +537,10 @@ def _plain_box_sums(f, p_arr, arcs, length, *, rel_depth, radial_order,
                     panel_order, base_panels, max_level):
     centers = np.array([a.center for a in arcs])
     half = math.pi * length
-    d = length
     sums = np.zeros((len(arcs), len(p_arr), TRACE_LEVEL_CAP + 2))
-    for ell in range(rel_depth):
-        lo_r = 1.0 - d * 2.0 ** -ell
-        hi_r = 1.0 - d * 2.0 ** -(ell + 1)
-        if max_level is not None:
-            cap_r = 1.0 - 2.0 ** -max_level
-            if lo_r >= cap_r:
-                break
-            hi_r = min(hi_r, cap_r)
-        rr, rw = _gauss_on(lo_r, hi_r, radial_order)
-        th, tw = _window_nodes(-half, half, 1.0 - hi_r, (), base_panels, panel_order)
-        j_abs = min(int(-math.log2(max(1.0 - 0.5 * (lo_r + hi_r), 1e-300))), TRACE_LEVEL_CAP + 1)
+    for rr, rw, delta, j_abs in radial_panels(length, rel_depth, radial_order, max_level):
+        th, tw = _window_nodes(-half, half, delta, (), base_panels, panel_order)
+        j_abs = min(j_abs, TRACE_LEVEL_CAP + 1)
         ang = centers[:, None] + th[None, :]
         for i in range(len(rr)):
             z = rr[i] * np.exp(1j * ang)
@@ -574,34 +560,24 @@ def _box_scan_report(name, weighted, grid, extra_desc=None) -> NormReport:
     dyadic-level contributions of the measure over S(arc).  The scan trace
     runs over the radial depth truncation.
     """
-    trace = []
-    best_val, best_arc = 0.0, None
-    totals = []
-    for j, arc, wgt, row in weighted:
-        tot = wgt * float(np.sum(row))
-        totals.append(tot)
-        if tot > best_val:
-            best_val, best_arc = tot, arc
-    for L in range(TRACE_LEVEL_CAP + 1):
-        v = 0.0
-        for (j, arc, wgt, row) in weighted:
-            v = max(v, wgt * float(np.sum(row[: L + 1])))
-        trace.append((L, v))
+    wgt = np.array([w for _, _, w, _ in weighted])
+    rows = np.array([row for _, _, _, row in weighted])
+    # an axis-1 sum rounds each row as a 1-D np.sum of it does (pairwise);
+    # np.cumsum would not
+    totals = wgt * np.sum(rows, axis=1)
+    i = int(np.argmax(totals))  # first maximum wins
+    best_val, best_arc = (float(totals[i]), weighted[i][1]) if totals[i] > 0.0 else (0.0, None)
+    trace = [
+        (L, float(np.max(wgt * np.sum(rows[:, : L + 1], axis=1), initial=0.0)))
+        for L in range(TRACE_LEVEL_CAP + 1)
+    ]
     trace.append((TRACE_LEVEL_CAP + 1, best_val))
     # drop leading empty levels
     trace = [(l, v) for l, v in trace if v > 0.0] or [(0, 0.0)]
     desc = {"scan": name, **grid.describe()}
     if extra_desc:
         desc.update(extra_desc)
-    return NormReport(
-        quantity=name,
-        value=best_val,
-        maximizer=best_arc,
-        grid=desc,
-        refinement_delta=_delta(trace),
-        flags=_trace_flags(trace),
-        levels=tuple(trace),
-    )
+    return _trace_report(name, best_val, best_arc, desc, trace)
 
 
 def dm_seminorm_box(
@@ -706,16 +682,9 @@ def boundary_double_seminorm(
         per_level[j] = max(per_level.get(j, 0.0), val)
         if val > best_val:
             best_val, best_arc, err = val, arc, res.error
-    trace = _running_trace(per_level)
-    return NormReport(
-        quantity="boundary-double",
-        value=best_val,
-        maximizer=best_arc,
-        grid={"scan": "boundary-double", **grid.describe()},
-        refinement_delta=_delta(trace),
-        error=err,
-        flags=_trace_flags(trace),
-        levels=tuple(trace),
+    return _trace_report(
+        "boundary-double", best_val, best_arc, {"scan": "boundary-double", **grid.describe()},
+        _running_trace(per_level), error=err,
     )
 
 
@@ -724,56 +693,60 @@ def boundary_double_seminorm(
 # ---------------------------------------------------------------------------
 
 
+def _ray_scan(quantity, f, k_max, angles_at, weight_at, grid) -> NormReport:
+    """max of weight_at(r) |f(z)| over radii r = 1 - 2^-k (k = 0..k_max) and
+    the angles ``angles_at(k)``; k = 0 is the single point z = 0.
+
+    The levels trace is the running maximum over k, and the maximizer is
+    the first node attaining the maximum (z = 0 when every value is 0)."""
+    best, best_z = 0.0, 0.0 + 0.0j
+    per_level: dict = {}
+    for k in range(k_max + 1):
+        r = 1.0 - 2.0 ** -k
+        z = r * np.exp(1j * angles_at(k)) if r > 0 else np.array([0.0 + 0.0j])
+        vals = np.abs(f(z)) * weight_at(r)
+        i = int(np.argmax(vals))
+        per_level[k] = float(vals[i])
+        if vals[i] > best:
+            best, best_z = float(vals[i]), complex(z[i])
+    return _trace_report(quantity, best, best_z, grid, _running_trace(per_level))
+
+
 def growth_envelope(
     f: AnalyticFunction,
     params: SpaceParams,
     *,
     k_levels: int = 12,
     n_directions: int = 16,
-) -> float:
+) -> NormReport:
     """max over sampled rays of |f(z)| (1-|z|)^(p(1-lam)/2).
 
     Radii 1 - 2^-k for k = 0..k_levels along equispaced directions plus the
-    function's own singular directions (clipped to its certified radius)."""
+    function's own singular directions (clipped to its certified radius).
+    The levels trace is the running maximum over k."""
     s = params.translate_exponent
-    dirs = sorted(set(f.singular_angles) | {TWO_PI * m / n_directions for m in range(n_directions)})
+    dirs = np.array(sorted(
+        set(f.singular_angles) | {TWO_PI * m / n_directions for m in range(n_directions)}
+    ))
     k_max = min(k_levels, effective_depth(f, k_levels))
-    best = 0.0
-    for k in range(k_max + 1):
-        r = 1.0 - 2.0 ** -k
-        z = r * np.exp(1j * np.array(dirs)) if r > 0 else np.array([0.0 + 0.0j])
-        vals = np.abs(f(z)) * (1.0 - r) ** s
-        best = max(best, float(np.max(vals)))
-    return best
+    grid = {"scan": "growth", "k_levels": k_max, "n_directions": n_directions}
+    return _ray_scan("growth", f, k_max, lambda k: dirs, lambda r: (1.0 - r) ** s, grid)
 
 
 def hinf_sup(g: AnalyticFunction, *, k_levels: int = 10, n_max: int = 8192) -> NormReport:
-    """max of |g| over radii 1 - 2^-k and dense angles; nondecreasing in k.
+    """max of |g| over radii 1 - 2^-k and min(max(64, 8 2^k), n_max)
+    equispaced angles.
 
-    The levels trace is the per-radius maximum; an unbounded-trend flag
+    The levels trace is the running maximum over k; an unbounded-trend flag
     means the boundary sup keeps growing as the circle is approached."""
     k_max = min(k_levels, effective_depth(g, k_levels))
-    trace = []
-    best, best_z = 0.0, 0.0 + 0.0j
-    for k in range(k_max + 1):
-        r = 1.0 - 2.0 ** -k
+
+    def angles_at(k):
         n = min(max(64, 8 * 2 ** k), n_max)
-        th = TWO_PI * np.arange(n) / n
-        z = r * np.exp(1j * th) if r > 0 else np.array([0.0 + 0.0j])
-        vals = np.abs(g(z))
-        i = int(np.argmax(vals))
-        if vals[i] > best:
-            best, best_z = float(vals[i]), complex(z[i])
-        trace.append((k, best))
-    return NormReport(
-        quantity="hinf",
-        value=best,
-        maximizer=best_z,
-        grid={"scan": "hinf", "k_levels": k_max, "n_max": n_max},
-        refinement_delta=_delta(trace),
-        flags=_trace_flags(trace),
-        levels=tuple(trace),
-    )
+        return TWO_PI * np.arange(n) / n
+
+    grid = {"scan": "hinf", "k_levels": k_max, "n_max": n_max}
+    return _ray_scan("hinf", g, k_max, angles_at, lambda r: 1.0, grid)
 
 
 # ---------------------------------------------------------------------------
@@ -837,15 +810,6 @@ def gpcm_quantity(
     if best_w is None:
         flags = ("degenerate",)
         best = 0.0
-    trace = _running_trace(per_level)
-    report = NormReport(
-        quantity="gpcm",
-        value=best,
-        maximizer=best_w,
-        grid={"scan": "gpcm", "k_w": k_w, "w_angle_cap": w_angle_cap,
-              "table_depth": table_depth, "skipped": skipped},
-        refinement_delta=_delta(trace),
-        flags=flags + (_trace_flags(trace) if trace else ()),
-        levels=tuple(trace),
-    )
-    return report
+    grid = {"scan": "gpcm", "k_w": k_w, "w_angle_cap": w_angle_cap,
+            "table_depth": table_depth, "skipped": skipped}
+    return _trace_report("gpcm", best, best_w, grid, _running_trace(per_level), flags=flags)

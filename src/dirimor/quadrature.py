@@ -34,9 +34,9 @@ a function of radial depth.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache, cached_property
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -143,6 +143,27 @@ def _window_nodes(wlo, whi, delta, foci, base_panels, order):
     return angular_nodes(wlo, whi, delta, foci, nb, order)
 
 
+def radial_panels(d: float, depth: int, order: int, max_level: Optional[int] = None):
+    """Gauss rules on the dyadic radial panels [1 - d 2^-l, 1 - d 2^-(l+1)].
+
+    Yields (rr, rw, delta, j_abs) for l = 0..depth-1: the panel's nodes and
+    weights, its outer distance delta = 1 - r_hi to the circle, and the
+    absolute dyadic level int(-log2(1 - r_mid)) of its midpoint.  With
+    ``max_level`` the panels stop at 1 - 2^-max_level (the panel crossing it
+    is cut there).
+    """
+    cap_r = None if max_level is None else 1.0 - 2.0 ** -max_level
+    for ell in range(depth):
+        lo_r = 1.0 - d * 2.0 ** -ell
+        hi_r = 1.0 - d * 2.0 ** -(ell + 1)
+        if cap_r is not None:
+            if lo_r >= cap_r:
+                return
+            hi_r = min(hi_r, cap_r)
+        rr, rw = _gauss_on(lo_r, hi_r, order)
+        yield rr, rw, 1.0 - hi_r, int(-math.log2(max(1.0 - 0.5 * (lo_r + hi_r), 1e-300)))
+
+
 # ---------------------------------------------------------------------------
 # The global disc grid
 # ---------------------------------------------------------------------------
@@ -174,13 +195,10 @@ class RadialAnnuliGrid:
     def _nodes(self):
         zs, ws, lv = [], [], []
         anchor = self.foci[0] if self.foci else 0.0
-        for j in range(self.depth):
-            r0 = 1.0 - 2.0 ** -j
-            r1 = 1.0 - 2.0 ** -(j + 1)
-            rr, rw = _gauss_on(r0, r1, self.radial_order)
+        for j, (rr, rw, delta, _) in enumerate(radial_panels(1.0, self.depth, self.radial_order)):
             if self.foci:
                 th, tw = angular_nodes(
-                    anchor, anchor + TWO_PI, 2.0 ** -(j + 1), self.foci,
+                    anchor, anchor + TWO_PI, delta, self.foci,
                     self.base_panels, self.panel_order, wrap=True,
                 )
             else:
@@ -491,17 +509,8 @@ def region_node_arrays(
     """
     if region.is_empty:
         return (np.empty(0, complex), np.empty(0), np.empty(0, dtype=np.int32))
-    d = 1.0 - region.r_lo
     zs, ws, lv = [], [], []
-    for ell in range(rel_depth):
-        lo_r = 1.0 - d * 2.0 ** -ell
-        hi_r = 1.0 - d * 2.0 ** -(ell + 1)
-        if max_level is not None:
-            cap_r = 1.0 - 2.0 ** -max_level
-            if lo_r >= cap_r:
-                break
-            hi_r = min(hi_r, cap_r)
-        rr, rw = _gauss_on(lo_r, hi_r, radial_order)
+    for rr, rw, delta, j_abs in radial_panels(1.0 - region.r_lo, rel_depth, radial_order, max_level):
         if region.lune is not None:
             # chord-clipped window varies with radius: build per radial node
             for i in range(len(rr)):
@@ -509,18 +518,16 @@ def region_node_arrays(
                 windows = region.windows_at(r)
                 if not windows:
                     continue
-                delta = 1.0 - r
-                j_abs = min(int(-math.log2(max(delta, 1e-300))), 4000)
+                delta_r = 1.0 - r
+                j_node = int(-math.log2(max(delta_r, 1e-300)))
                 for (wlo, whi) in windows:
-                    th, tw = _window_nodes(wlo, whi, delta, foci, base_panels, panel_order)
+                    th, tw = _window_nodes(wlo, whi, delta_r, foci, base_panels, panel_order)
                     zs.append(r * np.exp(1j * th))
                     ws.append((rw[i] * r / math.pi) * tw)
-                    lv.append(np.full(th.size, j_abs, dtype=np.int32))
+                    lv.append(np.full(th.size, j_node, dtype=np.int32))
         else:
             # constant window: one angular layout per radial panel, graded to
             # the panel's finest radial scale, tensored with the radial nodes
-            delta = 1.0 - hi_r
-            j_abs = min(int(-math.log2(max(1.0 - 0.5 * (lo_r + hi_r), 1e-300))), 4000)
             for (wlo, whi) in region.pieces:
                 th, tw = _window_nodes(wlo, whi, delta, foci, base_panels, panel_order)
                 z = rr[:, None] * np.exp(1j * th[None, :])

@@ -332,8 +332,8 @@ def _v2(config: RunConfig, fixed: dict):
     for name, f in suite:
         n1 = dm_norm_translate(f, params, config.param_grid(), **config.translate_opts()).value
         n2 = dm_norm_translate(f, params, config.param_grid().refined(), **config.translate_opts()).value
-        e1 = growth_envelope(f, params, k_levels=12)
-        e2 = growth_envelope(f, params, k_levels=14)
+        e1 = growth_envelope(f, params, k_levels=12).value
+        e2 = growth_envelope(f, params, k_levels=14).value
         r1, r2 = e1 / n1, e2 / n2
         drift = r2 / r1 if r1 > 0 else 1.0
         good = (1.0 / drift_cap) < drift < drift_cap

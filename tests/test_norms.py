@@ -8,6 +8,7 @@ import pytest
 
 from dirimor.analytic import BoundaryPoint, SpaceParams, log_kernel, make_power_kernel, make_taylor
 from dirimor.norms import (
+    TRACE_LEVEL_CAP,
     NormReport,
     ParamGrid,
     UnsupportedFunctionError,
@@ -16,6 +17,7 @@ from dirimor.norms import (
     box_quantity_pair,
     classify_trend,
     dirichlet_norm,
+    _box_scan_report,
     _growth_for_radius,
     _scan_group,
     dirichlet_norm_coeff,
@@ -31,6 +33,7 @@ from dirimor.norms import (
     translate_seminorm,
     trend_slope,
 )
+from dirimor.quadrature import Arc
 
 RNG = np.random.default_rng(1234)
 
@@ -275,7 +278,7 @@ def test_boundary_double_identity_full_circle():
 
 
 def test_growth_envelope_constant():
-    assert growth_envelope(make_taylor([2 - 1j]), SpaceParams(0.5, 0.4)) == pytest.approx(
+    assert growth_envelope(make_taylor([2 - 1j]), SpaceParams(0.5, 0.4)).value == pytest.approx(
         math.sqrt(5), rel=1e-12
     )
 
@@ -285,13 +288,17 @@ def test_growth_envelope_fpl_plateau():
     f = make_power_kernel(BoundaryPoint(0.0), params.translate_exponent)
     # on the ray toward the singularity, |f|(1-r)^s = 1 exactly
     env = growth_envelope(f, params)
-    assert env == pytest.approx(1.0, rel=1e-9)
+    assert env.value == pytest.approx(1.0, rel=1e-9)
+    # the maximum sits on the singular ray, angle 0
+    assert env.maximizer.imag == 0.0 and 0.0 <= env.maximizer.real < 1.0
+    vals = [v for _, v in env.levels]
+    assert all(vals[i] <= vals[i + 1] for i in range(len(vals) - 1))
 
 
 def test_growth_envelope_identity_decreasing():
     f = make_taylor([0, 1])
     env = growth_envelope(f, SpaceParams(0.5, 0.4))
-    assert env <= 1.0
+    assert env.value <= 1.0
 
 
 def test_hinf_scan():
@@ -361,6 +368,49 @@ def test_report_serialization():
         "error", "flags", "levels",
     }
     assert isinstance(d["maximizer"], dict)
+
+
+def _box_report_per_arc(weighted):
+    """The per-arc loop that _box_scan_report replaced: (value, arc, trace)."""
+    best_val, best_arc = 0.0, None
+    for _, arc, wgt, row in weighted:
+        tot = wgt * float(np.sum(row))
+        if tot > best_val:
+            best_val, best_arc = tot, arc
+    trace = []
+    for L in range(TRACE_LEVEL_CAP + 1):
+        v = 0.0
+        for _, _, wgt, row in weighted:
+            v = max(v, wgt * float(np.sum(row[: L + 1])))
+        trace.append((L, v))
+    trace.append((TRACE_LEVEL_CAP + 1, best_val))
+    trace = [(l, v) for l, v in trace if v > 0.0] or [(0, 0.0)]
+    return best_val, best_arc, tuple(trace)
+
+
+def test_box_scan_report_equals_per_arc_loop():
+    rng = np.random.default_rng(77)
+    grid = ParamGrid(k_arc=5, n_centers=8)
+    for trial in range(20):
+        weighted = []
+        for j, arc in grid.arcs():
+            # arcs of level j carry no mass above level j; every row keeps at
+            # least 8 nonzero levels, so the prefix sums are pairwise sums
+            row = np.zeros(TRACE_LEVEL_CAP + 2)
+            row[j:] = rng.lognormal(0.0, 2.0, row.size - j)
+            weighted.append((j, arc, float(rng.uniform(0.5, 2.0)), row))
+        # a tie after the maximum: the first maximum wins
+        j, arc, wgt, row = max(weighted, key=lambda e: e[2] * float(np.sum(e[3])))
+        weighted.append((j, Arc(arc.center + 0.1, arc.length), wgt, row.copy()))
+        rep = _box_scan_report("dm-box", weighted, grid)
+        value, best_arc, trace = _box_report_per_arc(weighted)
+        assert rep.value == value
+        assert rep.maximizer is best_arc
+        assert rep.levels == trace
+    zero = [(j, arc, 1.0, np.zeros(TRACE_LEVEL_CAP + 2)) for j, arc in grid.arcs()]
+    rep = _box_scan_report("dm-box", zero, grid)
+    assert rep.maximizer is None
+    assert (rep.value, rep.levels) == (0.0, ((0, 0.0),))
 
 
 def test_monotone_arc_suprema():

@@ -11,6 +11,7 @@ import pytest
 
 from dirimor.analytic import SpaceParams
 from dirimor.cli import main
+from dirimor.norms import NormReport
 from dirimor.verify import (
     DEFAULT_SUITE,
     FunctionSpecError,
@@ -308,8 +309,31 @@ def test_cli_norm_quantities_smoke(tmp_path, quantity, function):
     rc = main(args)
     assert rc == 0
     payload = json.loads(out.read_text())
-    assert "value" in payload
+    # every quantity prints a NormReport and the function spec
+    assert set(payload) == set(NormReport("q", 0.0, None, {}, 0.0).as_dict()) | {"function"}
     assert payload["value"] >= 0.0
+
+
+def test_cli_norm_hinf_reads_k_a(tmp_path):
+    out = tmp_path / "hinf.json"
+    rc = main(["norm", "--quantity", "hinf", "--function", "log1", "--k-a", "3",
+               "--out", str(out)])
+    assert rc == 0
+    payload = json.loads(out.read_text())
+    assert payload["grid"]["k_levels"] == 3
+    assert [l for l, _ in payload["levels"]] == [0, 1, 2, 3]
+
+
+@pytest.mark.parametrize("quantity", ["dp", "gpcm", "growth"])
+def test_cli_norm_rejects_unread_grid_flags(quantity, capsys):
+    rc = main(["norm", "--quantity", quantity, "--function", "taylor:0,1", "--depth", "12"])
+    assert rc == 2
+    assert "--depth" in capsys.readouterr().err
+    rc = main(["norm", "--quantity", quantity, "--function", "taylor:0,1",
+               "--k-arc", "3", "--angular-min", "4"])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "--k-arc" in err and "--angular-min" in err
 
 
 @pytest.mark.parametrize(
