@@ -10,7 +10,7 @@ interior code path.
 Functions are immutable after construction and safe to share between
 workers.  Each one may carry
 
-* an optional Taylor view (coefficients, valid radius, tail bound),
+* an optional Taylor view (coefficients, valid radius),
 * an optional boundary trace (``theta -> f(e^{i theta})``),
 * a tuple of singular directions on the circle, used by the quadrature
   module to grade meshes toward the points where mass concentrates.
@@ -64,14 +64,12 @@ class SpaceParams:
     ``box_exponent``       power of |I| in the Carleson-box quantity (p*lam)
     ``translate_exponent`` power of (1-|a|^2) weighting translate seminorms,
                            p*(1-lam)/2
-    ``translate_exponent_sq`` the squared-form power p*(1-lam)
     """
 
     p: float
     lam: float
     box_exponent: float = field(init=False)
     translate_exponent: float = field(init=False)
-    translate_exponent_sq: float = field(init=False)
 
     def __post_init__(self):
         if not (0.0 < self.p <= 1.0):
@@ -80,7 +78,6 @@ class SpaceParams:
             raise ValueError(f"lam must lie in [0, 1], got {self.lam}")
         object.__setattr__(self, "box_exponent", self.p * self.lam)
         object.__setattr__(self, "translate_exponent", self.p * (1.0 - self.lam) / 2.0)
-        object.__setattr__(self, "translate_exponent_sq", self.p * (1.0 - self.lam))
 
 
 # ---------------------------------------------------------------------------
@@ -123,7 +120,6 @@ class AnalyticFunction:
     eval_fn: Callable
     deriv_fn: Callable
     taylor_coeffs: Optional[tuple] = None
-    taylor_tail_bound: float = 0.0
     boundary_fn: Optional[Callable] = None
     singular_angles: tuple = ()
     angular_hint: int = 64
@@ -177,7 +173,6 @@ class AnalyticFunction:
             eval_fn=lambda z: fe(z) + ge(z),
             deriv_fn=lambda z: fd(z) + gd(z),
             taylor_coeffs=coeffs,
-            taylor_tail_bound=self.taylor_tail_bound + other.taylor_tail_bound,
             boundary_fn=bnd,
             singular_angles=tuple(sorted(set(self.singular_angles) | set(other.singular_angles))),
             angular_hint=max(self.angular_hint, other.angular_hint),
@@ -201,7 +196,6 @@ class AnalyticFunction:
             eval_fn=lambda z: alpha * fe(z),
             deriv_fn=lambda z: alpha * fd(z),
             taylor_coeffs=coeffs,
-            taylor_tail_bound=abs(alpha) * self.taylor_tail_bound,
             boundary_fn=bnd,
         )
 
@@ -386,7 +380,6 @@ def make_gap_series(
         eval_fn=ev,
         deriv_fn=dv,
         boundary_fn=bnd,
-        taylor_tail_bound=tail,
         angular_hint=64,
         r_max=r_max,
         oscillatory=True,

@@ -7,14 +7,16 @@ Subcommands:
     verify      run verification tasks V1..V10 and emit the report
     sweep       tabulate a quantity over (p, lam) grids or over grid levels
 
-Global flags configure grids and determinism; every flag has a config-file
-equivalent (JSON, via --config or the DIRIMOR_CONFIG environment variable),
-with CLI flags taking precedence.
+Each subcommand registers only the flags it reads.  The config file (JSON,
+via --config or the DIRIMOR_CONFIG environment variable) sets any
+``RunConfig`` field, and CLI flags take precedence.  Exit codes: 0 for
+success, 1 for a failed verification, 2 for bad input.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 from pathlib import Path
@@ -48,39 +50,71 @@ from .verify import (
 )
 
 KIND_BY_NAME = {"jg": JG, "ig": IG, "mg": MG}
-# grid flags by RunConfig field; the dp, gpcm and growth quantities read none
-GRID_FLAGS = {
-    "depth": "--depth", "k_a": "--k-a", "k_arc": "--k-arc",
-    "base_panels": "--angular-min", "box_radial_order": "--radial-order",
+# every option of the subcommands: flag -> add_argument keywords; a dest
+# that names a RunConfig field overrides that field
+FLAGS = {
+    "--config": dict(dest="config", help="JSON config file (DIRIMOR_CONFIG is the fallback)"),
+    "--out": dict(dest="out", help="output path for structured results"),
+    "--p": dict(dest="p", type=float, help="weight exponent p in (0, 1]"),
+    "--lambda": dict(dest="lam", type=float, help="Morrey exponent in [0, 1]"),
+    "--depth": dict(dest="depth", type=int, help="radial dyadic depth for translate scans"),
+    "--k-a": dict(dest="k_a", type=int, help="a-grid depth"),
+    "--k-arc": dict(dest="k_arc", type=int, help="arc-grid depth"),
+    "--angular-min": dict(dest="base_panels", type=int,
+                          help="background angular panels per annulus"),
+    "--radial-order": dict(dest="box_radial_order", type=int,
+                           help="radial rule order for fitted region grids"),
+    "--workers": dict(dest="workers", type=int, help="worker pool size for verification runs"),
+    "--seed": dict(dest="seed", type=int, help="seed for random sample points"),
+    "--s": dict(dest="s", type=float, help="power-weight exponent for morrey (default 0)"),
+}
+GRID_FLAGS = ("--depth", "--k-a", "--k-arc", "--angular-min", "--radial-order")
+SCAN_FLAGS = ("--config", "--out", "--p", "--lambda", *GRID_FLAGS)
+TRANSLATE_READS = ("--k-a", "--depth", "--angular-min")
+BOX_READS = ("--k-arc", "--radial-order")
+# --quantity name -> (the flags it reads, scan(f, params, config, s)).  Each
+# scan names its norms function at call time, so a rebinding of that
+# function (as a tracer does) reaches it.
+QUANTITIES = {
+    "dp": ((), lambda f, P, c, s: dirichlet_norm(f, c.p)),
+    "dm-translate": (TRANSLATE_READS, lambda f, P, c, s: dm_norm_translate(
+        f, P, c.param_grid(), **c.translate_opts())),
+    "dm-box": (BOX_READS, lambda f, P, c, s: dm_seminorm_box(
+        f, P, c.param_grid(), **c.box_opts())),
+    "qp": (BOX_READS, lambda f, P, c, s: qp_quantity(f, c.p, c.param_grid(), **c.box_opts())),
+    "qplog": (BOX_READS, lambda f, P, c, s: qp_log_quantity(
+        f, c.p, c.param_grid(), **c.box_opts())),
+    "boundary": ((), lambda f, P, c, s: boundary_double_seminorm(
+        f, P, c.boundary_grid(), t_depth=c.boundary_t_depth)),
+    "gpcm": ((), lambda f, P, c, s: gpcm_quantity(f, c.p)),
+    "hinf": (("--k-a",), lambda f, P, c, s: hinf_sup(f, k_levels=c.k_a)),
+    "growth": ((), lambda f, P, c, s: growth_envelope(f, P)),
+    "morrey": ((*TRANSLATE_READS, "--s"), lambda f, P, c, s: general_morrey_norm(
+        f, c.p, 0.0 if s is None else s, c.param_grid(), **c.translate_opts())),
 }
 
 
-def _add_common(ap: argparse.ArgumentParser):
-    ap.add_argument("--config", help="JSON config file (DIRIMOR_CONFIG is the fallback)")
-    ap.add_argument("--out", help="output path for structured results")
-    ap.add_argument("--workers", type=int, help="worker pool size for verification runs")
-    ap.add_argument("--depth", type=int, help="radial dyadic depth for translate scans")
-    ap.add_argument("--seed", type=int, help="seed for random sample points")
-    ap.add_argument("--p", type=float, help="weight exponent p in (0, 1]")
-    ap.add_argument("--lambda", dest="lam", type=float, help="Morrey exponent in [0, 1]")
-    ap.add_argument("--k-a", type=int, help="a-grid depth")
-    ap.add_argument("--k-arc", type=int, help="arc-grid depth")
-    ap.add_argument("--angular-min", dest="base_panels", type=int,
-                    help="background angular panels per annulus")
-    ap.add_argument("--radial-order", dest="box_radial_order", type=int,
-                    help="radial rule order for fitted region grids")
+def _add_flags(ap: argparse.ArgumentParser, flags):
+    for flag in flags:
+        ap.add_argument(flag, **FLAGS[flag])
 
 
 def _config_from_args(args) -> RunConfig:
-    overrides = {}
-    for key in (
-        "out", "workers", "depth", "seed", "p", "lam", "k_a", "k_arc",
-        "base_panels", "box_radial_order",
-    ):
-        val = getattr(args, key, None)
-        if val is not None:
-            overrides[key] = val
-    return resolve_config(getattr(args, "config", None), overrides)
+    fields = {f.name for f in dataclasses.fields(RunConfig)}
+    overrides = {k: v for k, v in vars(args).items() if k in fields}
+    return resolve_config(args.config, overrides)
+
+
+def _scan(args, quantity: str, what: str, checked=(*GRID_FLAGS, "--s")):
+    """(config, scan) of the QUANTITIES row ``quantity``.  Raises ValueError
+    naming every flag of ``checked`` given on the command line that the row
+    does not read."""
+    reads, scan = QUANTITIES[quantity]
+    unread = [flag for flag in checked
+              if flag not in reads and getattr(args, FLAGS[flag]["dest"], None) is not None]
+    if unread:
+        raise ValueError(f"{what} does not read {', '.join(unread)}")
+    return _config_from_args(args), scan
 
 
 def _emit(payload: dict, out: str | None):
@@ -91,47 +125,10 @@ def _emit(payload: dict, out: str | None):
 
 
 def cmd_norm(args) -> int:
-    q = args.quantity
-    if q in ("dp", "gpcm", "growth"):
-        given = [flag for key, flag in GRID_FLAGS.items() if getattr(args, key) is not None]
-        if given:
-            print(f"error: --quantity {q} reads no grid flag, got {', '.join(given)}",
-                  file=sys.stderr)
-            return 2
-    config = _config_from_args(args)
-    params = SpaceParams(config.p, config.lam)
-    try:
-        f = parse_function_spec(args.function, params)
-    except FunctionSpecError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    grid = config.param_grid()
-    if q == "dp":
-        rep = dirichlet_norm(f, config.p)
-    elif q == "dm-translate":
-        rep = dm_norm_translate(f, params, grid, **config.translate_opts())
-    elif q == "dm-box":
-        rep = dm_seminorm_box(f, params, grid, **config.box_opts())
-    elif q == "qp":
-        rep = qp_quantity(f, config.p, grid, **config.box_opts())
-    elif q == "qplog":
-        rep = qp_log_quantity(f, config.p, grid, **config.box_opts())
-    elif q == "boundary":
-        rep = boundary_double_seminorm(
-            f, params, config.boundary_grid(), t_depth=config.boundary_t_depth
-        )
-    elif q == "gpcm":
-        rep = gpcm_quantity(f, config.p)
-    elif q == "hinf":
-        rep = hinf_sup(f, k_levels=config.k_a)
-    elif q == "growth":
-        rep = growth_envelope(f, params)
-    elif q == "morrey":
-        rep = general_morrey_norm(f, config.p, args.s, grid, **config.translate_opts())
-    else:
-        print(f"error: unknown quantity {q!r}", file=sys.stderr)
-        return 2
-    payload = rep.as_dict()
+    config, scan = _scan(args, args.quantity, f"--quantity {args.quantity}")
+    params = config.space_params()
+    f = parse_function_spec(args.function, params)
+    payload = scan(f, params, config, args.s).as_dict()
     payload["function"] = args.function
     _emit(payload, args.out)
     return 0
@@ -139,20 +136,15 @@ def cmd_norm(args) -> int:
 
 def cmd_operator(args) -> int:
     config = _config_from_args(args)
-    params = SpaceParams(config.p, config.lam)
-    try:
-        g = parse_function_spec(args.g, params)
-    except FunctionSpecError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    params = config.space_params()
+    g = parse_function_spec(args.g, params)
     rep = ratio_scan(KIND_BY_NAME[args.kind], g, _test_family(config, params))
     _emit(rep.as_dict(), args.out)
     return 0
 
 
 def _parse_coeff_rule(text: str):
-    text = text.strip()
-    head, sep, rest = text.partition(":")
+    head, sep, rest = text.strip().partition(":")
     fields = {}
     if sep:
         for item in rest.split(","):
@@ -160,13 +152,23 @@ def _parse_coeff_rule(text: str):
             if not eq:
                 raise FunctionSpecError(f"coefficient rule: expected key=value, got {item!r}")
             fields[k.strip()] = v.strip()
+
+    def num(key, default=None):
+        val = fields.get(key, default)
+        if val is None:
+            raise FunctionSpecError(f"coefficient rule {head}: missing {key}")
+        try:
+            return float(val)
+        except ValueError:
+            raise FunctionSpecError(f"coefficient rule {head}: bad number {key}={val!r}") from None
+
     if head == "remark":
-        return remark_coefficient_rule(float(fields["q"]))
+        return remark_coefficient_rule(num("q"))
     if head == "geometric":
-        r = float(fields["r"])
+        r = num("r")
         return lambda k: r ** k
     if head == "constant":
-        v = float(fields.get("v", "1"))
+        v = num("v", "1")
         return lambda k: v
     if head == "zero":
         return lambda k: 0.0
@@ -174,32 +176,14 @@ def _parse_coeff_rule(text: str):
 
 
 def cmd_membership(args) -> int:
-    config = _config_from_args(args)
-    try:
-        rule = _parse_coeff_rule(args.coeff_rule)
-    except (FunctionSpecError, KeyError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    coeffs = GapCoefficients(rule, args.K)
+    coeffs = GapCoefficients(_parse_coeff_rule(args.coeff_rule), args.K)
     if args.criterion == "gap-qp":
         rep = gap_block_sums(coeffs, args.q)
-        payload = {
-            "criterion": "gap-qp",
-            "q": args.q,
-            "K": args.K,
-            "classification": rep.classification,
-            "partial_sum": rep.final_sum,
-            "limit_estimate": rep.limit_estimate,
-        }
+        payload = {"classification": rep.classification, "partial_sum": rep.final_sum,
+                   "limit_estimate": rep.limit_estimate}
     else:
-        val = yamashita_limsup(coeffs, args.q)
-        payload = {
-            "criterion": "yamashita",
-            "q": args.q,
-            "K": args.K,
-            "tail_max": val,
-        }
-    _emit(payload, args.out)
+        payload = {"tail_max": yamashita_limsup(coeffs, args.q)}
+    _emit({"criterion": args.criterion, "q": args.q, "K": args.K, **payload}, args.out)
     return 0
 
 
@@ -213,25 +197,30 @@ def cmd_verify(args) -> int:
     return 0 if all(r.passed for r in results) else 1
 
 
-def _parse_grid_spec(spec: str):
-    lo, hi, n = spec.split(":")
-    return np.linspace(float(lo), float(hi), int(n))
+def _parse_grid_spec(flag: str, spec: str):
+    try:
+        lo, hi, n = spec.split(":")
+        return np.linspace(float(lo), float(hi), int(n))
+    except ValueError as exc:
+        raise ValueError(f"{flag} {spec!r}: expected lo:hi:n ({exc})") from None
 
 
 def cmd_sweep(args) -> int:
-    config = _config_from_args(args)
-    rows = ["p,lambda,value,refinement_delta"]
     if args.mode == "params":
-        for p in _parse_grid_spec(args.p_grid):
-            for lam in _parse_grid_spec(args.lambda_grid):
+        # --p-grid and --lambda-grid replace --p and --lambda
+        config, scan = _scan(args, "dm-translate", "--mode params", (*GRID_FLAGS, "--p", "--lambda"))
+        p_grid = _parse_grid_spec("--p-grid", args.p_grid)
+        lam_grid = _parse_grid_spec("--lambda-grid", args.lambda_grid)
+        rows = ["p,lambda,value,refinement_delta"]
+        for p in p_grid:
+            for lam in lam_grid:
                 params = SpaceParams(float(p), float(lam))
-                f = parse_function_spec(args.function, params)
-                rep = dm_norm_translate(f, params, config.param_grid(), **config.translate_opts())
+                rep = scan(parse_function_spec(args.function, params), params, config, None)
                 rows.append(f"{p:.6g},{lam:.6g},{rep.value:.12g},{rep.refinement_delta:.3g}")
     else:
-        params = SpaceParams(config.p, config.lam)
-        f = parse_function_spec(args.function, params)
-        rep = dm_seminorm_box(f, params, config.param_grid(), **config.box_opts())
+        config, scan = _scan(args, "dm-box", "--mode levels")
+        params = config.space_params()
+        rep = scan(parse_function_spec(args.function, params), params, config, None)
         rows = ["grid_level,quantity"]
         rows.extend(f"{l},{v:.12g}" for l, v in rep.levels)
     text = "\n".join(rows) + "\n"
@@ -250,19 +239,15 @@ def build_parser() -> argparse.ArgumentParser:
     sub = ap.add_subparsers(dest="command", required=True)
 
     p_norm = sub.add_parser("norm", help="compute one scanned quantity")
-    p_norm.add_argument("--quantity", required=True, choices=[
-        "dp", "dm-translate", "dm-box", "qp", "qplog", "boundary",
-        "gpcm", "hinf", "growth", "morrey",
-    ])
+    p_norm.add_argument("--quantity", required=True, choices=QUANTITIES)
     p_norm.add_argument("--function", required=True, help="function spec, e.g. taylor:0,1")
-    p_norm.add_argument("--s", type=float, default=0.0, help="power-weight exponent for morrey")
-    _add_common(p_norm)
+    _add_flags(p_norm, (*SCAN_FLAGS, "--s"))
     p_norm.set_defaults(func=cmd_norm)
 
     p_op = sub.add_parser("operator", help="ratio scan of an operator")
     p_op.add_argument("--kind", required=True, choices=sorted(KIND_BY_NAME))
     p_op.add_argument("--g", required=True, help="symbol spec, e.g. log1")
-    _add_common(p_op)
+    _add_flags(p_op, ("--config", "--out", "--p", "--lambda"))
     p_op.set_defaults(func=cmd_operator)
 
     p_mem = sub.add_parser("membership", help="lacunary membership criteria")
@@ -271,13 +256,13 @@ def build_parser() -> argparse.ArgumentParser:
     p_mem.add_argument("--K", type=int, default=30)
     p_mem.add_argument("--coeff-rule", default="remark:q=0.3",
                        help="remark:q=..| geometric:r=..| constant:v=..| zero")
-    _add_common(p_mem)
+    _add_flags(p_mem, ("--out",))
     p_mem.set_defaults(func=cmd_membership)
 
     p_ver = sub.add_parser("verify", help="run verification tasks and emit the report")
     p_ver.add_argument("--task", action="append",
                        help="task id V1..V10 or 'all' (repeatable)")
-    _add_common(p_ver)
+    _add_flags(p_ver, (*SCAN_FLAGS, "--workers", "--seed"))
     p_ver.set_defaults(func=cmd_verify)
 
     p_sw = sub.add_parser("sweep", help="CSV sweeps over parameters or grid levels")
@@ -285,15 +270,23 @@ def build_parser() -> argparse.ArgumentParser:
     p_sw.add_argument("--function", required=True)
     p_sw.add_argument("--p-grid", default="0.2:0.8:4", help="lo:hi:n")
     p_sw.add_argument("--lambda-grid", default="0.2:0.8:4", help="lo:hi:n")
-    _add_common(p_sw)
+    _add_flags(p_sw, SCAN_FLAGS)
     p_sw.set_defaults(func=cmd_sweep)
 
     return ap
 
 
 def main(argv=None) -> int:
+    """Run one subcommand; bad input prints one ``error:`` line and gives 2."""
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except (ValueError, OSError) as exc:
+        message = str(exc)
+    except KeyError as exc:  # str() of a KeyError quotes its message
+        message = exc.args[0] if exc.args else exc
+    print(f"error: {message}", file=sys.stderr)
+    return 2
 
 
 def entrypoint():

@@ -191,15 +191,10 @@ def pzh_scan(
     t: float,
     *,
     k_levels: int = 10,
-    direction: float = 0.0,
-    same_point: bool = True,
-    v: complex = 0.0,
-    **kwargs,
 ):
-    """Normalized two-kernel values along u-radii 1 - 2^-k, k = 0..k_levels."""
+    """Normalized two-kernel values at u = v = 1 - 2^-k, k = 0..k_levels."""
     out = []
     for k in range(k_levels + 1):
-        uu = (1.0 - 2.0 ** -k) * np.exp(1j * direction)
-        vv = uu if same_point else v
-        out.append((k, pzh_check(complex(uu), complex(vv), r, s, t, **kwargs)))
+        u = complex(1.0 - 2.0 ** -k)
+        out.append((k, pzh_check(u, u, r, s, t)))
     return out

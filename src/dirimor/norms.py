@@ -692,6 +692,11 @@ def boundary_double_seminorm(
 # Growth envelope and sup-norm scans
 # ---------------------------------------------------------------------------
 
+# Equispaced ray directions of the growth envelope, and the cap on the
+# angle count per radius of the sup-norm scan.
+GROWTH_DIRECTIONS = 16
+HINF_MAX_ANGLES = 8192
+
 
 def _ray_scan(quantity, f, k_max, angles_at, weight_at, grid) -> NormReport:
     """max of weight_at(r) |f(z)| over radii r = 1 - 2^-k (k = 0..k_max) and
@@ -717,24 +722,22 @@ def growth_envelope(
     params: SpaceParams,
     *,
     k_levels: int = 12,
-    n_directions: int = 16,
 ) -> NormReport:
     """max over sampled rays of |f(z)| (1-|z|)^(p(1-lam)/2).
 
-    Radii 1 - 2^-k for k = 0..k_levels along equispaced directions plus the
-    function's own singular directions (clipped to its certified radius).
-    The levels trace is the running maximum over k."""
+    Radii 1 - 2^-k for k = 0..k_levels along GROWTH_DIRECTIONS equispaced
+    directions plus the function's own singular directions (clipped to its
+    certified radius).  The levels trace is the running maximum over k."""
     s = params.translate_exponent
-    dirs = np.array(sorted(
-        set(f.singular_angles) | {TWO_PI * m / n_directions for m in range(n_directions)}
-    ))
+    n = GROWTH_DIRECTIONS
+    dirs = np.array(sorted(set(f.singular_angles) | {TWO_PI * m / n for m in range(n)}))
     k_max = min(k_levels, effective_depth(f, k_levels))
-    grid = {"scan": "growth", "k_levels": k_max, "n_directions": n_directions}
+    grid = {"scan": "growth", "k_levels": k_max, "n_directions": n}
     return _ray_scan("growth", f, k_max, lambda k: dirs, lambda r: (1.0 - r) ** s, grid)
 
 
-def hinf_sup(g: AnalyticFunction, *, k_levels: int = 10, n_max: int = 8192) -> NormReport:
-    """max of |g| over radii 1 - 2^-k and min(max(64, 8 2^k), n_max)
+def hinf_sup(g: AnalyticFunction, *, k_levels: int = 10) -> NormReport:
+    """max of |g| over radii 1 - 2^-k and min(max(64, 8 2^k), HINF_MAX_ANGLES)
     equispaced angles.
 
     The levels trace is the running maximum over k; an unbounded-trend flag
@@ -742,10 +745,10 @@ def hinf_sup(g: AnalyticFunction, *, k_levels: int = 10, n_max: int = 8192) -> N
     k_max = min(k_levels, effective_depth(g, k_levels))
 
     def angles_at(k):
-        n = min(max(64, 8 * 2 ** k), n_max)
+        n = min(max(64, 8 * 2 ** k), HINF_MAX_ANGLES)
         return TWO_PI * np.arange(n) / n
 
-    grid = {"scan": "hinf", "k_levels": k_max, "n_max": n_max}
+    grid = {"scan": "hinf", "k_levels": k_max, "n_max": HINF_MAX_ANGLES}
     return _ray_scan("hinf", g, k_max, angles_at, lambda r: 1.0, grid)
 
 

@@ -66,7 +66,6 @@ def test_space_params_derived():
     sp = SpaceParams(0.5, 0.4)
     assert sp.box_exponent == pytest.approx(0.2)
     assert sp.translate_exponent == pytest.approx(0.15)
-    assert sp.translate_exponent_sq == pytest.approx(0.3)
     with pytest.raises(ValueError):
         SpaceParams(0.0, 0.5)
     with pytest.raises(ValueError):

@@ -324,16 +324,103 @@ def test_cli_norm_hinf_reads_k_a(tmp_path):
     assert [l for l, _ in payload["levels"]] == [0, 1, 2, 3]
 
 
-@pytest.mark.parametrize("quantity", ["dp", "gpcm", "growth"])
+# the README "Command line" table: the flags each quantity reads
+NORM_READS = {
+    "dp": (), "gpcm": (), "growth": (), "boundary": (),
+    "dm-translate": ("--k-a", "--depth", "--angular-min"),
+    "morrey": ("--k-a", "--depth", "--angular-min", "--s"),
+    "dm-box": ("--k-arc", "--radial-order"),
+    "qp": ("--k-arc", "--radial-order"),
+    "qplog": ("--k-arc", "--radial-order"),
+    "hinf": ("--k-a",),
+}
+CHECKED_FLAGS = {"--depth": "12", "--k-a": "3", "--k-arc": "2", "--angular-min": "4",
+                 "--radial-order": "4", "--s": "0.3"}
+
+
+def _one_error_line(err: str) -> str:
+    lines = err.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ") and "Traceback" not in err
+    return lines[0]
+
+
+@pytest.mark.parametrize("quantity", sorted(NORM_READS))
 def test_cli_norm_rejects_unread_grid_flags(quantity, capsys):
-    rc = main(["norm", "--quantity", quantity, "--function", "taylor:0,1", "--depth", "12"])
+    unread = [flag for flag in CHECKED_FLAGS if flag not in NORM_READS[quantity]]
+    base = ["norm", "--quantity", quantity, "--function", "taylor:0,1"]
+    for flag in unread:
+        assert main(base + [flag, CHECKED_FLAGS[flag]]) == 2
+        assert flag in _one_error_line(capsys.readouterr().err)
+    every = [tok for flag in unread for tok in (flag, CHECKED_FLAGS[flag])]
+    assert main(base + every) == 2
+    line = _one_error_line(capsys.readouterr().err)
+    assert all(flag in line for flag in unread)
+
+
+def test_cli_sweep_rejects_unread_flags(capsys):
+    rc = main(["sweep", "--mode", "params", "--function", "taylor:0,1",
+               "--p", "0.5", "--lambda", "0.4", "--k-arc", "3"])
     assert rc == 2
-    assert "--depth" in capsys.readouterr().err
-    rc = main(["norm", "--quantity", quantity, "--function", "taylor:0,1",
-               "--k-arc", "3", "--angular-min", "4"])
+    line = _one_error_line(capsys.readouterr().err)
+    assert "--p," in line and "--lambda" in line and "--k-arc" in line
+    assert main(["sweep", "--mode", "levels", "--function", "taylor:0,1", "--k-a", "3"]) == 2
+    assert "--k-a" in _one_error_line(capsys.readouterr().err)
+
+
+@pytest.mark.parametrize(
+    "argv,token",
+    [
+        (["norm", "--quantity", "boundary", "--function", "log1"], "log1"),
+        (["sweep", "--mode", "levels", "--function", "wat:1"], "wat"),
+        (["norm", "--quantity", "dp", "--function", "taylor:0,1", "--p", "1.5"], "1.5"),
+        (["operator", "--kind", "jg", "--g", "taylor:1", "--lambda", "2"], "lam"),
+        (["verify", "--task", "V42"], "V42"),
+        (["norm", "--quantity", "dp", "--function", "taylor:0,1", "--config", "BOGUS"], "bogus"),
+        (["sweep", "--function", "taylor:0,1", "--p-grid", "0.2:x:2"], "--p-grid"),
+    ],
+    ids=["no-boundary-trace", "bad-spec", "bad-p", "bad-lambda", "unknown-task",
+         "unknown-config-key", "bad-p-grid"],
+)
+def test_cli_bad_input_exits_2_with_one_error_line(argv, token, tmp_path, capsys):
+    bogus = tmp_path / "bogus.json"
+    bogus.write_text(json.dumps({"bogus": 1}))
+    assert main([str(bogus) if a == "BOGUS" else a for a in argv]) == 2
+    assert token in _one_error_line(capsys.readouterr().err)
+
+
+@pytest.mark.parametrize(
+    "rule,token",
+    [("geometric", "missing r"), ("remark:v=1", "missing q"), ("geometric:r=x", "r='x'")],
+)
+def test_cli_membership_coeff_rule_names_key(rule, token, capsys):
+    rc = main(["membership", "--criterion", "gap-qp", "--q", "0.6", "--coeff-rule", rule])
     assert rc == 2
-    err = capsys.readouterr().err
-    assert "--k-arc" in err and "--angular-min" in err
+    assert token in _one_error_line(capsys.readouterr().err)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["membership", "--criterion", "gap-qp", "--q", "0.6", "--depth", "3"],
+        ["operator", "--kind", "jg", "--g", "log1", "--workers", "2"],
+    ],
+    ids=["membership-depth", "operator-workers"],
+)
+def test_cli_subcommand_lacks_unread_flag(argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+
+
+def test_cli_bad_input_process_exit_code():
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    env.pop("DIRIMOR_CONFIG", None)
+    proc = subprocess.run(
+        [sys.executable, "-m", "dirimor.cli", "norm", "--quantity", "boundary", "--function", "log1"],
+        env=env, capture_output=True, text=True,
+    )
+    assert proc.returncode == 2
+    assert "log1" in _one_error_line(proc.stderr)
 
 
 @pytest.mark.parametrize(
