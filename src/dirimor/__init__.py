@@ -34,6 +34,7 @@ from .norms import (
     dirichlet_norm,
     dirichlet_norm_coeff,
     dm_norm_translate,
+    dm_norms_translate,
     dm_seminorm_box,
     general_morrey_norm,
     gpcm_quantity,

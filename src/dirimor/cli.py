@@ -18,6 +18,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -276,10 +277,29 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+def _check_out(path: str, make_parents: bool) -> None:
+    """Raise OSError naming ``path`` unless a file can be written there: it
+    is no directory, and its parent is a writable directory (with
+    ``make_parents``, its nearest existing ancestor is)."""
+    target = Path(path)
+    if target.is_dir():
+        raise OSError(f"--out {path}: is a directory")
+    parent = target.parent
+    while make_parents and not parent.exists() and parent != parent.parent:
+        parent = parent.parent
+    if not (parent.is_dir() and os.access(parent, os.W_OK | os.X_OK)):
+        raise OSError(f"--out {path}: {parent} is not a writable directory")
+
+
 def main(argv=None) -> int:
-    """Run one subcommand; bad input prints one ``error:`` line and gives 2."""
+    """Run one subcommand; bad input, or an output path that cannot be
+    written, prints one ``error:`` line and gives 2 before any computation."""
     args = build_parser().parse_args(argv)
     try:
+        if args.command == "verify":  # emit_report creates missing parents
+            _check_out(_config_from_args(args).out, make_parents=True)
+        elif args.out:
+            _check_out(args.out, make_parents=False)
         return args.func(args)
     except (ValueError, OSError) as exc:
         message = str(exc)

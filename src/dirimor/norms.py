@@ -329,7 +329,7 @@ def _growth_for_radius(r: float) -> int:
 
 
 def _translate_scan(
-    f: AnalyticFunction,
+    fs: Sequence[AnalyticFunction],
     p: float,
     weight_of_a: Callable[[float], float],
     grid: ParamGrid,
@@ -338,37 +338,49 @@ def _translate_scan(
     panel_order: int = 4,
     base_panels: int = 16,
 ):
-    """Weighted translate seminorms over the a-grid.
+    """Weighted translate seminorms over the a-grid, for each function of fs.
 
-    Returns (entries, per_level_max) where entries are (level, a, weighted
-    value).  Functions with focal directions get one graded grid per scan
-    direction (reusing the derivative evaluation across the radii of that
-    direction); focus-free functions share a single uniform grid dense
-    enough in angle for the deepest Mobius weight scanned.
+    Returns one (entries, per_level_max) per function, where entries are
+    (level, a, weighted value).  Functions with focal directions get one
+    graded grid per scan direction (reusing the derivative evaluation across
+    the radii of that direction); focus-free functions share a single uniform
+    grid dense enough in angle for the deepest Mobius weight scanned.
+
+    Functions whose grids for a direction (or whose uniform grids) are equal
+    share one build of it.  Each function's entries come in the order of
+    its own scan: direction by direction, or ``grid.a_points()`` order on
+    a uniform grid.
     """
-    entries = []
-    if not f.oscillatory:
-        for _, pts in grid.a_points_by_direction():
-            ang = None
-            for _, a in pts:
-                if a != 0:
-                    ang = float(np.angle(a)) % TWO_PI
-                    break
-            disc = grid_for_function(
-                f,
-                depth,
-                extra_foci=(ang,) if ang is not None else (),
-                panel_order=panel_order,
-                base_panels=base_panels,
-            )
-            entries.extend(_scan_group(f, p, weight_of_a, pts, disc))
-    else:
-        disc = grid_for_function(f, depth, growth_cap=min(grid.k_a + 1, 11))
-        entries.extend(_scan_group(f, p, weight_of_a, grid.a_points(), disc))
-    per_level: dict = {}
-    for level, _, v in entries:
-        per_level[level] = max(per_level.get(level, 0.0), v)
-    return entries, per_level
+    entries = [[] for _ in fs]
+
+    def scan(pts, discs):
+        """Scan function i at pts on its grid, for each (i, grid) of discs;
+        equal grids are built once, one at a time (popped, so a grid's nodes
+        are freed before the next grid is built)."""
+        groups: dict = {}
+        for i, disc in discs:
+            groups.setdefault(disc, []).append(i)
+        while groups:
+            disc, members = groups.popitem()
+            for i in members:
+                entries[i].extend(_scan_group(fs[i], p, weight_of_a, pts, disc))
+
+    focal = [i for i, f in enumerate(fs) if not f.oscillatory]
+    for _, pts in grid.a_points_by_direction():
+        ang = next((float(np.angle(a)) % TWO_PI for _, a in pts if a != 0), None)
+        extra = (ang,) if ang is not None else ()
+        scan(pts, [(i, grid_for_function(fs[i], depth, extra_foci=extra, panel_order=panel_order,
+                                         base_panels=base_panels)) for i in focal])
+    cap = min(grid.k_a + 1, 11)
+    scan(grid.a_points(), [(i, grid_for_function(f, depth, growth_cap=cap))
+                           for i, f in enumerate(fs) if f.oscillatory])
+    out = []
+    for es in entries:
+        per_level: dict = {}
+        for level, _, v in es:
+            per_level[level] = max(per_level.get(level, 0.0), v)
+        out.append((es, per_level))
+    return out
 
 
 def _scan_group(f, p, weight_of_a, pts, disc):
@@ -416,6 +428,23 @@ def _scan_report(name, f0, entries, per_level, grid_desc) -> NormReport:
     return _trace_report(name, f0 + best[2], complex(best[1]), grid_desc, trace)
 
 
+def dm_norms_translate(
+    fs: Sequence[AnalyticFunction],
+    params: SpaceParams,
+    grid: Optional[ParamGrid] = None,
+    **scan_opts,
+) -> list:
+    """The translate norm of each function of fs, from one translate scan:
+    functions that need the same disc grid share its construction."""
+    grid = grid or ParamGrid()
+    s = params.translate_exponent
+    weight = lambda r: (1.0 - r * r) ** s
+    scans = _translate_scan(fs, params.p, weight, grid, **scan_opts)
+    desc = {"scan": "dm-translate", **grid.describe()}
+    return [_scan_report("dm-translate", abs(f.at_zero()), entries, per_level, desc)
+            for f, (entries, per_level) in zip(fs, scans)]
+
+
 def dm_norm_translate(
     f: AnalyticFunction,
     params: SpaceParams,
@@ -423,13 +452,7 @@ def dm_norm_translate(
     **scan_opts,
 ) -> NormReport:
     """|f(0)| + sup over the a-grid of (1-|a|^2)^(p(1-lam)/2) ||f o phi_a - f(a)||_Dp."""
-    grid = grid or ParamGrid()
-    s = params.translate_exponent
-    weight = lambda r: (1.0 - r * r) ** s
-    entries, per_level = _translate_scan(f, params.p, weight, grid, **scan_opts)
-    f0 = abs(f.at_zero())
-    desc = {"scan": "dm-translate", **grid.describe()}
-    return _scan_report("dm-translate", f0, entries, per_level, desc)
+    return dm_norms_translate([f], params, grid, **scan_opts)[0]
 
 
 def general_morrey_norm(
@@ -449,7 +472,7 @@ def general_morrey_norm(
         raise ValueError("power-weight exponent must be >= 0")
     grid = grid or ParamGrid()
     weight = lambda r: (1.0 - r) ** s
-    entries, per_level = _translate_scan(f, p, weight, grid, **scan_opts)
+    [(entries, per_level)] = _translate_scan([f], p, weight, grid, **scan_opts)
     f0 = abs(f.at_zero())
     desc = {"scan": "morrey", "s": s, **grid.describe()}
     return _scan_report("morrey", f0, entries, per_level, desc)

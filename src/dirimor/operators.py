@@ -26,7 +26,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .analytic import AnalyticFunction, SpaceParams, _derivative_coeffs, make_power_kernel
-from .norms import ParamGrid, classify_trend, dm_norm_translate, trend_slope
+from .norms import ParamGrid, classify_trend, dm_norms_translate, trend_slope
 from .quadrature import TWO_PI, _gauss_on
 
 
@@ -214,9 +214,9 @@ class TestFamilyEntry:
 @dataclass(frozen=True)
 class TestFamily:
     """The kernels f_c with their translate-norms, and the scan that normed
-    them: ``k_c`` radii 1 - 2^-k times ``n_directions`` directions, each norm
-    a ``dm_norm_translate`` on ``params``, ``norm_grid`` and ``scan_opts``.
-    Ratio scans norm every image T f_c with this same scan."""
+    them: ``k_c`` radii 1 - 2^-k times ``n_directions`` directions, normed
+    together by one ``dm_norms_translate`` on ``params``, ``norm_grid`` and
+    ``scan_opts``.  Ratio scans norm every image T f_c with this same scan."""
 
     params: SpaceParams
     entries: tuple
@@ -247,21 +247,20 @@ def make_test_family(
     plus rotations; the proofs this scan operationalizes localize at c
     approaching the boundary, and rotations guard against direction-specific
     mesh artifacts.  ``norm_grid`` defaults to ``ParamGrid(k_a=max(8, k_c),
-    a_angle_cap=16)`` and ``scan_opts`` (keywords of ``dm_norm_translate``)
+    a_angle_cap=16)`` and ``scan_opts`` (keywords of ``dm_norms_translate``)
     to none; the family records both, and ``ratio_scan`` norms with them."""
     norm_grid = norm_grid or ParamGrid(k_a=max(8, k_c), a_angle_cap=16)
     scan_opts = dict(scan_opts or {})
     s = params.translate_exponent
-    entries = [
-        TestFamilyEntry(0.0 + 0.0j, 0, make_power_kernel(0.0, 0.0), 1.0)
-    ]
+    kernels = []
     for k in range(1, k_c + 1):
         r = 1.0 - 2.0 ** -k
         for m in range(n_directions):
             c = r * np.exp(2j * math.pi * m / n_directions)
-            fc = make_power_kernel(c, s)
-            norm = dm_norm_translate(fc, params, norm_grid, **scan_opts).value
-            entries.append(TestFamilyEntry(complex(c), k, fc, norm))
+            kernels.append((complex(c), k, make_power_kernel(c, s)))
+    reports = dm_norms_translate([fc for *_, fc in kernels], params, norm_grid, **scan_opts)
+    entries = [TestFamilyEntry(0.0 + 0.0j, 0, make_power_kernel(0.0, 0.0), 1.0)]
+    entries += [TestFamilyEntry(c, k, fc, rep.value) for (c, k, fc), rep in zip(kernels, reports)]
     norms = [e.norm for e in entries]
     return TestFamily(
         params, tuple(entries), max(norms), min(norms),
@@ -310,11 +309,12 @@ def ratio_scan(kind: str, g: AnalyticFunction, family: TestFamily) -> RatioScanR
     sides of a ratio come from one grid, and ``grid`` reports
     ``family.describe()``."""
     apply = _operator(kind)
+    images = [apply(e.function, g) for e in family.entries]
+    reports = dm_norms_translate(images, family.params, family.norm_grid, **family.scan_opts)
     rows = []
     per_level: dict = {}
-    for e in family.entries:
-        h = apply(e.function, g)
-        nh = dm_norm_translate(h, family.params, family.norm_grid, **family.scan_opts).value
+    for e, rep in zip(family.entries, reports):
+        nh = rep.value
         ratio = nh / e.norm if e.norm > 0 else 0.0
         rows.append((e.c, e.level, e.norm, nh, ratio))
         per_level[e.level] = max(per_level.get(e.level, 0.0), ratio)

@@ -17,6 +17,7 @@ import dataclasses
 import json
 import math
 import os
+import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -32,7 +33,7 @@ from .norms import (
     WeightedDerivativeMeasure,
     boundary_double_seminorm,
     box_quantity_pair,
-    dm_norm_translate,
+    dm_norms_translate,
     dm_seminorm_box,
     growth_envelope,
     qp_quantity,
@@ -284,27 +285,31 @@ class TaskResult:
 
 @dataclass(frozen=True)
 class VerificationTask:
+    """``runner(config, fixed, family_of)`` returns (measured, passed), where
+    ``family_of(params)`` is the run's operator test family of ``params``."""
+
     task_id: str
     statement: str
     runner: Callable
     fixed: dict = field(default_factory=dict)
 
 
-def _v1(config: RunConfig, fixed: dict):
+def _v1(config: RunConfig, fixed: dict, family_of: Callable):
     """Box quantity vs squared translate quantity across the suite."""
     params = config.space_params()
     suite = build_suite(config, params)
     lo, hi = fixed["ratio_band"]
     dlo, dhi = fixed["drift_band"]
-    grid, rgrid = config.param_grid(), config.param_grid().refined()
+    grids = (config.param_grid(), config.param_grid().refined())
+    fs = [f for _, f in suite]
+    translates = [dm_norms_translate(fs, params, g, **config.translate_opts()) for g in grids]
     measured, ok = [], True
-    for name, f in suite:
+    for i, (name, f) in enumerate(suite):
         row = {"function": name}
         ratios = []
-        for g in (grid, rgrid):
-            t = dm_norm_translate(f, params, g, **config.translate_opts())
+        for g, ts in zip(grids, translates):
             b = dm_seminorm_box(f, params, g, **config.box_opts())
-            tq = (t.value - abs(f.at_zero())) ** 2
+            tq = (ts[i].value - abs(f.at_zero())) ** 2
             if tq <= 1e-18 or b.value <= 1e-18:
                 ratios = None
                 break
@@ -322,16 +327,19 @@ def _v1(config: RunConfig, fixed: dict):
     return measured, ok
 
 
-def _v2(config: RunConfig, fixed: dict):
+def _v2(config: RunConfig, fixed: dict, family_of: Callable):
     """Growth envelope controlled by the translate norm, drift-stable."""
     params = config.space_params()
     suite = build_suite(config, params)
     drift_cap = fixed["drift_cap"]
+    fs = [f for _, f in suite]
+    n1s, n2s = (
+        [t.value for t in dm_norms_translate(fs, params, g, **config.translate_opts())]
+        for g in (config.param_grid(), config.param_grid().refined())
+    )
     measured, ok = [], True
     c_est = 0.0
-    for name, f in suite:
-        n1 = dm_norm_translate(f, params, config.param_grid(), **config.translate_opts()).value
-        n2 = dm_norm_translate(f, params, config.param_grid().refined(), **config.translate_opts()).value
+    for (name, f), n1, n2 in zip(suite, n1s, n2s):
         e1 = growth_envelope(f, params, k_levels=12).value
         e2 = growth_envelope(f, params, k_levels=14).value
         r1, r2 = e1 / n1, e2 / n2
@@ -347,7 +355,7 @@ def _v2(config: RunConfig, fixed: dict):
     return measured, ok
 
 
-def _v3(config: RunConfig, fixed: dict):
+def _v3(config: RunConfig, fixed: dict, family_of: Callable):
     """Lune quantity of the boundary power kernel across dyadic chords."""
     p, lam = fixed["p"], fixed["lam"]
     params = SpaceParams(p, lam)
@@ -371,7 +379,7 @@ def _v3(config: RunConfig, fixed: dict):
     return vals, ok
 
 
-def _v4(config: RunConfig, fixed: dict):
+def _v4(config: RunConfig, fixed: dict, family_of: Callable):
     """Weight-exponent box inequality with the (2|I|)^(p2-p1) factor."""
     p1, p2 = fixed["p1"], fixed["p2"]
     params = config.space_params()
@@ -392,7 +400,7 @@ def _v4(config: RunConfig, fixed: dict):
     return measured, violations == 0
 
 
-def _v5(config: RunConfig, fixed: dict):
+def _v5(config: RunConfig, fixed: dict, family_of: Callable):
     """Boundary double-integral quantity vs box quantity, drift-stable."""
     params = config.space_params()
     suite = _boundary_suite(build_suite(config, params))
@@ -426,10 +434,32 @@ def _test_family(config: RunConfig, params: SpaceParams):
     )
 
 
-def _v6(config: RunConfig, fixed: dict):
+class _FamilyMemo:
+    """The test families of one verification run, each built once.
+
+    Keyed on every input of ``_test_family``; one lock per key makes each
+    family build once whatever the worker count, and a task that asks for a
+    family under construction waits for it."""
+
+    def __init__(self):
+        self._lock = threading.Lock()
+        self._slots: dict = {}
+
+    def family(self, config: RunConfig, params: SpaceParams):
+        key = (params, config.k_c, config.c_directions, config.scan_grid(),
+               tuple(sorted(config.scan_opts().items())))
+        with self._lock:
+            slot = self._slots.setdefault(key, [threading.Lock(), None])
+        with slot[0]:
+            if slot[1] is None:
+                slot[1] = _test_family(config, params)
+            return slot[1]
+
+
+def _v6(config: RunConfig, fixed: dict, family_of: Callable):
     """Test-family norm uniformity up to |c| = 1 - 2^-k_c."""
     params = config.space_params()
-    family = _test_family(config, params)
+    family = family_of(params)
     per_level: dict = {}
     for e in family.entries:
         per_level.setdefault(e.level, []).append(e.norm)
@@ -446,10 +476,10 @@ def _v6(config: RunConfig, fixed: dict):
     return measured, ok
 
 
-def _v7(config: RunConfig, fixed: dict):
+def _v7(config: RunConfig, fixed: dict, family_of: Callable):
     """I_g dichotomy: bounded symbol bounded-trend, log symbol unbounded."""
     params = config.space_params()
-    family = _test_family(config, params)
+    family = family_of(params)
     bounded = ratio_scan(IG, parse_function_spec(fixed["bounded_symbol"], params), family)
     unbounded = ratio_scan(IG, parse_function_spec(fixed["unbounded_symbol"], params), family)
     ok = (
@@ -466,13 +496,13 @@ def _v7(config: RunConfig, fixed: dict):
     return measured, ok
 
 
-def _v8(config: RunConfig, fixed: dict):
+def _v8(config: RunConfig, fixed: dict, family_of: Callable):
     """J_g bounded for the critical lacunary symbol, whose critical-exponent
     box scan nevertheless grows linearly with radial depth."""
     q = fixed["q"]
     params = SpaceParams(fixed["p"], q / fixed["p"])
     g = remark_example(q)
-    family = _test_family(config, params)
+    family = family_of(params)
     scan = ratio_scan(JG, g, family)
     qp = qp_quantity(g, q, ParamGrid(k_arc=6, n_centers=16), **config.box_opts())
     lv = dict(qp.levels)
@@ -489,7 +519,7 @@ def _v8(config: RunConfig, fixed: dict):
     return measured, ok
 
 
-def _v9(config: RunConfig, fixed: dict):
+def _v9(config: RunConfig, fixed: dict, family_of: Callable):
     """Block-sum separation and the geometric limit above the critical exponent."""
     q, p = fixed["q"], fixed["p"]
     coeffs = GapCoefficients(remark_coefficient_rule(q), fixed["K"])
@@ -510,7 +540,7 @@ def _v9(config: RunConfig, fixed: dict):
     return measured, ok
 
 
-def _v10(config: RunConfig, fixed: dict):
+def _v10(config: RunConfig, fixed: dict, family_of: Callable):
     """Integration-by-parts identity residual at quadrature tolerance."""
     params = config.space_params()
     samples = interior_samples(fixed["n_samples"], seed=config.seed)
@@ -605,12 +635,20 @@ TASKS: dict = {
 }
 
 
-def run_verification(task_id: str, config: RunConfig) -> TaskResult:
+def run_verification(
+    task_id: str, config: RunConfig, families: Optional[_FamilyMemo] = None
+) -> TaskResult:
+    """Run one task.  Operator test families come from ``families``, the
+    memo of the run this task belongs to; without one the task builds its
+    own, so its runtime includes every family it uses."""
     task = TASKS.get(task_id)
     if task is None:
         raise KeyError(f"unknown verification task {task_id!r}")
+    if families is None:
+        families = _FamilyMemo()
     start = time.perf_counter()
-    measured, passed = task.runner(config, task.fixed)
+    family_of = lambda params: families.family(config, params)
+    measured, passed = task.runner(config, task.fixed, family_of)
     elapsed_ms = int(round((time.perf_counter() - start) * 1000.0))
     inputs = {
         "p": config.p, "lam": config.lam, "suite": list(config.suite),
@@ -651,12 +689,16 @@ def select_tasks(selection: Sequence[str]) -> list:
 
 
 def run_tasks(task_ids: Sequence[str], config: RunConfig):
+    """Run the selected tasks, sharing one memo of test families among them
+    (V6 and V7 use the same family).  Each task's runtime_ms stays its own
+    wall time, including any wait for a family another task is building."""
     ids = select_tasks(task_ids)
+    families = _FamilyMemo()
     if config.workers > 1:
         with ThreadPoolExecutor(max_workers=config.workers) as pool:
-            futures = {tid: pool.submit(run_verification, tid, config) for tid in ids}
+            futures = {tid: pool.submit(run_verification, tid, config, families) for tid in ids}
             return [futures[tid].result() for tid in ids]
-    return [run_verification(tid, config) for tid in ids]
+    return [run_verification(tid, config, families) for tid in ids]
 
 
 # ---------------------------------------------------------------------------

@@ -22,6 +22,7 @@ from dirimor.norms import (
     _scan_group,
     dirichlet_norm_coeff,
     dm_norm_translate,
+    dm_norms_translate,
     dm_seminorm_box,
     general_morrey_norm,
     gpcm_quantity,
@@ -494,3 +495,21 @@ def test_qp_log_full_circle_contributes_zero():
     f = make_taylor([0, 1])
     rep = qp_log_quantity(f, 0.5, ParamGrid(k_arc=0, n_centers=1))
     assert rep.value == 0.0
+
+
+def test_batched_translate_scan_equals_one_scan_per_function():
+    # functions sharing a grid share one build, and an oscillatory function
+    # keeps its uniform grid; every report must equal its one-function scan
+    from dirimor.verify import parse_function_spec
+
+    params = SpaceParams(0.5, 0.4)
+    specs = ["taylor:1", "taylor:0,1", "taylor:1,2,0,1", "kernel:c=0.9+0i,s=auto",
+             "kernel:c=0+0.9i,s=auto", "log1", "gap:q=0.2,K=20", "gap:q=0.5,K=20",
+             "taylor:0,1"]
+    fs = [parse_function_spec(spec, params) for spec in specs]
+    grid = ParamGrid(k_a=4, a_angle_cap=8)
+    opts = dict(depth=12, panel_order=4, base_panels=8)
+    batched = [r.as_dict() for r in dm_norms_translate(fs, params, grid, **opts)]
+    single = [dm_norm_translate(f, params, grid, **opts).as_dict() for f in fs]
+    assert batched == single
+    assert batched[1] == batched[-1]

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from dirimor.analytic import SpaceParams, log_kernel, make_power_kernel, make_taylor
-from dirimor.norms import ParamGrid
+from dirimor.norms import ParamGrid, grid_for_function
 from dirimor.operators import (
     IG,
     JG,
@@ -198,3 +198,34 @@ def test_multiplier_bounded_trend_implies_symbol_conditions():
     assert rep.classification == "bounded-trend"
     assert "bounded-trend" in hinf_sup(g).flags
     assert "bounded-trend" in qp_quantity(g, PARAMS.p, ParamGrid(k_arc=6, n_centers=8)).flags
+
+
+def test_family_builds_one_grid_per_distinct_key(monkeypatch):
+    # count node-array builds by wrapping the cached property
+    from functools import cached_property
+
+    from dirimor.quadrature import RadialAnnuliGrid
+
+    built = []
+    nodes_fn = RadialAnnuliGrid.__dict__["_nodes"].func
+
+    def counted(grid):
+        built.append(grid)
+        return nodes_fn(grid)
+
+    prop = cached_property(counted)
+    prop.__set_name__(RadialAnnuliGrid, "_nodes")
+    monkeypatch.setattr(RadialAnnuliGrid, "_nodes", prop)
+    fam = small_family(k_c=3, n_directions=2)
+
+    kernels = [e.function for e in fam.entries[1:]]
+    keys = set()
+    for key, pts in SMALL_GRID.a_points_by_direction():
+        foci = () if key is None else (float(np.angle(pts[0][1])) % (2 * math.pi),)
+        keys |= {(key, grid_for_function(f, SMALL_OPTS["depth"], extra_foci=foci,
+                                         panel_order=SMALL_OPTS["panel_order"],
+                                         base_panels=SMALL_OPTS["base_panels"]))
+                 for f in kernels}
+    assert not any(f.oscillatory for f in kernels)
+    assert len(built) == len(keys)
+    assert len(keys) < len(kernels) * len(SMALL_GRID.a_points_by_direction())

@@ -445,3 +445,97 @@ def test_cli_help_wiring():
         with pytest.raises(SystemExit) as exc:
             parser.parse_args([cmd, "--help"])
         assert exc.value.code == 0
+
+
+# -- one test family per run -------------------------------------------------------
+
+
+TINY_FAMILY = {"k_c": 3, "c_directions": 2, "scan_k_a": 4, "scan_angle_cap": 8, "scan_depth": 12}
+
+
+def test_run_tasks_builds_the_v6_v7_family_once(monkeypatch):
+    from dirimor import verify
+
+    calls = []
+    build = verify.make_test_family
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return build(*args, **kwargs)
+
+    monkeypatch.setattr(verify, "make_test_family", counted)
+    docs = []
+    for workers in (1, 2):
+        cfg = RunConfig().with_overrides({**TINY_FAMILY, "workers": workers})
+        calls.clear()
+        docs.append([r.as_dict() for r in run_tasks(["V6", "V7"], cfg)])
+        assert len(calls) == 1
+    for doc in docs:
+        for task in doc:
+            task["runtime_ms"] = 0
+    assert docs[0] == docs[1]
+    calls.clear()
+    run_verification("V7", RunConfig().with_overrides(TINY_FAMILY))
+    assert len(calls) == 1
+
+
+def test_family_memo_builds_each_key_once_under_contention(monkeypatch):
+    # more threads than cores ask for two families at once; a lost update in
+    # the memo would build one of them twice
+    import threading
+    import time
+    from concurrent.futures import ThreadPoolExecutor
+
+    from dirimor import verify
+
+    built = []
+    lock = threading.Lock()
+
+    def slow_build(params, **kwargs):
+        time.sleep(0.01)
+        with lock:
+            built.append(params)
+        return ("family", params)
+
+    monkeypatch.setattr(verify, "make_test_family", slow_build)
+    memo = verify._FamilyMemo()
+    cfg = RunConfig()
+    keys = [SpaceParams(0.5, 0.4), SpaceParams(0.6, 0.5)] * 8
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=16) as pool:
+            futures = [pool.submit(memo.family, cfg, params) for params in keys]
+            got = [f.result(timeout=30) for f in futures]
+    finally:
+        sys.setswitchinterval(interval)
+    assert got == [("family", params) for params in keys]
+    assert sorted(built, key=lambda q: q.p) == [SpaceParams(0.5, 0.4), SpaceParams(0.6, 0.5)]
+
+
+# -- --out is checked before any computation ---------------------------------------
+
+
+def test_cli_unwritable_out_fails_before_computing(tmp_path, monkeypatch, capsys):
+    from dirimor import cli
+
+    def never(*args, **kwargs):
+        raise AssertionError("computation ran before --out was checked")
+
+    monkeypatch.setattr(cli, "dirichlet_norm", never)
+    monkeypatch.setattr(cli, "run_tasks", never)
+    blocker = tmp_path / "afile"
+    blocker.write_text("")
+    out = str(blocker / "x.json")
+    for argv in (["norm", "--quantity", "dp", "--function", "taylor:0,1", "--out", out],
+                 ["verify", "--task", "V9", "--out", out]):
+        assert main(argv) == 2
+        assert out in _one_error_line(capsys.readouterr().err)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["afile"]
+    assert blocker.read_text() == ""
+
+
+def test_cli_out_must_not_be_a_directory(tmp_path, capsys):
+    assert main(["membership", "--criterion", "gap-qp", "--q", "0.3",
+                 "--out", str(tmp_path)]) == 2
+    assert str(tmp_path) in _one_error_line(capsys.readouterr().err)
