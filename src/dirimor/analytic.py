@@ -8,9 +8,9 @@ modulus exactly 1) so that boundary evaluation never goes through the
 interior code path.
 
 Functions are immutable after construction and safe to share between
-workers.  Each one may carry
+workers.  Each one carries
 
-* an optional Taylor view (coefficients, valid radius),
+* a certified evaluation radius (the open disc unless truncated),
 * an optional boundary trace (``theta -> f(e^{i theta})``),
 * a tuple of singular directions on the circle, used by the quadrature
   module to grade meshes toward the points where mass concentrates.
@@ -119,7 +119,6 @@ class AnalyticFunction:
     label: str
     eval_fn: Callable
     deriv_fn: Callable
-    taylor_coeffs: Optional[tuple] = None
     boundary_fn: Optional[Callable] = None
     singular_angles: tuple = ()
     angular_hint: int = 64
@@ -156,13 +155,6 @@ class AnalyticFunction:
     # Linear algebra on functions, used by operator linearity checks and
     # by the multiplication operator.
     def __add__(self, other: "AnalyticFunction") -> "AnalyticFunction":
-        coeffs = None
-        if self.taylor_coeffs is not None and other.taylor_coeffs is not None:
-            n = max(len(self.taylor_coeffs), len(other.taylor_coeffs))
-            a = np.zeros(n, dtype=complex)
-            a[: len(self.taylor_coeffs)] += self.taylor_coeffs
-            a[: len(other.taylor_coeffs)] += other.taylor_coeffs
-            coeffs = tuple(a)
         bnd = None
         if self.boundary_fn is not None and other.boundary_fn is not None:
             fb, gb = self.boundary_fn, other.boundary_fn
@@ -172,7 +164,6 @@ class AnalyticFunction:
             label=f"({self.label}+{other.label})",
             eval_fn=lambda z: fe(z) + ge(z),
             deriv_fn=lambda z: fd(z) + gd(z),
-            taylor_coeffs=coeffs,
             boundary_fn=bnd,
             singular_angles=tuple(sorted(set(self.singular_angles) | set(other.singular_angles))),
             angular_hint=max(self.angular_hint, other.angular_hint),
@@ -182,9 +173,6 @@ class AnalyticFunction:
 
     def scaled(self, alpha: complex) -> "AnalyticFunction":
         alpha = complex(alpha)
-        coeffs = None
-        if self.taylor_coeffs is not None:
-            coeffs = tuple(alpha * c for c in self.taylor_coeffs)
         bnd = None
         if self.boundary_fn is not None:
             fb = self.boundary_fn
@@ -195,7 +183,6 @@ class AnalyticFunction:
             label=f"({alpha!r}*{self.label})",
             eval_fn=lambda z: alpha * fe(z),
             deriv_fn=lambda z: alpha * fd(z),
-            taylor_coeffs=coeffs,
             boundary_fn=bnd,
         )
 
@@ -213,7 +200,7 @@ def _horner(coeffs, z):
 
 
 def make_taylor(coeffs: Sequence[complex]) -> AnalyticFunction:
-    """Polynomial with exact evaluation, derivative and Taylor view."""
+    """Polynomial with exact evaluation, derivative and boundary trace."""
     coeffs = tuple(complex(c) for c in coeffs)
     if not coeffs:
         coeffs = (0.0 + 0.0j,)
@@ -234,7 +221,6 @@ def make_taylor(coeffs: Sequence[complex]) -> AnalyticFunction:
         label=label,
         eval_fn=ev,
         deriv_fn=dv,
-        taylor_coeffs=coeffs,
         boundary_fn=bnd,
         angular_hint=max(64, 4 * deg + 8),
     )
@@ -305,8 +291,10 @@ def make_power_kernel(c, s: float) -> AnalyticFunction:
     )
 
 
-GAP_R_MAX_DEFAULT = 1.0 - 2.0 ** -12
-GAP_TAIL_TOL_DEFAULT = 1e-8
+# Gap series are certified up to radius GAP_R_MAX, where the truncation
+# tail must stay within GAP_TAIL_TOL.
+GAP_R_MAX = 1.0 - 2.0 ** -12
+GAP_TAIL_TOL = 1e-8
 
 
 def gap_tail_bound(coeff_rule: Callable[[int], complex], K: int, r_max: float) -> float:
@@ -324,25 +312,23 @@ def make_gap_series(
     coeff_rule: Callable[[int], complex],
     K: int,
     *,
-    r_max: float = GAP_R_MAX_DEFAULT,
-    tail_tol: float = GAP_TAIL_TOL_DEFAULT,
     label: Optional[str] = None,
 ) -> AnalyticFunction:
     """Truncated lacunary series  sum_{k=1..K} a_k z^(2^k).
 
     The truncation is evaluated by repeated squaring, exactly, anywhere on
     the closed disc; interior evaluation is nevertheless refused beyond
-    ``r_max``, where the truncation is no longer certified to represent the
-    full series within ``tail_tol``.  The boundary trace is the trace of the
+    GAP_R_MAX, where the truncation is no longer certified to represent the
+    full series within GAP_TAIL_TOL.  The boundary trace is the trace of the
     truncation itself (a polynomial).
     """
     if K < 1:
         raise TruncationError("gap series needs at least one term")
-    tail = gap_tail_bound(coeff_rule, K, r_max)
-    if tail > tail_tol:
+    tail = gap_tail_bound(coeff_rule, K, GAP_R_MAX)
+    if tail > GAP_TAIL_TOL:
         raise TruncationError(
-            f"gap series truncation K={K} leaves tail {tail:.3e} > {tail_tol:.3e} "
-            f"at radius {r_max}"
+            f"gap series truncation K={K} leaves tail {tail:.3e} > {GAP_TAIL_TOL:.3e} "
+            f"at radius {GAP_R_MAX}"
         )
     a = np.array([complex(coeff_rule(k)) for k in range(1, K + 1)])
 
@@ -381,7 +367,7 @@ def make_gap_series(
         deriv_fn=dv,
         boundary_fn=bnd,
         angular_hint=64,
-        r_max=r_max,
+        r_max=GAP_R_MAX,
         oscillatory=True,
     )
 

@@ -81,10 +81,11 @@ QUANTITIES = {
     "dm-translate": (TRANSLATE_READS, lambda f, P, c, s: dm_norm_translate(
         f, P, c.param_grid(), **c.translate_opts())),
     "dm-box": (BOX_READS, lambda f, P, c, s: dm_seminorm_box(
-        f, P, c.param_grid(), **c.box_opts())),
-    "qp": (BOX_READS, lambda f, P, c, s: qp_quantity(f, c.p, c.param_grid(), **c.box_opts())),
+        f, P, c.param_grid(), radial_order=c.box_radial_order)),
+    "qp": (BOX_READS, lambda f, P, c, s: qp_quantity(
+        f, c.p, c.param_grid(), radial_order=c.box_radial_order)),
     "qplog": (BOX_READS, lambda f, P, c, s: qp_log_quantity(
-        f, c.p, c.param_grid(), **c.box_opts())),
+        f, c.p, c.param_grid(), radial_order=c.box_radial_order)),
     "boundary": ((), lambda f, P, c, s: boundary_double_seminorm(
         f, P, c.boundary_grid(), t_depth=c.boundary_t_depth)),
     "gpcm": ((), lambda f, P, c, s: gpcm_quantity(f, c.p)),

@@ -69,14 +69,15 @@ class BlockSumReport:
         return self.partial_sums[-1]
 
 
-def gap_block_sums(coeffs: GapCoefficients, q: float, K: Optional[int] = None) -> BlockSumReport:
-    """Partial sums S_K = sum_{k=0..K} 2^(k(1-q)) |a_k|^2 with a ratio-test
-    classification on the last terms and, for convergent trends, a
-    geometric extrapolation of the limit (exact for geometric tails)."""
+def gap_block_sums(coeffs: GapCoefficients, q: float) -> BlockSumReport:
+    """Partial sums S_K = sum_{k=0..K} 2^(k(1-q)) |a_k|^2 (K = coeffs.K) with
+    a ratio-test classification on the last terms and, for convergent
+    trends, a geometric extrapolation of the limit (exact for geometric
+    tails)."""
     if not (0.0 < q < 1.0):
         raise ValueError("block-sum exponent must lie in (0, 1)")
-    K = coeffs.K if K is None else min(K, coeffs.K)
-    mags = coeffs.magnitudes(0)[: K + 1]
+    K = coeffs.K
+    mags = coeffs.magnitudes(0)
     terms = (2.0 ** (np.arange(K + 1) * (1.0 - q))) * mags ** 2
     sums = np.cumsum(terms)
     tail = terms[-5:]
@@ -104,17 +105,15 @@ def gap_block_sums(coeffs: GapCoefficients, q: float, K: Optional[int] = None) -
     )
 
 
-def yamashita_limsup(coeffs: GapCoefficients, q: float, K: Optional[int] = None) -> float:
-    """Tail maximum of |a_k| 2^(k(1-(1+q)/2)) over k in [K/2, K]: the
+def yamashita_limsup(coeffs: GapCoefficients, q: float) -> float:
+    """Tail maximum of |a_k| 2^(k(1-(1+q)/2)) over k in [K/2, K] (K = coeffs.K): the
     derivative-growth criterion sup |f'(z)|(1-|z|)^((1+q)/2) < inf holds for
     gap series exactly when this limsup is finite; for the built-in
     eventually-geometric rules the tail max is the limsup."""
-    K = coeffs.K if K is None else min(K, coeffs.K)
-    lo = max(0, K // 2)
-    ks = np.arange(lo, K + 1)
-    mags = coeffs.magnitudes(lo)[: len(ks)]
-    vals = mags * 2.0 ** (ks * (1.0 - (1.0 + q) / 2.0))
-    return float(np.max(vals)) if len(vals) else 0.0
+    lo = coeffs.K // 2
+    ks = np.arange(lo, coeffs.K + 1)
+    vals = coeffs.magnitudes(lo) * 2.0 ** (ks * (1.0 - (1.0 + q) / 2.0))
+    return float(np.max(vals))
 
 
 # ---------------------------------------------------------------------------
@@ -128,17 +127,14 @@ def pzh_check(
     r: float,
     s: float,
     t: float,
-    *,
-    depth: Optional[int] = None,
-    panel_order: int = 6,
-    base_panels: int = 16,
 ) -> float:
     """Normalized two-kernel integral
         (1-|u|^2)^(r+t-s-2) * integral of (1-|z|^2)^s / (|1-conj(u)z|^r |1-conj(v)z|^t) dm.
 
     Admissible parameters: s > -1, r > 0, t > 0 and 0 < r+t-s-2 < r; the
     normalized value stays bounded as |u| -> 1, which the scans verify.
-    ``v`` may lie on the closed disc.
+    ``v`` may lie on the closed disc.  The disc grid is graded toward the
+    directions of u and v, and its depth grows as they approach the circle.
     """
     if s <= -1.0:
         raise ValueError("need s > -1")
@@ -161,17 +157,9 @@ def pzh_check(
             {float(np.angle(w)) % TWO_PI for w in (u, v) if abs(w) > 1e-14}
         )
     )
-    if depth is None:
-        k_u = max(
-            (int(-math.log2(max(1.0 - abs(w), 1e-12))) for w in (u, v)), default=0
-        )
-        depth = min(40, max(26, k_u + 12))
-    if foci:
-        grid = RadialAnnuliGrid(
-            depth=depth, foci=foci, panel_order=panel_order, base_panels=base_panels
-        )
-    else:
-        grid = RadialAnnuliGrid(depth=depth)
+    k_u = max(int(-math.log2(max(1.0 - abs(w), 1e-12))) for w in (u, v))
+    # without foci the grid is uniform, which reads no panel setting
+    grid = RadialAnnuliGrid(depth=min(40, max(26, k_u + 12)), foci=foci, panel_order=6)
 
     uc, vc = np.conj(u), np.conj(v)
 

@@ -133,20 +133,13 @@ class ParamGrid:
                 out.append((j, Arc(TWO_PI * m / self.n_centers, 2.0 ** -j)))
         return out
 
-    def describe(self) -> dict:
-        return {
-            "k_a": self.k_a,
-            "a_angle_cap": self.a_angle_cap,
-            "k_arc": self.k_arc,
-            "n_centers": self.n_centers,
-        }
-
     def refined(self) -> "ParamGrid":
         return ParamGrid(self.k_a + 1, self.a_angle_cap, self.k_arc + 1, self.n_centers)
 
 
-def trend_slope(levels, values, tail: int = TREND_TAIL_POINTS) -> float:
-    """Least-squares slope of log(value) against level over the last points."""
+def trend_slope(levels, values) -> float:
+    """Least-squares slope of log(value) against level over the last
+    TREND_TAIL_POINTS points."""
     xs, ys = [], []
     for x, y in zip(levels, values):
         if y > 0 and math.isfinite(y):
@@ -154,7 +147,7 @@ def trend_slope(levels, values, tail: int = TREND_TAIL_POINTS) -> float:
             ys.append(math.log(y))
     if len(xs) < 2:
         return 0.0
-    xs, ys = np.array(xs[-tail:]), np.array(ys[-tail:])
+    xs, ys = np.array(xs[-TREND_TAIL_POINTS:]), np.array(ys[-TREND_TAIL_POINTS:])
     xm, ym = xs.mean(), ys.mean()
     denom = float(np.sum((xs - xm) ** 2))
     if denom == 0.0:
@@ -249,16 +242,10 @@ def dirichlet_norm_coeff(coeffs: Sequence[complex], p: float) -> float:
     return math.sqrt(total)
 
 
-def dirichlet_norm(
-    f: AnalyticFunction,
-    p: float,
-    grid: Optional[RadialAnnuliGrid] = None,
-    *,
-    depth: int = 40,
-) -> NormReport:
-    """sqrt(|f(0)|^2 + integral of |f'|^2 (1-|z|^2)^p dm)."""
-    if grid is None:
-        grid = grid_for_function(f, depth, panel_order=8, base_panels=24)
+def dirichlet_norm(f: AnalyticFunction, p: float) -> NormReport:
+    """sqrt(|f(0)|^2 + integral of |f'|^2 (1-|z|^2)^p dm), on the function's
+    own disc grid of depth 40."""
+    grid = grid_for_function(f, 40, panel_order=8, base_panels=24)
     res = integrate_disc(WeightedDerivativeMeasure(f, p).density, grid)
     f0 = abs(f.at_zero())
     value = math.sqrt(f0 * f0 + max(res.value, 0.0))
@@ -328,28 +315,33 @@ def _growth_for_radius(r: float) -> int:
     return max(4, int(-math.log2(max(1.0 - r, 1e-12))) + 2)
 
 
+# Gauss order of the graded angular panels of translate scans
+TRANSLATE_PANEL_ORDER = 4
+
+
 def _translate_scan(
     fs: Sequence[AnalyticFunction],
     p: float,
     weight_of_a: Callable[[float], float],
     grid: ParamGrid,
+    desc: dict,
     *,
     depth: int = 24,
-    panel_order: int = 4,
     base_panels: int = 16,
-):
-    """Weighted translate seminorms over the a-grid, for each function of fs.
+) -> list:
+    """The report of each function f of fs: |f(0)| plus the maximum over the
+    a-grid of weight_of_a(|a|) times the translate seminorm of f at a.
 
-    Returns one (entries, per_level_max) per function, where entries are
-    (level, a, weighted value).  Functions with focal directions get one
-    graded grid per scan direction (reusing the derivative evaluation across
-    the radii of that direction); focus-free functions share a single uniform
-    grid dense enough in angle for the deepest Mobius weight scanned.
+    Functions with focal directions get one graded grid per scan direction
+    (reusing the derivative evaluation across the radii of that direction);
+    focus-free functions share a single uniform grid dense enough in angle
+    for the deepest Mobius weight scanned.
 
     Functions whose grids for a direction (or whose uniform grids) are equal
     share one build of it.  Each function's entries come in the order of
     its own scan: direction by direction, or ``grid.a_points()`` order on
-    a uniform grid.
+    a uniform grid; the first maximum wins.  Each report is named
+    ``desc["scan"]``, and its grid is ``desc`` plus the settings the scan read.
     """
     entries = [[] for _ in fs]
 
@@ -369,18 +361,24 @@ def _translate_scan(
     for _, pts in grid.a_points_by_direction():
         ang = next((float(np.angle(a)) % TWO_PI for _, a in pts if a != 0), None)
         extra = (ang,) if ang is not None else ()
-        scan(pts, [(i, grid_for_function(fs[i], depth, extra_foci=extra, panel_order=panel_order,
+        scan(pts, [(i, grid_for_function(fs[i], depth, extra_foci=extra,
+                                         panel_order=TRANSLATE_PANEL_ORDER,
                                          base_panels=base_panels)) for i in focal])
     cap = min(grid.k_a + 1, 11)
     scan(grid.a_points(), [(i, grid_for_function(f, depth, growth_cap=cap))
                            for i, f in enumerate(fs) if f.oscillatory])
-    out = []
-    for es in entries:
+    desc = {**desc, "k_a": grid.k_a, "a_angle_cap": grid.a_angle_cap,
+            "depth": depth, "base_panels": base_panels}
+    reports = []
+    for f, es in zip(fs, entries):
         per_level: dict = {}
         for level, _, v in es:
             per_level[level] = max(per_level.get(level, 0.0), v)
-        out.append((es, per_level))
-    return out
+        f0 = abs(f.at_zero())
+        best = max(es, key=lambda e: e[2])
+        trace = [(level, f0 + running) for level, running in _running_trace(per_level)]
+        reports.append(_trace_report(desc["scan"], f0 + best[2], complex(best[1]), desc, trace))
+    return reports
 
 
 def _scan_group(f, p, weight_of_a, pts, disc):
@@ -422,12 +420,6 @@ def _running_trace(per_level: dict) -> list:
     return trace
 
 
-def _scan_report(name, f0, entries, per_level, grid_desc) -> NormReport:
-    best = max(entries, key=lambda e: e[2])
-    trace = [(level, f0 + running) for level, running in _running_trace(per_level)]
-    return _trace_report(name, f0 + best[2], complex(best[1]), grid_desc, trace)
-
-
 def dm_norms_translate(
     fs: Sequence[AnalyticFunction],
     params: SpaceParams,
@@ -435,14 +427,12 @@ def dm_norms_translate(
     **scan_opts,
 ) -> list:
     """The translate norm of each function of fs, from one translate scan:
-    functions that need the same disc grid share its construction."""
-    grid = grid or ParamGrid()
+    functions that need the same disc grid share its construction.
+    ``scan_opts`` set the scan's ``depth`` and ``base_panels``."""
     s = params.translate_exponent
     weight = lambda r: (1.0 - r * r) ** s
-    scans = _translate_scan(fs, params.p, weight, grid, **scan_opts)
-    desc = {"scan": "dm-translate", **grid.describe()}
-    return [_scan_report("dm-translate", abs(f.at_zero()), entries, per_level, desc)
-            for f, (entries, per_level) in zip(fs, scans)]
+    return _translate_scan(fs, params.p, weight, grid or ParamGrid(), {"scan": "dm-translate"},
+                           **scan_opts)
 
 
 def dm_norm_translate(
@@ -470,12 +460,9 @@ def general_morrey_norm(
     """
     if s < 0:
         raise ValueError("power-weight exponent must be >= 0")
-    grid = grid or ParamGrid()
     weight = lambda r: (1.0 - r) ** s
-    [(entries, per_level)] = _translate_scan([f], p, weight, grid, **scan_opts)
-    f0 = abs(f.at_zero())
-    desc = {"scan": "morrey", "s": s, **grid.describe()}
-    return _scan_report("morrey", f0, entries, per_level, desc)
+    return _translate_scan([f], p, weight, grid or ParamGrid(), {"scan": "morrey", "s": s},
+                           **scan_opts)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -483,19 +470,18 @@ def general_morrey_norm(
 # ---------------------------------------------------------------------------
 
 TRACE_LEVEL_CAP = 24
+# Fitted box grids: BOX_REL_DEPTH dyadic radial panels below each box's top,
+# and angular Gauss panels of order BOX_PANEL_ORDER over at most
+# BOX_BASE_PANELS background cells.
+BOX_REL_DEPTH = 16
+BOX_PANEL_ORDER = 6
+BOX_BASE_PANELS = 6
 
 
-def _box_level_sums(
-    f: AnalyticFunction,
-    p_list: Sequence[float],
-    grid: ParamGrid,
-    *,
-    rel_depth: int = 16,
-    radial_order: int = 6,
-    panel_order: int = 6,
-    base_panels: int = 6,
-):
-    """Per-arc, per-exponent dyadic-level sums of |f'|^2 (1-|z|^2)^p over S(I).
+def _box_level_sums(f: AnalyticFunction, p_list: Sequence[float], grid: ParamGrid,
+                    radial_order: int):
+    """Per-arc, per-exponent dyadic-level sums of |f'|^2 (1-|z|^2)^p over S(I),
+    with Gauss rules of ``radial_order`` nodes on the radial panels.
 
     Returns a list of (level_j, Arc, sums) with sums shaped
     (len(p_list), TRACE_LEVEL_CAP+2); the final slot collects contributions
@@ -524,18 +510,13 @@ def _box_level_sums(
             )
             (focused if near else plain).append(arc)
         if plain:
-            sums_list = _plain_box_sums(
-                f, p_arr, plain, length,
-                rel_depth=rel_depth, radial_order=radial_order,
-                panel_order=panel_order, base_panels=base_panels,
-                max_level=max_level,
-            )
+            sums_list = _plain_box_sums(f, p_arr, plain, length, radial_order, max_level)
             out.extend((j, arc, s) for arc, s in zip(plain, sums_list))
         for arc in focused:
             reg = Region.box_of_arc(arc)
             z, w, lv = region_node_arrays(
-                reg, rel_depth=rel_depth, radial_order=radial_order,
-                foci=foci, base_panels=base_panels, panel_order=panel_order,
+                reg, rel_depth=BOX_REL_DEPTH, radial_order=radial_order,
+                foci=foci, base_panels=BOX_BASE_PANELS, panel_order=BOX_PANEL_ORDER,
                 max_level=max_level,
             )
             sums = _level_sums_from_nodes(f, p_arr, z, w, lv)
@@ -556,13 +537,12 @@ def _level_sums_from_nodes(f, p_arr, z, w, lv):
     return sums
 
 
-def _plain_box_sums(f, p_arr, arcs, length, *, rel_depth, radial_order,
-                    panel_order, base_panels, max_level):
+def _plain_box_sums(f, p_arr, arcs, length, radial_order, max_level):
     centers = np.array([a.center for a in arcs])
     half = math.pi * length
     sums = np.zeros((len(arcs), len(p_arr), TRACE_LEVEL_CAP + 2))
-    for rr, rw, delta, j_abs in radial_panels(length, rel_depth, radial_order, max_level):
-        th, tw = _window_nodes(-half, half, delta, (), base_panels, panel_order)
+    for rr, rw, delta, j_abs in radial_panels(length, BOX_REL_DEPTH, radial_order, max_level):
+        th, tw = _window_nodes(-half, half, delta, (), BOX_BASE_PANELS, BOX_PANEL_ORDER)
         j_abs = min(j_abs, TRACE_LEVEL_CAP + 1)
         ang = centers[:, None] + th[None, :]
         for i in range(len(rr)):
@@ -597,9 +577,7 @@ def _box_scan_report(name, weighted, grid, extra_desc=None) -> NormReport:
     trace.append((TRACE_LEVEL_CAP + 1, best_val))
     # drop leading empty levels
     trace = [(l, v) for l, v in trace if v > 0.0] or [(0, 0.0)]
-    desc = {"scan": name, **grid.describe()}
-    if extra_desc:
-        desc.update(extra_desc)
+    desc = {"scan": name, "k_arc": grid.k_arc, "n_centers": grid.n_centers, **(extra_desc or {})}
     return _trace_report(name, best_val, best_arc, desc, trace)
 
 
@@ -607,7 +585,8 @@ def dm_seminorm_box(
     f: AnalyticFunction,
     params: SpaceParams,
     grid: Optional[ParamGrid] = None,
-    **opts,
+    *,
+    radial_order: int = 6,
 ) -> NormReport:
     """sup over arcs of |I|^(-p lam) integral over S(I) of |f'|^2 (1-|z|^2)^p dm.
 
@@ -615,35 +594,38 @@ def dm_seminorm_box(
     The levels trace shows the quantity under radial depth truncation.
     """
     grid = grid or ParamGrid()
-    sums = _box_level_sums(f, [params.p], grid, **opts)
+    sums = _box_level_sums(f, [params.p], grid, radial_order)
     weighted = [
         (j, arc, arc.length ** -params.box_exponent, row[0]) for j, arc, row in sums
     ]
-    return _box_scan_report("dm-box", weighted, grid, {"p": params.p, "lam": params.lam})
+    return _box_scan_report("dm-box", weighted, grid,
+                            {"radial_order": radial_order, "p": params.p, "lam": params.lam})
 
 
-def qp_quantity(f: AnalyticFunction, q: float, grid: Optional[ParamGrid] = None, **opts) -> NormReport:
+def qp_quantity(f: AnalyticFunction, q: float, grid: Optional[ParamGrid] = None, *,
+                radial_order: int = 6) -> NormReport:
     """The lam = 1 box scan: sup |I|^-q integral over S(I) of |f'|^2 (1-|z|^2)^q dm."""
-    return dm_seminorm_box(f, SpaceParams(q, 1.0), grid, **opts)
+    return dm_seminorm_box(f, SpaceParams(q, 1.0), grid, radial_order=radial_order)
 
 
 def qp_log_quantity(
     g: AnalyticFunction,
     p: float,
     grid: Optional[ParamGrid] = None,
-    **opts,
+    *,
+    radial_order: int = 6,
 ) -> NormReport:
     """sup over arcs of (log(1/|I|))^2 |I|^-p integral over S(I) of the
     derivative measure; the full circle contributes with log factor 0."""
     if not (0.0 < p < 1.0):
         raise ValueError("the logarithmic box scan needs p in (0, 1)")
     grid = grid or ParamGrid()
-    sums = _box_level_sums(g, [p], grid, **opts)
+    sums = _box_level_sums(g, [p], grid, radial_order)
     weighted = []
     for j, arc, row in sums:
         logf = 0.0 if arc.length >= 1.0 else math.log(1.0 / arc.length) ** 2
         weighted.append((j, arc, logf * arc.length ** -p, row[0]))
-    return _box_scan_report("qp-log", weighted, grid, {"p": p})
+    return _box_scan_report("qp-log", weighted, grid, {"radial_order": radial_order, "p": p})
 
 
 def box_quantity_pair(
@@ -651,13 +633,14 @@ def box_quantity_pair(
     p1: float,
     p2: float,
     grid: Optional[ParamGrid] = None,
-    **opts,
+    *,
+    radial_order: int = 6,
 ):
     """Box integrals of the derivative measure at two weight exponents on the
     same nodes: list of (arc, value_p1, value_p2).  Sharing nodes preserves
     nodewise integrand domination in the computed values."""
     grid = grid or ParamGrid()
-    sums = _box_level_sums(f, [p1, p2], grid, **opts)
+    sums = _box_level_sums(f, [p1, p2], grid, radial_order)
     return [
         (arc, float(np.sum(row[0])), float(np.sum(row[1]))) for _, arc, row in sums
     ]
@@ -674,7 +657,6 @@ def boundary_double_seminorm(
     grid: Optional[ParamGrid] = None,
     *,
     t_depth: int = 36,
-    resolution_check: bool = False,
 ) -> NormReport:
     """sup over arcs of |I|^(-p lam) double integral over I x I of
     |f(u)-f(v)|^2 / |u-v|^(2-p) with raw arc-length measure.
@@ -698,17 +680,16 @@ def boundary_double_seminorm(
     for j, arc in grid.arcs():
         res = arc_double_integral(
             F, arc, beta=1.0 - p,
-            t_depth=t_depth,
-            v_foci=f.singular_angles, resolution_check=resolution_check,
+            t_depth=t_depth, v_foci=f.singular_angles, resolution_check=False,
         )
         val = res.value * arc.length ** -params.box_exponent
         per_level[j] = max(per_level.get(j, 0.0), val)
         if val > best_val:
             best_val, best_arc, err = val, arc, res.error
-    return _trace_report(
-        "boundary-double", best_val, best_arc, {"scan": "boundary-double", **grid.describe()},
-        _running_trace(per_level), error=err,
-    )
+    desc = {"scan": "boundary-double", "k_arc": grid.k_arc, "n_centers": grid.n_centers,
+            "t_depth": t_depth}
+    return _trace_report("boundary-double", best_val, best_arc, desc,
+                         _running_trace(per_level), error=err)
 
 
 # ---------------------------------------------------------------------------

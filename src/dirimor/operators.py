@@ -7,7 +7,7 @@ The three operators share one identity (integration by parts):
 
 where J_g integrates f g', I_g integrates f' g, and M_g multiplies by g.
 Operator *values* come from quadrature along the radial segment [0, z]
-(graded toward the far endpoint, 64-1024 nodes depending on how close the
+(graded toward the far endpoint, 120-480 nodes depending on how close the
 segment gets to a flagged singularity); operator *derivatives* are closed
 form, which is what every norm computation consumes.
 
@@ -25,7 +25,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .analytic import AnalyticFunction, SpaceParams, _derivative_coeffs, make_power_kernel
+from .analytic import AnalyticFunction, SpaceParams, make_power_kernel
 from .norms import ParamGrid, classify_trend, dm_norms_translate, trend_slope
 from .quadrature import TWO_PI, _gauss_on
 
@@ -41,6 +41,12 @@ MG = "Mg"
 # ---------------------------------------------------------------------------
 
 
+# Gauss nodes per panel of the radial path rule
+PATH_ORDER = 10
+# interior_samples draws points of modulus below SAMPLE_R_CAP
+SAMPLE_R_CAP = 0.95
+
+
 def _path_breaks(depth: int) -> np.ndarray:
     pts = [0.0, 0.5]
     pts.extend(1.0 - 2.0 ** -m for m in range(2, depth))
@@ -48,23 +54,22 @@ def _path_breaks(depth: int) -> np.ndarray:
     return np.array(pts)
 
 
-def path_integral(integrand: Callable, z, *, depth: Optional[int] = None, order: int = 10):
+def path_integral(integrand: Callable, z):
     """integral over [0, z] of integrand(w) dw along the radial segment.
 
     Parametrizes w = s z on graded panels refining toward s = 1, where the
     integrand may steepen if z points near a singular direction; one node
-    layout is shared by all requested z (64-1024 nodes by proximity)."""
+    layout of PATH_ORDER-point Gauss panels is shared by all requested z
+    (120-480 nodes by proximity)."""
     z = np.asarray(z, dtype=complex)
     flat = z.ravel()
     if flat.size == 0:
         return z
-    if depth is None:
-        closest = float(np.max(np.abs(flat)))
-        depth = int(np.clip(int(-math.log2(max(1.0 - closest, 1e-12))) + 8, 12, 48))
-    breaks = _path_breaks(depth)
+    closest = float(np.max(np.abs(flat)))
+    breaks = _path_breaks(int(np.clip(int(-math.log2(max(1.0 - closest, 1e-12))) + 8, 12, 48)))
     s_nodes, s_wts = [], []
     for i in range(len(breaks) - 1):
-        n, w = _gauss_on(breaks[i], breaks[i + 1], order)
+        n, w = _gauss_on(breaks[i], breaks[i + 1], PATH_ORDER)
         s_nodes.append(n)
         s_wts.append(w)
     s = np.concatenate(s_nodes)
@@ -72,12 +77,6 @@ def path_integral(integrand: Callable, z, *, depth: Optional[int] = None, order:
     vals = integrand(s[:, None] * flat[None, :])
     out = flat * (sw @ vals)
     return out.reshape(z.shape) if z.shape else complex(out[()] if out.shape == () else out.reshape(()))
-
-
-def _integrated_taylor(prod_coeffs):
-    out = [0.0 + 0.0j]
-    out.extend(c / (n + 1) for n, c in enumerate(prod_coeffs))
-    return tuple(out)
 
 
 def _op_common(f: AnalyticFunction, g: AnalyticFunction):
@@ -99,14 +98,10 @@ def apply_Jg(f: AnalyticFunction, g: AnalyticFunction) -> AnalyticFunction:
     def ev(z):
         return path_integral(dv, z)
 
-    coeffs = None
-    if f.taylor_coeffs is not None and g.taylor_coeffs is not None:
-        coeffs = _integrated_taylor(np.convolve(f.taylor_coeffs, _derivative_coeffs(g.taylor_coeffs)))
     return AnalyticFunction(
         label=f"Jg[{g.label}]({f.label})",
         eval_fn=ev,
         deriv_fn=dv,
-        taylor_coeffs=coeffs,
         **_op_common(f, g),
     )
 
@@ -121,14 +116,10 @@ def apply_Ig(f: AnalyticFunction, g: AnalyticFunction) -> AnalyticFunction:
     def ev(z):
         return path_integral(dv, z)
 
-    coeffs = None
-    if f.taylor_coeffs is not None and g.taylor_coeffs is not None:
-        coeffs = _integrated_taylor(np.convolve(_derivative_coeffs(f.taylor_coeffs), g.taylor_coeffs))
     return AnalyticFunction(
         label=f"Ig[{g.label}]({f.label})",
         eval_fn=ev,
         deriv_fn=dv,
-        taylor_coeffs=coeffs,
         **_op_common(f, g),
     )
 
@@ -143,9 +134,6 @@ def apply_Mg(f: AnalyticFunction, g: AnalyticFunction) -> AnalyticFunction:
     def dv(z):
         return fd(z) * ge(z) + fe(z) * gd(z)
 
-    coeffs = None
-    if f.taylor_coeffs is not None and g.taylor_coeffs is not None:
-        coeffs = tuple(np.convolve(f.taylor_coeffs, g.taylor_coeffs))
     bnd = None
     if f.boundary_fn is not None and g.boundary_fn is not None:
         fb, gb = f.boundary_fn, g.boundary_fn
@@ -154,7 +142,6 @@ def apply_Mg(f: AnalyticFunction, g: AnalyticFunction) -> AnalyticFunction:
         label=f"Mg[{g.label}]({f.label})",
         eval_fn=ev,
         deriv_fn=dv,
-        taylor_coeffs=coeffs,
         boundary_fn=bnd,
         **_op_common(f, g),
     )
@@ -191,9 +178,10 @@ def ibp_residual(f: AnalyticFunction, g: AnalyticFunction, samples) -> float:
     return float(np.max(np.abs(resid)))
 
 
-def interior_samples(n: int, seed: int, r_cap: float = 0.95) -> np.ndarray:
+def interior_samples(n: int, seed: int) -> np.ndarray:
+    """n points uniform in area on the disc |z| < SAMPLE_R_CAP."""
     rng = np.random.default_rng(seed)
-    r = r_cap * np.sqrt(rng.uniform(0.0, 1.0, n))
+    r = SAMPLE_R_CAP * np.sqrt(rng.uniform(0.0, 1.0, n))
     t = rng.uniform(0.0, TWO_PI, n)
     return r * np.exp(1j * t)
 
@@ -226,10 +214,6 @@ class TestFamily:
     n_directions: int
     norm_grid: ParamGrid
     scan_opts: dict
-
-    def describe(self) -> dict:
-        """The scan settings, as ratio scans report them under ``grid``."""
-        return {"k_c": self.k_c, "n_directions": self.n_directions, **self.norm_grid.describe()}
 
 
 def make_test_family(
@@ -306,8 +290,8 @@ def ratio_scan(kind: str, g: AnalyticFunction, family: TestFamily) -> RatioScanR
     ``kind`` is an operator tag ("Jg", "Ig" or "Mg"); an unknown tag raises
     ``ValueError``.  Each T f_c is normed with the family's own scan
     (``family.params``, ``family.norm_grid``, ``family.scan_opts``), so both
-    sides of a ratio come from one grid, and ``grid`` reports
-    ``family.describe()``."""
+    sides of a ratio come from one grid; ``grid`` reports the family's
+    ``k_c`` and ``n_directions`` and the settings that scan read."""
     apply = _operator(kind)
     images = [apply(e.function, g) for e in family.entries]
     reports = dm_norms_translate(images, family.params, family.norm_grid, **family.scan_opts)
@@ -327,5 +311,6 @@ def ratio_scan(kind: str, g: AnalyticFunction, family: TestFamily) -> RatioScanR
         max_ratio=max(r for *_, r in rows) if rows else 0.0,
         slope=slope,
         classification=classify_trend(slope),
-        grid=family.describe(),
+        grid={"k_c": family.k_c, "n_directions": family.n_directions,
+              **{k: v for k, v in reports[0].grid.items() if k != "scan"}},
     )

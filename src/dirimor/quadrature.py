@@ -176,11 +176,13 @@ class RadialAnnuliGrid:
     Uniform mode (no foci): annulus j carries max(n_min, 8*2^min(j, growth_cap))
     equally weighted angles.  Graded mode (foci given): composite Gauss
     panels graded toward each focus with finest width ~2^-j, over
-    ``base_panels`` background cells, anchored at the first focus.
+    ``base_panels`` background cells, anchored at the first focus.  Each
+    annulus carries a Gauss rule of RADIAL_ORDER radial nodes.
     """
 
+    RADIAL_ORDER = 8
+
     depth: int = 24
-    radial_order: int = 8
     n_min: int = 64
     growth_cap: int = 11
     foci: tuple = ()
@@ -195,7 +197,7 @@ class RadialAnnuliGrid:
     def _nodes(self):
         zs, ws, lv = [], [], []
         anchor = self.foci[0] if self.foci else 0.0
-        for j, (rr, rw, delta, _) in enumerate(radial_panels(1.0, self.depth, self.radial_order)):
+        for j, (rr, rw, delta, _) in enumerate(radial_panels(1.0, self.depth, self.RADIAL_ORDER)):
             if self.foci:
                 th, tw = angular_nodes(
                     anchor, anchor + TWO_PI, delta, self.foci,
@@ -220,7 +222,7 @@ class RadialAnnuliGrid:
         return {
             "kind": "radial-annuli",
             "depth": self.depth,
-            "radial_order": self.radial_order,
+            "radial_order": self.RADIAL_ORDER,
             "n_min": self.n_min,
             "growth_cap": self.growth_cap,
             "foci": list(self.foci),
@@ -581,13 +583,16 @@ def chord_gap(u_theta, v_theta):
     return 2.0 * np.abs(np.sin(0.5 * (np.asarray(u_theta) - np.asarray(v_theta))))
 
 
+# Gauss nodes per dyadic t-panel of a boundary double integral
+ARC_T_ORDER = 8
+
+
 def arc_double_integral(
     F: Callable,
     arc: Arc,
     beta: float = 0.0,
     *,
     t_depth: int = 40,
-    t_order: int = 8,
     s_base: int = 8,
     s_order: int = 8,
     v_foci: tuple = (),
@@ -596,7 +601,7 @@ def arc_double_integral(
     """Integral of F(u, v) over I x I with raw arc-length measure dtheta^2.
 
     F takes two angle arrays that broadcast against each other (a stacked
-    ``(t_order, n)`` block against a ``(t_order, n)`` or ``(n,)`` array)
+    ``(ARC_T_ORDER, n)`` block against a ``(ARC_T_ORDER, n)`` or ``(n,)`` array)
     and returns nonnegative reals of the broadcast shape; it may blow up
     like |u-v|^-beta (beta < 1) at the diagonal.  F must be symmetric,
     F(u, v) = F(v, u): a proper arc integrates 2 F(u, v) over the half
@@ -619,12 +624,12 @@ def arc_double_integral(
             return _double_full_circle(F, t_depth_, t_order_, s_base_, s_order_, v_foci)
         return _double_proper_arc(F, arc, t_depth_, t_order_, s_base_, s_order_, v_foci)
 
-    value, panel_sums, n_nodes = _run(t_depth, t_order, s_base, s_order)
+    value, panel_sums, n_nodes = _run(t_depth, ARC_T_ORDER, s_base, s_order)
     tail = _tail_estimate(np.array(panel_sums)) if len(panel_sums) >= 3 else 0.0
     err = tail
     flags = ()
     if resolution_check:
-        v2, _, _ = _run(max(8, t_depth - 8), max(4, t_order // 2), max(4, s_base // 2), max(4, s_order // 2))
+        v2, _, _ = _run(max(8, t_depth - 8), ARC_T_ORDER // 2, max(4, s_base // 2), max(4, s_order // 2))
         err += abs(value - v2)
     return QuadratureResult(float(value), float(err), tuple(panel_sums), n_nodes, flags)
 

@@ -29,6 +29,7 @@ import numpy as np
 from .analytic import AnalyticFunction, BoundaryPoint, SpaceParams, log_kernel, make_power_kernel, make_taylor
 from .gaps import GapCoefficients, gap_block_sums, remark_coefficient_rule, remark_example
 from .norms import (
+    BOX_PANEL_ORDER,
     ParamGrid,
     WeightedDerivativeMeasure,
     boundary_double_seminorm,
@@ -80,13 +81,9 @@ class RunConfig:
     n_centers: int = 64
     # disc quadrature for translate scans
     depth: int = 24
-    panel_order: int = 4
     base_panels: int = 16
     # fitted box quadrature
-    box_rel_depth: int = 16
     box_radial_order: int = 6
-    box_panel_order: int = 6
-    box_base_panels: int = 6
     # boundary double integrals
     boundary_k_arc: int = 10
     boundary_n_centers: int = 16
@@ -117,18 +114,10 @@ class RunConfig:
         return ParamGrid(self.k_a, self.a_angle_cap, self.boundary_k_arc, self.boundary_n_centers)
 
     def translate_opts(self) -> dict:
-        return dict(depth=self.depth, panel_order=self.panel_order, base_panels=self.base_panels)
-
-    def box_opts(self) -> dict:
-        return dict(
-            rel_depth=self.box_rel_depth,
-            radial_order=self.box_radial_order,
-            panel_order=self.box_panel_order,
-            base_panels=self.box_base_panels,
-        )
+        return dict(depth=self.depth, base_panels=self.base_panels)
 
     def scan_opts(self) -> dict:
-        return dict(depth=self.scan_depth, panel_order=self.panel_order, base_panels=12)
+        return dict(depth=self.scan_depth, base_panels=12)
 
     def describe(self) -> dict:
         d = dataclasses.asdict(self)
@@ -308,7 +297,7 @@ def _v1(config: RunConfig, fixed: dict, family_of: Callable):
         row = {"function": name}
         ratios = []
         for g, ts in zip(grids, translates):
-            b = dm_seminorm_box(f, params, g, **config.box_opts())
+            b = dm_seminorm_box(f, params, g, radial_order=config.box_radial_order)
             tq = (ts[i].value - abs(f.at_zero())) ** 2
             if tq <= 1e-18 or b.value <= 1e-18:
                 ratios = None
@@ -368,8 +357,7 @@ def _v3(config: RunConfig, fixed: dict, family_of: Callable):
         reg = Region.lune_of(0.0, h)
         q = integrate_region(
             density, reg, foci=(0.0,), rel_depth=24,
-            radial_order=config.box_radial_order,
-            panel_order=config.box_panel_order,
+            radial_order=config.box_radial_order, panel_order=BOX_PANEL_ORDER,
         ).value / h ** params.box_exponent
         vals.append({"h": h, "quantity": q})
     qs = sorted(v["quantity"] for v in vals)
@@ -388,7 +376,7 @@ def _v4(config: RunConfig, fixed: dict, family_of: Callable):
     measured, violations, checked = [], 0, 0
     for name, f in suite:
         worst = 0.0
-        for arc, q1, q2 in box_quantity_pair(f, p1, p2, grid, **config.box_opts()):
+        for arc, q1, q2 in box_quantity_pair(f, p1, p2, grid, radial_order=config.box_radial_order):
             checked += 1
             bound = (2.0 * arc.length) ** (p2 - p1) * q1
             if q2 > bound * (1 + 1e-12) + 1e-300:
@@ -406,15 +394,16 @@ def _v5(config: RunConfig, fixed: dict, family_of: Callable):
     suite = _boundary_suite(build_suite(config, params))
     drift_cap = fixed["drift_cap"]
     bgrid = config.boundary_grid()
-    bgrid_fine = ParamGrid(bgrid.k_a, bgrid.a_angle_cap, bgrid.k_arc + 1, bgrid.n_centers)
     measured, ok = [], True
     for name, f in suite:
-        bx = dm_seminorm_box(f, params, config.param_grid(), **config.box_opts()).value
+        bx = dm_seminorm_box(f, params, config.param_grid(),
+                             radial_order=config.box_radial_order).value
         if bx <= 1e-18:
             measured.append({"function": name, "skipped": "degenerate"})
             continue
         d1 = boundary_double_seminorm(f, params, bgrid, t_depth=config.boundary_t_depth).value
-        d2 = boundary_double_seminorm(f, params, bgrid_fine, t_depth=config.boundary_t_depth + 8).value
+        d2 = boundary_double_seminorm(f, params, bgrid.refined(),
+                                      t_depth=config.boundary_t_depth + 8).value
         r1, r2 = d1 / bx, d2 / bx
         drift = r2 / r1 if r1 > 0 else 1.0
         good = (1.0 / drift_cap) < drift < drift_cap
@@ -504,7 +493,7 @@ def _v8(config: RunConfig, fixed: dict, family_of: Callable):
     g = remark_example(q)
     family = family_of(params)
     scan = ratio_scan(JG, g, family)
-    qp = qp_quantity(g, q, ParamGrid(k_arc=6, n_centers=16), **config.box_opts())
+    qp = qp_quantity(g, q, ParamGrid(k_arc=6, n_centers=16), radial_order=config.box_radial_order)
     lv = dict(qp.levels)
     j_lo, j_hi = fixed["depth_window"]
     xs = [j for j in range(j_lo, j_hi + 1) if j in lv]

@@ -508,7 +508,7 @@ def test_batched_translate_scan_equals_one_scan_per_function():
              "taylor:0,1"]
     fs = [parse_function_spec(spec, params) for spec in specs]
     grid = ParamGrid(k_a=4, a_angle_cap=8)
-    opts = dict(depth=12, panel_order=4, base_panels=8)
+    opts = dict(depth=12, base_panels=8)
     batched = [r.as_dict() for r in dm_norms_translate(fs, params, grid, **opts)]
     single = [dm_norm_translate(f, params, grid, **opts).as_dict() for f in fs]
     assert batched == single

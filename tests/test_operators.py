@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from dirimor.analytic import SpaceParams, log_kernel, make_power_kernel, make_taylor
-from dirimor.norms import ParamGrid, grid_for_function
+from dirimor.norms import TRANSLATE_PANEL_ORDER, ParamGrid, grid_for_function
 from dirimor.operators import (
     IG,
     JG,
@@ -63,8 +63,6 @@ def test_mg_product():
     assert complex(h(0.5)) == pytest.approx(0.75)
     assert np.max(np.abs(apply_Mg(make_taylor([0]), g)(Z))) == 0.0
     assert np.max(np.abs(apply_Mg(f, make_taylor([1]))(Z) - f(Z))) < 1e-14
-    # taylor view is the coefficient convolution
-    assert h.taylor_coeffs == (0j, 1 + 0j, 1 + 0j)
 
 
 def test_operator_derivative_contracts():
@@ -129,7 +127,7 @@ def test_linearity_of_operators():
 
 PARAMS = SpaceParams(0.5, 0.4)
 SMALL_GRID = ParamGrid(k_a=6, a_angle_cap=8)
-SMALL_OPTS = dict(depth=16, panel_order=4, base_panels=10)
+SMALL_OPTS = dict(depth=16, base_panels=10)
 
 
 def small_family(k_c=6, n_directions=4):
@@ -166,7 +164,7 @@ def test_ratio_scan_bounded_vs_unbounded_ig():
     # the 0.1 threshold separates the dichotomy at the pinned c-depth 10:
     # the bounded symbol's ratios saturate while log1's grow like the level
     grid = ParamGrid(k_a=10, a_angle_cap=8)
-    opts = dict(depth=20, panel_order=4, base_panels=10)
+    opts = dict(depth=20, base_panels=10)
     fam = make_test_family(PARAMS, k_c=10, n_directions=2, norm_grid=grid, scan_opts=opts)
     bounded = ratio_scan(IG, make_taylor([0.5, 0.5]), fam)
     assert bounded.classification == "bounded-trend"
@@ -181,7 +179,7 @@ def test_ratio_scan_report_serializes():
     rep = ratio_scan(MG, make_taylor([1, 0.25]), fam)
     d = rep.as_dict()
     assert d["kind"] == "Mg"
-    assert d["grid"] == {"k_c": 3, "n_directions": 2, **SMALL_GRID.describe()}
+    assert d["grid"] == {"k_c": 3, "n_directions": 2, "k_a": 6, "a_angle_cap": 8, **SMALL_OPTS}
     assert len(d["rows"]) == len(fam.entries)
     assert d["classification"] in ("bounded-trend", "unbounded-trend")
 
@@ -223,7 +221,7 @@ def test_family_builds_one_grid_per_distinct_key(monkeypatch):
     for key, pts in SMALL_GRID.a_points_by_direction():
         foci = () if key is None else (float(np.angle(pts[0][1])) % (2 * math.pi),)
         keys |= {(key, grid_for_function(f, SMALL_OPTS["depth"], extra_foci=foci,
-                                         panel_order=SMALL_OPTS["panel_order"],
+                                         panel_order=TRANSLATE_PANEL_ORDER,
                                          base_panels=SMALL_OPTS["base_panels"]))
                  for f in kernels}
     assert not any(f.oscillatory for f in kernels)

@@ -279,10 +279,29 @@ def test_cli_operator_scan_small(tmp_path):
     assert payload["classification"] == "bounded-trend"
 
 
+# the settings each quantity's report names under "grid": exactly those its
+# scan reads
+GRID_KEYS = {
+    "dp": {"kind", "depth", "radial_order", "n_min", "growth_cap", "foci", "panel_order",
+           "base_panels"},
+    "dm-translate": {"scan", "k_a", "a_angle_cap", "depth", "base_panels"},
+    "morrey": {"scan", "k_a", "a_angle_cap", "depth", "base_panels", "s"},
+    "dm-box": {"scan", "k_arc", "n_centers", "radial_order", "p", "lam"},
+    "qp": {"scan", "k_arc", "n_centers", "radial_order", "p", "lam"},
+    "qplog": {"scan", "k_arc", "n_centers", "radial_order", "p"},
+    "boundary": {"scan", "k_arc", "n_centers", "t_depth"},
+    "gpcm": {"scan", "k_w", "w_angle_cap", "table_depth", "skipped"},
+    "hinf": {"scan", "k_levels", "n_max"},
+    "growth": {"scan", "k_levels", "n_directions"},
+}
+
+
 @pytest.mark.parametrize(
     "quantity,function",
     [
+        ("dp", "taylor:0,1"),
         ("dm-translate", "taylor:0,1"),
+        ("dm-box", "taylor:0,1"),
         ("qp", "taylor:0,1"),
         ("qplog", "taylor:0,1"),
         ("hinf", "log1"),
@@ -312,6 +331,20 @@ def test_cli_norm_quantities_smoke(tmp_path, quantity, function):
     # every quantity prints a NormReport and the function spec
     assert set(payload) == set(NormReport("q", 0.0, None, {}, 0.0).as_dict()) | {"function"}
     assert payload["value"] >= 0.0
+    assert set(payload["grid"]) == GRID_KEYS[quantity]
+
+
+@pytest.mark.parametrize("key", ["panel_order", "box_rel_depth", "box_panel_order",
+                                 "box_base_panels"])
+def test_removed_config_keys_rejected_by_name(key, tmp_path, capsys):
+    # these four settings are constants of the scans now, not config fields
+    with pytest.raises(ValueError, match=f"'{key}'"):
+        RunConfig().with_overrides({key: 1})
+    cfg = tmp_path / "f.json"
+    cfg.write_text(json.dumps({key: 16}))
+    assert main(["norm", "--quantity", "dp", "--function", "taylor:0,1",
+                 "--config", str(cfg)]) == 2
+    assert f"'{key}'" in _one_error_line(capsys.readouterr().err)
 
 
 def test_cli_norm_hinf_reads_k_a(tmp_path):
