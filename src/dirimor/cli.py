@@ -79,7 +79,7 @@ BOX_READS = ("--k-arc", "--radial-order")
 QUANTITIES = {
     "dp": ((), lambda f, P, c, s: dirichlet_norm(f, c.p)),
     "dm-translate": (TRANSLATE_READS, lambda f, P, c, s: dm_norm_translate(
-        f, P, c.param_grid(), **c.translate_opts())),
+        f, P, c.param_grid())),
     "dm-box": (BOX_READS, lambda f, P, c, s: dm_seminorm_box(
         f, P, c.param_grid(), radial_order=c.box_radial_order)),
     "qp": (BOX_READS, lambda f, P, c, s: qp_quantity(
@@ -92,7 +92,7 @@ QUANTITIES = {
     "hinf": (("--k-a",), lambda f, P, c, s: hinf_sup(f, k_levels=c.k_a)),
     "growth": ((), lambda f, P, c, s: growth_envelope(f, P)),
     "morrey": ((*TRANSLATE_READS, "--s"), lambda f, P, c, s: general_morrey_norm(
-        f, c.p, 0.0 if s is None else s, c.param_grid(), **c.translate_opts())),
+        f, c.p, 0.0 if s is None else s, c.param_grid())),
 }
 
 

@@ -27,7 +27,7 @@ polynomials; tests hold these pairs together.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -103,12 +103,16 @@ class ParamGrid:
     The cap keeps deep scans affordable; directions always include angle 0,
     where the built-in families concentrate.  Arcs: dyadic lengths 2^-j for
     j = 0..k_arc at n_centers equispaced centers (j = 0 is the full circle).
+    Translate scans integrate on disc grids of radial dyadic ``depth`` with
+    ``base_panels`` background angular panels; the other scans read neither.
     """
 
     k_a: int = 10
     a_angle_cap: int = 64
     k_arc: int = 12
     n_centers: int = 64
+    depth: int = 24
+    base_panels: int = 16
 
     def a_points(self):
         pts = [(0, 0.0 + 0.0j)]
@@ -134,7 +138,7 @@ class ParamGrid:
         return out
 
     def refined(self) -> "ParamGrid":
-        return ParamGrid(self.k_a + 1, self.a_angle_cap, self.k_arc + 1, self.n_centers)
+        return replace(self, k_a=self.k_a + 1, k_arc=self.k_arc + 1)
 
 
 def trend_slope(levels, values) -> float:
@@ -172,6 +176,29 @@ def _trace_report(quantity, value, maximizer, grid, trace, *, error=0.0, flags=(
     return NormReport(quantity=quantity, value=value, maximizer=maximizer, grid=grid,
                       refinement_delta=delta, error=error, flags=tuple(flags),
                       levels=tuple(trace))
+
+
+def _scan_report(quantity, entries, grid, *, offset=0.0, errors=None, flags=()) -> NormReport:
+    """The report of a supremum scanned over (level, point, value) entries.
+
+    Its value is ``offset`` plus the first strict maximum of the values,
+    attained at that entry's point (``None`` when no value is positive) with
+    that entry's error from ``errors`` (parallel to entries; 0.0 without).
+    Its levels trace is the running maximum of the per-level maxima, each
+    plus ``offset``, in increasing level order."""
+    best, chosen = 0.0, None
+    per_level: dict = {}
+    for i, (level, _, v) in enumerate(entries):
+        per_level[level] = max(per_level.get(level, 0.0), v)
+        if v > best:
+            best, chosen = v, i
+    trace, running = [], 0.0
+    for level in sorted(per_level):
+        running = max(running, per_level[level])
+        trace.append((level, offset + running))
+    maximizer = None if chosen is None else entries[chosen][1]
+    error = 0.0 if chosen is None or errors is None else errors[chosen]
+    return _trace_report(quantity, offset + best, maximizer, grid, trace, error=error, flags=flags)
 
 
 # ---------------------------------------------------------------------------
@@ -325,12 +352,10 @@ def _translate_scan(
     weight_of_a: Callable[[float], float],
     grid: ParamGrid,
     desc: dict,
-    *,
-    depth: int = 24,
-    base_panels: int = 16,
 ) -> list:
     """The report of each function f of fs: |f(0)| plus the maximum over the
-    a-grid of weight_of_a(|a|) times the translate seminorm of f at a.
+    a-grid of weight_of_a(|a|) times the translate seminorm of f at a, on
+    disc grids of the grid's ``depth`` and ``base_panels``.
 
     Functions with focal directions get one graded grid per scan direction
     (reusing the derivative evaluation across the radii of that direction);
@@ -361,24 +386,16 @@ def _translate_scan(
     for _, pts in grid.a_points_by_direction():
         ang = next((float(np.angle(a)) % TWO_PI for _, a in pts if a != 0), None)
         extra = (ang,) if ang is not None else ()
-        scan(pts, [(i, grid_for_function(fs[i], depth, extra_foci=extra,
+        scan(pts, [(i, grid_for_function(fs[i], grid.depth, extra_foci=extra,
                                          panel_order=TRANSLATE_PANEL_ORDER,
-                                         base_panels=base_panels)) for i in focal])
+                                         base_panels=grid.base_panels)) for i in focal])
     cap = min(grid.k_a + 1, 11)
-    scan(grid.a_points(), [(i, grid_for_function(f, depth, growth_cap=cap))
+    scan(grid.a_points(), [(i, grid_for_function(f, grid.depth, growth_cap=cap))
                            for i, f in enumerate(fs) if f.oscillatory])
     desc = {**desc, "k_a": grid.k_a, "a_angle_cap": grid.a_angle_cap,
-            "depth": depth, "base_panels": base_panels}
-    reports = []
-    for f, es in zip(fs, entries):
-        per_level: dict = {}
-        for level, _, v in es:
-            per_level[level] = max(per_level.get(level, 0.0), v)
-        f0 = abs(f.at_zero())
-        best = max(es, key=lambda e: e[2])
-        trace = [(level, f0 + running) for level, running in _running_trace(per_level)]
-        reports.append(_trace_report(desc["scan"], f0 + best[2], complex(best[1]), desc, trace))
-    return reports
+            "depth": grid.depth, "base_panels": grid.base_panels}
+    return [_scan_report(desc["scan"], es, desc, offset=abs(f.at_zero()))
+            for f, es in zip(fs, entries)]
 
 
 def _scan_group(f, p, weight_of_a, pts, disc):
@@ -410,39 +427,25 @@ def _scan_group(f, p, weight_of_a, pts, disc):
     return out
 
 
-def _running_trace(per_level: dict) -> list:
-    """(level, running maximum of per_level from 0) in increasing level order."""
-    trace = []
-    running = 0.0
-    for level in sorted(per_level):
-        running = max(running, per_level[level])
-        trace.append((level, running))
-    return trace
-
-
 def dm_norms_translate(
     fs: Sequence[AnalyticFunction],
     params: SpaceParams,
     grid: Optional[ParamGrid] = None,
-    **scan_opts,
 ) -> list:
     """The translate norm of each function of fs, from one translate scan:
-    functions that need the same disc grid share its construction.
-    ``scan_opts`` set the scan's ``depth`` and ``base_panels``."""
+    functions that need the same disc grid share its construction."""
     s = params.translate_exponent
     weight = lambda r: (1.0 - r * r) ** s
-    return _translate_scan(fs, params.p, weight, grid or ParamGrid(), {"scan": "dm-translate"},
-                           **scan_opts)
+    return _translate_scan(fs, params.p, weight, grid or ParamGrid(), {"scan": "dm-translate"})
 
 
 def dm_norm_translate(
     f: AnalyticFunction,
     params: SpaceParams,
     grid: Optional[ParamGrid] = None,
-    **scan_opts,
 ) -> NormReport:
     """|f(0)| + sup over the a-grid of (1-|a|^2)^(p(1-lam)/2) ||f o phi_a - f(a)||_Dp."""
-    return dm_norms_translate([f], params, grid, **scan_opts)[0]
+    return dm_norms_translate([f], params, grid)[0]
 
 
 def general_morrey_norm(
@@ -450,7 +453,6 @@ def general_morrey_norm(
     p: float,
     s: float,
     grid: Optional[ParamGrid] = None,
-    **scan_opts,
 ) -> NormReport:
     """|f(0)| + sup over the a-grid of (1-|a|)^s ||f o phi_a - f(a)||_Dp.
 
@@ -461,8 +463,7 @@ def general_morrey_norm(
     if s < 0:
         raise ValueError("power-weight exponent must be >= 0")
     weight = lambda r: (1.0 - r) ** s
-    return _translate_scan([f], p, weight, grid or ParamGrid(), {"scan": "morrey", "s": s},
-                           **scan_opts)[0]
+    return _translate_scan([f], p, weight, grid or ParamGrid(), {"scan": "morrey", "s": s})[0]
 
 
 # ---------------------------------------------------------------------------
@@ -675,21 +676,17 @@ def boundary_double_seminorm(
     def F(u, v):
         return np.abs(f.boundary(u) - f.boundary(v)) ** 2 / chord_gap(u, v) ** (2.0 - p)
 
-    best_val, best_arc, err = 0.0, None, 0.0
-    per_level: dict = {}
+    entries, errors = [], []
     for j, arc in grid.arcs():
         res = arc_double_integral(
             F, arc, beta=1.0 - p,
             t_depth=t_depth, v_foci=f.singular_angles, resolution_check=False,
         )
-        val = res.value * arc.length ** -params.box_exponent
-        per_level[j] = max(per_level.get(j, 0.0), val)
-        if val > best_val:
-            best_val, best_arc, err = val, arc, res.error
+        entries.append((j, arc, res.value * arc.length ** -params.box_exponent))
+        errors.append(res.error)
     desc = {"scan": "boundary-double", "k_arc": grid.k_arc, "n_centers": grid.n_centers,
             "t_depth": t_depth}
-    return _trace_report("boundary-double", best_val, best_arc, desc,
-                         _running_trace(per_level), error=err)
+    return _scan_report("boundary-double", entries, desc, errors=errors)
 
 
 # ---------------------------------------------------------------------------
@@ -707,18 +704,15 @@ def _ray_scan(quantity, f, k_max, angles_at, weight_at, grid) -> NormReport:
     the angles ``angles_at(k)``; k = 0 is the single point z = 0.
 
     The levels trace is the running maximum over k, and the maximizer is
-    the first node attaining the maximum (z = 0 when every value is 0)."""
-    best, best_z = 0.0, 0.0 + 0.0j
-    per_level: dict = {}
+    the first node attaining the maximum (``None`` when every value is 0)."""
+    entries = []
     for k in range(k_max + 1):
         r = 1.0 - 2.0 ** -k
         z = r * np.exp(1j * angles_at(k)) if r > 0 else np.array([0.0 + 0.0j])
         vals = np.abs(f(z)) * weight_at(r)
         i = int(np.argmax(vals))
-        per_level[k] = float(vals[i])
-        if vals[i] > best:
-            best, best_z = float(vals[i]), complex(z[i])
-    return _trace_report(quantity, best, best_z, grid, _running_trace(per_level))
+        entries.append((k, complex(z[i]), float(vals[i])))
+    return _scan_report(quantity, entries, grid)
 
 
 def growth_envelope(
@@ -781,8 +775,8 @@ def gpcm_quantity(
     w for the boxes S(z) cap S(w) at all nodes z of S(w).  Those
     intersections are exact interval geometry, computed on the whole node
     array at once; batches never span several w, which bounds memory.  Points
-    with vanishing mu(S(w)) are skipped and recorded; a fully skipped scan
-    reports 0 with a "degenerate" flag."""
+    with vanishing mu(S(w)) are skipped and recorded; a scan with no positive
+    value reports 0 with a "degenerate" flag."""
     measure = WeightedDerivativeMeasure(g, p)
     table_depth = min(GPCM_TABLE_DEPTH, effective_depth(g, GPCM_TABLE_DEPTH))
     table = BoxMassTable(measure.density, depth=table_depth)
@@ -794,9 +788,8 @@ def gpcm_quantity(
         np.array([sw.r_lo for sw in boxes]), *_piece_columns([sw.pieces for sw in boxes])
     ).tolist()
 
-    best, best_w = 0.0, None
+    entries = []
     skipped = 0
-    per_level: dict = {}
     for (k, wpt), sw, mu_sw in zip(pts, boxes, mu_boxes):
         if not (mu_sw > 1e-14 * max(total, 1e-300)):
             skipped += 1
@@ -809,14 +802,8 @@ def gpcm_quantity(
         r0 = np.abs(z)
         masses = table.box_masses(r0, *_point_box_pieces(z, sw.pieces))
         integrand = masses ** 2 / (1.0 - r0 ** 2) ** (2.0 + p)
-        val = float(np.sum(integrand * w)) / mu_sw
-        per_level[k] = max(per_level.get(k, 0.0), val)
-        if val > best:
-            best, best_w = val, complex(wpt)
-    flags: tuple = ()
-    if best_w is None:
-        flags = ("degenerate",)
-        best = 0.0
+        entries.append((k, complex(wpt), float(np.sum(integrand * w)) / mu_sw))
     grid = {"scan": "gpcm", "k_w": k_w, "w_angle_cap": w_angle_cap,
             "table_depth": table_depth, "skipped": skipped}
-    return _trace_report("gpcm", best, best_w, grid, _running_trace(per_level), flags=flags)
+    degenerate = not any(v > 0.0 for *_, v in entries)
+    return _scan_report("gpcm", entries, grid, flags=("degenerate",) if degenerate else ())

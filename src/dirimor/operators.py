@@ -203,8 +203,8 @@ class TestFamilyEntry:
 class TestFamily:
     """The kernels f_c with their translate-norms, and the scan that normed
     them: ``k_c`` radii 1 - 2^-k times ``n_directions`` directions, normed
-    together by one ``dm_norms_translate`` on ``params``, ``norm_grid`` and
-    ``scan_opts``.  Ratio scans norm every image T f_c with this same scan."""
+    together by one ``dm_norms_translate`` on ``params`` and ``norm_grid``.
+    Ratio scans norm every image T f_c with this same scan."""
 
     params: SpaceParams
     entries: tuple
@@ -213,7 +213,6 @@ class TestFamily:
     k_c: int
     n_directions: int
     norm_grid: ParamGrid
-    scan_opts: dict
 
 
 def make_test_family(
@@ -222,7 +221,6 @@ def make_test_family(
     k_c: int = 10,
     n_directions: int = 8,
     norm_grid: Optional[ParamGrid] = None,
-    scan_opts: Optional[dict] = None,
 ) -> TestFamily:
     """The kernels f_c with exponent p(1-lam)/2 over the scan c-grid, each
     with its translate-norm; c = 0 gives the constant 1 (norm exactly 1).
@@ -231,10 +229,8 @@ def make_test_family(
     plus rotations; the proofs this scan operationalizes localize at c
     approaching the boundary, and rotations guard against direction-specific
     mesh artifacts.  ``norm_grid`` defaults to ``ParamGrid(k_a=max(8, k_c),
-    a_angle_cap=16)`` and ``scan_opts`` (keywords of ``dm_norms_translate``)
-    to none; the family records both, and ``ratio_scan`` norms with them."""
+    a_angle_cap=16)``; the family records it, and ``ratio_scan`` norms with it."""
     norm_grid = norm_grid or ParamGrid(k_a=max(8, k_c), a_angle_cap=16)
-    scan_opts = dict(scan_opts or {})
     s = params.translate_exponent
     kernels = []
     for k in range(1, k_c + 1):
@@ -242,14 +238,12 @@ def make_test_family(
         for m in range(n_directions):
             c = r * np.exp(2j * math.pi * m / n_directions)
             kernels.append((complex(c), k, make_power_kernel(c, s)))
-    reports = dm_norms_translate([fc for *_, fc in kernels], params, norm_grid, **scan_opts)
+    reports = dm_norms_translate([fc for *_, fc in kernels], params, norm_grid)
     entries = [TestFamilyEntry(0.0 + 0.0j, 0, make_power_kernel(0.0, 0.0), 1.0)]
     entries += [TestFamilyEntry(c, k, fc, rep.value) for (c, k, fc), rep in zip(kernels, reports)]
     norms = [e.norm for e in entries]
-    return TestFamily(
-        params, tuple(entries), max(norms), min(norms),
-        k_c=k_c, n_directions=n_directions, norm_grid=norm_grid, scan_opts=scan_opts,
-    )
+    return TestFamily(params, tuple(entries), max(norms), min(norms),
+                      k_c=k_c, n_directions=n_directions, norm_grid=norm_grid)
 
 
 @dataclass(frozen=True)
@@ -289,12 +283,12 @@ def ratio_scan(kind: str, g: AnalyticFunction, family: TestFamily) -> RatioScanR
 
     ``kind`` is an operator tag ("Jg", "Ig" or "Mg"); an unknown tag raises
     ``ValueError``.  Each T f_c is normed with the family's own scan
-    (``family.params``, ``family.norm_grid``, ``family.scan_opts``), so both
+    (``family.params`` and ``family.norm_grid``), so both
     sides of a ratio come from one grid; ``grid`` reports the family's
     ``k_c`` and ``n_directions`` and the settings that scan read."""
     apply = _operator(kind)
     images = [apply(e.function, g) for e in family.entries]
-    reports = dm_norms_translate(images, family.params, family.norm_grid, **family.scan_opts)
+    reports = dm_norms_translate(images, family.params, family.norm_grid)
     rows = []
     per_level: dict = {}
     for e, rep in zip(family.entries, reports):

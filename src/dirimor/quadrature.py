@@ -59,10 +59,6 @@ class QuadratureResult:
     nodes_used: int
     flags: tuple = ()
 
-    def prefix_value(self, level: int) -> float:
-        """Integral truncated to levels <= level (radial depth truncation)."""
-        return float(sum(v for j, v in enumerate(self.level_sums) if j <= level))
-
 
 @lru_cache(maxsize=32)
 def _gauss(order: int):
@@ -462,17 +458,6 @@ class Region:
             return ((0.0, TWO_PI),)
         half = math.acos(c)
         return _canonical_pieces(b - half, b + half)
-
-    def angular_fraction(self) -> float:
-        return _pieces_width(self.pieces) / TWO_PI
-
-    def normalized_area(self) -> float:
-        """dm-area; exact for box kinds, quadrature for lunes."""
-        if self.is_empty:
-            return 0.0
-        if self.lune is None:
-            return self.angular_fraction() * (1.0 - self.r_lo ** 2)
-        return integrate_region(lambda z: np.ones(z.shape, dtype=float), self).value
 
 
 def region_intersect(a: Region, b: Region) -> Region:

@@ -105,19 +105,15 @@ class RunConfig:
         return SpaceParams(self.p, self.lam)
 
     def param_grid(self) -> ParamGrid:
-        return ParamGrid(self.k_a, self.a_angle_cap, self.k_arc, self.n_centers)
+        return ParamGrid(self.k_a, self.a_angle_cap, self.k_arc, self.n_centers,
+                         self.depth, self.base_panels)
 
     def scan_grid(self) -> ParamGrid:
-        return ParamGrid(self.scan_k_a, self.scan_angle_cap, self.k_arc, self.n_centers)
+        return ParamGrid(self.scan_k_a, self.scan_angle_cap, self.k_arc, self.n_centers,
+                         self.scan_depth, 12)
 
     def boundary_grid(self) -> ParamGrid:
         return ParamGrid(self.k_a, self.a_angle_cap, self.boundary_k_arc, self.boundary_n_centers)
-
-    def translate_opts(self) -> dict:
-        return dict(depth=self.depth, base_panels=self.base_panels)
-
-    def scan_opts(self) -> dict:
-        return dict(depth=self.scan_depth, base_panels=12)
 
     def describe(self) -> dict:
         d = dataclasses.asdict(self)
@@ -140,11 +136,15 @@ class RunConfig:
 
 
 def resolve_config(path: Optional[str] = None, overrides: Optional[dict] = None) -> RunConfig:
-    """defaults < DIRIMOR_CONFIG env file < explicit file < overrides."""
+    """defaults < one config file < overrides.  The file is ``path`` when
+    given, else the one the DIRIMOR_CONFIG environment variable names; a
+    named file that does not exist raises OSError."""
     cfg = RunConfig()
     env_path = os.environ.get("DIRIMOR_CONFIG")
-    if env_path and path is None and Path(env_path).exists():
-        cfg = cfg.with_overrides(json.loads(Path(env_path).read_text()))
+    if path is None and env_path:
+        if not Path(env_path).exists():
+            raise FileNotFoundError(f"DIRIMOR_CONFIG={env_path}: no such file")
+        path = env_path
     if path is not None:
         cfg = cfg.with_overrides(json.loads(Path(path).read_text()))
     if overrides:
@@ -291,7 +291,7 @@ def _v1(config: RunConfig, fixed: dict, family_of: Callable):
     dlo, dhi = fixed["drift_band"]
     grids = (config.param_grid(), config.param_grid().refined())
     fs = [f for _, f in suite]
-    translates = [dm_norms_translate(fs, params, g, **config.translate_opts()) for g in grids]
+    translates = [dm_norms_translate(fs, params, g) for g in grids]
     measured, ok = [], True
     for i, (name, f) in enumerate(suite):
         row = {"function": name}
@@ -323,7 +323,7 @@ def _v2(config: RunConfig, fixed: dict, family_of: Callable):
     drift_cap = fixed["drift_cap"]
     fs = [f for _, f in suite]
     n1s, n2s = (
-        [t.value for t in dm_norms_translate(fs, params, g, **config.translate_opts())]
+        [t.value for t in dm_norms_translate(fs, params, g)]
         for g in (config.param_grid(), config.param_grid().refined())
     )
     measured, ok = [], True
@@ -417,10 +417,8 @@ def _v5(config: RunConfig, fixed: dict, family_of: Callable):
 
 def _test_family(config: RunConfig, params: SpaceParams):
     """The operator test family of ``params`` on the config's scan grid."""
-    return make_test_family(
-        params, k_c=config.k_c, n_directions=config.c_directions,
-        norm_grid=config.scan_grid(), scan_opts=config.scan_opts(),
-    )
+    return make_test_family(params, k_c=config.k_c, n_directions=config.c_directions,
+                            norm_grid=config.scan_grid())
 
 
 class _FamilyMemo:
@@ -435,8 +433,7 @@ class _FamilyMemo:
         self._slots: dict = {}
 
     def family(self, config: RunConfig, params: SpaceParams):
-        key = (params, config.k_c, config.c_directions, config.scan_grid(),
-               tuple(sorted(config.scan_opts().items())))
+        key = (params, config.k_c, config.c_directions, config.scan_grid())
         with self._lock:
             slot = self._slots.setdefault(key, [threading.Lock(), None])
         with slot[0]:

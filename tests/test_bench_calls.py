@@ -1,0 +1,32 @@
+"""The benchmark's in-process workloads (dmbench/workloads.py) call dirimor
+with fixed signatures and keywords; a change that breaks one of those calls
+must fail here, not only in a benchmark run.  One operation of each kind runs
+on the workload's own inputs, and the workload's check must pass on them."""
+
+import sys
+from pathlib import Path
+
+import pytest
+
+BENCH = Path(__file__).resolve().parents[1] / "dmbench"
+if str(BENCH) not in sys.path:
+    sys.path.insert(0, str(BENCH))
+
+import workloads  # noqa: E402
+
+SEED = 20260808
+# workload -> one operation key of each kind it runs
+OPERATIONS = {
+    "translate": [("scan", "taylor:0,1"), ("seminorm", 3)],
+    "boundary": [("scan", "taylor:0,1", 36), ("arc", 3)],
+    "box": [("box", "taylor:0,1"), ("pair", "taylor:0,1"), ("qp",), ("gpcm", "taylor:0,1")],
+}
+
+
+@pytest.mark.parametrize("name", sorted(OPERATIONS))
+def test_workload_operations_run_and_check(name):
+    workload = workloads.WORKLOADS[name]
+    inputs = workload.build(SEED)
+    thunks = dict(workload.operations(inputs))
+    results = {key: thunks[key]() for key in OPERATIONS[name]}
+    assert workload.check(inputs, results) == []

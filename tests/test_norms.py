@@ -507,9 +507,70 @@ def test_batched_translate_scan_equals_one_scan_per_function():
              "kernel:c=0+0.9i,s=auto", "log1", "gap:q=0.2,K=20", "gap:q=0.5,K=20",
              "taylor:0,1"]
     fs = [parse_function_spec(spec, params) for spec in specs]
-    grid = ParamGrid(k_a=4, a_angle_cap=8)
-    opts = dict(depth=12, base_panels=8)
-    batched = [r.as_dict() for r in dm_norms_translate(fs, params, grid, **opts)]
-    single = [dm_norm_translate(f, params, grid, **opts).as_dict() for f in fs]
+    grid = ParamGrid(k_a=4, a_angle_cap=8, depth=12, base_panels=8)
+    batched = [r.as_dict() for r in dm_norms_translate(fs, params, grid)]
+    single = [dm_norm_translate(f, params, grid).as_dict() for f in fs]
     assert batched == single
     assert batched[1] == batched[-1]
+
+
+# -- one reducer for every point and arc supremum ------------------------------
+
+REDUCED_SPECS = ["kernel:c=0.9+0i,s=auto", "taylor:1,2,0,1", "taylor:1", "taylor:0"]
+SMALL_A = ParamGrid(k_a=3, a_angle_cap=8, depth=12, base_panels=8)
+SMALL_ARCS = ParamGrid(k_arc=2, n_centers=4)
+
+
+def _ray_points(angles_of, k_max):
+    pts = [0j]
+    for k in range(1, k_max + 1):
+        pts += list((1.0 - 2.0 ** -k) * np.exp(1j * angles_of(k)))
+    return pts
+
+
+def _reduced_scan(quantity, f, params):
+    """(report, |f(0)| offset of its value, the points it scanned)."""
+    f0 = abs(f.at_zero())
+    a_points = [a for _, a in SMALL_A.a_points()]
+    if quantity == "translate":
+        return dm_norm_translate(f, params, SMALL_A), f0, a_points
+    if quantity == "morrey":
+        return general_morrey_norm(f, params.p, 0.3, SMALL_A), f0, a_points
+    if quantity == "boundary":
+        rep = boundary_double_seminorm(f, params, SMALL_ARCS)
+        return rep, 0.0, [arc for _, arc in SMALL_ARCS.arcs()]
+    if quantity == "growth":
+        rep = growth_envelope(f, params, k_levels=6)
+        dirs = np.array(sorted(set(f.singular_angles) | {2 * math.pi * m / 16 for m in range(16)}))
+        return rep, 0.0, _ray_points(lambda k: dirs, rep.grid["k_levels"])
+    if quantity == "hinf":
+        rep = hinf_sup(f, k_levels=4)
+        n_at = lambda k: min(max(64, 8 * 2 ** k), rep.grid["n_max"])
+        angles_of = lambda k: 2 * math.pi * np.arange(n_at(k)) / n_at(k)
+        return rep, 0.0, _ray_points(angles_of, rep.grid["k_levels"])
+    rep = gpcm_quantity(f, params.p, k_w=2, w_angle_cap=4)
+    return rep, 0.0, [complex(w) for _, w in ParamGrid(k_a=2, a_angle_cap=4).a_points()]
+
+
+@pytest.mark.parametrize("spec", REDUCED_SPECS)
+@pytest.mark.parametrize("quantity", ["translate", "morrey", "boundary", "growth", "hinf", "gpcm"])
+def test_scan_reports_share_one_reduction(quantity, spec):
+    # the value is the last running maximum of the trace, and the maximizer
+    # is a scanned point exactly when some scanned value is positive; the
+    # constant 1 has positive values only in the sup-type scans, and 0 nowhere
+    from dirimor.verify import parse_function_spec
+
+    params = SpaceParams(0.5, 0.4)
+    rep, f0, points = _reduced_scan(quantity, parse_function_spec(spec, params), params)
+    # a gpcm scan that skips every point (g constant) has an empty trace
+    vals = [v for _, v in rep.levels] or [0.0]
+    assert rep.value == vals[-1]
+    assert all(a <= b for a, b in zip(vals, vals[1:]))
+    none_positive = spec == "taylor:0" or (spec == "taylor:1" and quantity not in ("growth", "hinf"))
+    assert (rep.maximizer is None) == none_positive
+    if none_positive:
+        assert rep.value == f0
+    else:
+        assert rep.value > f0
+        assert rep.maximizer in points
+    assert ("degenerate" in rep.flags) == (quantity == "gpcm" and none_positive)

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from dirimor.analytic import SpaceParams, log_kernel, make_power_kernel, make_taylor
-from dirimor.norms import TRANSLATE_PANEL_ORDER, ParamGrid, grid_for_function
+from dirimor.norms import TRANSLATE_PANEL_ORDER, ParamGrid, dm_norms_translate, grid_for_function
 from dirimor.operators import (
     IG,
     JG,
@@ -126,15 +126,11 @@ def test_linearity_of_operators():
 
 
 PARAMS = SpaceParams(0.5, 0.4)
-SMALL_GRID = ParamGrid(k_a=6, a_angle_cap=8)
-SMALL_OPTS = dict(depth=16, base_panels=10)
+SMALL_GRID = ParamGrid(k_a=6, a_angle_cap=8, depth=16, base_panels=10)
 
 
 def small_family(k_c=6, n_directions=4):
-    return make_test_family(
-        PARAMS, k_c=k_c, n_directions=n_directions,
-        norm_grid=SMALL_GRID, scan_opts=SMALL_OPTS,
-    )
+    return make_test_family(PARAMS, k_c=k_c, n_directions=n_directions, norm_grid=SMALL_GRID)
 
 
 def test_family_constant_entry_and_uniformity():
@@ -163,9 +159,8 @@ def test_ratio_scan_constant_symbol_jg():
 def test_ratio_scan_bounded_vs_unbounded_ig():
     # the 0.1 threshold separates the dichotomy at the pinned c-depth 10:
     # the bounded symbol's ratios saturate while log1's grow like the level
-    grid = ParamGrid(k_a=10, a_angle_cap=8)
-    opts = dict(depth=20, base_panels=10)
-    fam = make_test_family(PARAMS, k_c=10, n_directions=2, norm_grid=grid, scan_opts=opts)
+    grid = ParamGrid(k_a=10, a_angle_cap=8, depth=20, base_panels=10)
+    fam = make_test_family(PARAMS, k_c=10, n_directions=2, norm_grid=grid)
     bounded = ratio_scan(IG, make_taylor([0.5, 0.5]), fam)
     assert bounded.classification == "bounded-trend"
     unbounded = ratio_scan(IG, log_kernel(), fam)
@@ -179,7 +174,8 @@ def test_ratio_scan_report_serializes():
     rep = ratio_scan(MG, make_taylor([1, 0.25]), fam)
     d = rep.as_dict()
     assert d["kind"] == "Mg"
-    assert d["grid"] == {"k_c": 3, "n_directions": 2, "k_a": 6, "a_angle_cap": 8, **SMALL_OPTS}
+    assert d["grid"] == {"k_c": 3, "n_directions": 2, "k_a": 6, "a_angle_cap": 8,
+                         "depth": 16, "base_panels": 10}
     assert len(d["rows"]) == len(fam.entries)
     assert d["classification"] in ("bounded-trend", "unbounded-trend")
 
@@ -220,10 +216,18 @@ def test_family_builds_one_grid_per_distinct_key(monkeypatch):
     keys = set()
     for key, pts in SMALL_GRID.a_points_by_direction():
         foci = () if key is None else (float(np.angle(pts[0][1])) % (2 * math.pi),)
-        keys |= {(key, grid_for_function(f, SMALL_OPTS["depth"], extra_foci=foci,
+        keys |= {(key, grid_for_function(f, SMALL_GRID.depth, extra_foci=foci,
                                          panel_order=TRANSLATE_PANEL_ORDER,
-                                         base_panels=SMALL_OPTS["base_panels"]))
+                                         base_panels=SMALL_GRID.base_panels))
                  for f in kernels}
     assert not any(f.oscillatory for f in kernels)
     assert len(built) == len(keys)
     assert len(keys) < len(kernels) * len(SMALL_GRID.a_points_by_direction())
+
+
+def test_family_norms_reproduced_by_its_own_grid():
+    # the family's grid carries its whole translate scan, so norming the
+    # family's functions on it again gives every recorded norm
+    fam = small_family(k_c=3, n_directions=2)
+    reports = dm_norms_translate([e.function for e in fam.entries], fam.params, fam.norm_grid)
+    assert [r.value for r in reports] == [e.norm for e in fam.entries]

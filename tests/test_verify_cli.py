@@ -544,6 +544,9 @@ def test_family_memo_builds_each_key_once_under_contention(monkeypatch):
         sys.setswitchinterval(interval)
     assert got == [("family", params) for params in keys]
     assert sorted(built, key=lambda q: q.p) == [SpaceParams(0.5, 0.4), SpaceParams(0.6, 0.5)]
+    # the scan grid carries the family's whole translate scan, depth included
+    assert set(memo._slots) == {(q, cfg.k_c, cfg.c_directions, cfg.scan_grid()) for q in keys}
+    assert cfg.scan_grid() != cfg.with_overrides({"scan_depth": 12}).scan_grid()
 
 
 # -- --out is checked before any computation ---------------------------------------
@@ -572,3 +575,18 @@ def test_cli_out_must_not_be_a_directory(tmp_path, capsys):
     assert main(["membership", "--criterion", "gap-qp", "--q", "0.3",
                  "--out", str(tmp_path)]) == 2
     assert str(tmp_path) in _one_error_line(capsys.readouterr().err)
+
+
+def test_missing_env_config_file_is_bad_input(tmp_path, monkeypatch, capsys):
+    # a DIRIMOR_CONFIG naming no file is an error, as a missing --config is;
+    # an explicit --config replaces the env file instead of layering on it
+    missing = tmp_path / "no-such.json"
+    monkeypatch.setenv("DIRIMOR_CONFIG", str(missing))
+    with pytest.raises(OSError, match="DIRIMOR_CONFIG"):
+        resolve_config(None, None)
+    assert main(["norm", "--quantity", "growth", "--function", "taylor:0,1"]) == 2
+    line = _one_error_line(capsys.readouterr().err)
+    assert "DIRIMOR_CONFIG" in line and str(missing) in line
+    explicit = tmp_path / "explicit.json"
+    explicit.write_text(json.dumps({"k_a": 5}))
+    assert resolve_config(str(explicit), None) == RunConfig(k_a=5)
