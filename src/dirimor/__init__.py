@@ -29,7 +29,6 @@ from .norms import (
     NormReport,
     ParamGrid,
     UnsupportedFunctionError,
-    WeightedDerivativeMeasure,
     boundary_double_seminorm,
     dirichlet_norm,
     dirichlet_norm_coeff,

@@ -1,11 +1,14 @@
 """Analytic functions on the unit disc and the Mobius machinery behind every norm.
 
-All function objects evaluate vectorized: ``f(z)`` and ``f.derivative(z)``
-accept complex scalars or numpy arrays of any shape and return matching
-shapes.  Interior points are plain ``complex`` values with ``|z| < 1``;
-points on the unit circle are carried by :class:`BoundaryPoint` (an angle,
-modulus exactly 1) so that boundary evaluation never goes through the
-interior code path.
+All function objects evaluate vectorized: ``f(z)``, ``f.derivative(z)`` and
+``f.deriv_abs2(z)`` accept complex scalars or numpy arrays of any shape and
+return matching shapes.  Every norm reads a function through |f'|^2, so
+scans take it from ``deriv_abs2``, which power kernels, ``log1`` and the
+J_g, I_g images compute without the complex derivative; ``derivative``
+stays the check route.  Interior points are plain ``complex`` values with
+``|z| < 1``; points on the unit circle are carried by :class:`BoundaryPoint`
+(an angle, modulus exactly 1) so that boundary evaluation never goes
+through the interior code path.
 
 Functions are immutable after construction and safe to share between
 workers.  Each one carries
@@ -109,6 +112,8 @@ class AnalyticFunction:
     """An evaluable analytic function on the disc.
 
     ``eval_fn`` and ``deriv_fn`` are vectorized callables on complex arrays.
+    ``deriv_abs2_fn``, when given, computes |f'|^2 directly; without it
+    ``deriv_abs2`` squares the modulus of ``deriv_fn``.
     ``r_max`` is the certified evaluation radius; 1.0 means the open disc.
     ``singular_angles`` lists boundary directions toward which the function
     (or its derivative) concentrates; quadrature grids grade toward them.
@@ -127,6 +132,7 @@ class AnalyticFunction:
     #: series); such functions need equal-weight angular rules, where the
     #: oscillation integrates exactly by aliasing, not graded Gauss panels.
     oscillatory: bool = False
+    deriv_abs2_fn: Optional[Callable] = None
 
     def __call__(self, z):
         if self.r_max < 1.0:
@@ -137,6 +143,14 @@ class AnalyticFunction:
         if self.r_max < 1.0:
             require_interior(z, self.r_max)
         return self.deriv_fn(z)
+
+    def deriv_abs2(self, z):
+        """|f'(z)|^2, the density every norm reads."""
+        if self.r_max < 1.0:
+            require_interior(z, self.r_max)
+        if self.deriv_abs2_fn is None:
+            return np.abs(self.deriv_fn(z)) ** 2
+        return self.deriv_abs2_fn(z)
 
     def at_zero(self) -> complex:
         return complex(self.eval_fn(0.0 + 0.0j))
@@ -177,13 +191,16 @@ class AnalyticFunction:
         if self.boundary_fn is not None:
             fb = self.boundary_fn
             bnd = lambda t: alpha * fb(t)
-        fe, fd = self.eval_fn, self.deriv_fn
+        fe, fd, fa2 = self.eval_fn, self.deriv_fn, self.deriv_abs2
+        a2 = abs(alpha) ** 2
+        # replace() would keep self's deriv_abs2_fn without the |alpha|^2 factor
         return replace(
             self,
             label=f"({alpha!r}*{self.label})",
             eval_fn=lambda z: alpha * fe(z),
             deriv_fn=lambda z: alpha * fd(z),
             boundary_fn=bnd,
+            deriv_abs2_fn=lambda z: a2 * fa2(z),
         )
 
 
@@ -266,6 +283,7 @@ def make_power_kernel(c, s: float) -> AnalyticFunction:
         return make_taylor([1.0])
 
     cbar = np.conj(cc)
+    s2c2 = s * s * abs(cc) ** 2
     label = f"kernel:c={_format_complex(cc)},s={s:g}"
 
     def ev(z):
@@ -274,6 +292,10 @@ def make_power_kernel(c, s: float) -> AnalyticFunction:
     def dv(z):
         w = 1.0 - cbar * np.asarray(z, dtype=complex)
         return s * cbar * np.exp(-(s + 1.0) * np.log(w))
+
+    def dv_abs2(z):
+        w = 1.0 - cbar * np.asarray(z, dtype=complex)
+        return s2c2 * (w.real ** 2 + w.imag ** 2) ** -(s + 1.0)
 
     bnd = None
     if not on_boundary:
@@ -288,6 +310,7 @@ def make_power_kernel(c, s: float) -> AnalyticFunction:
         boundary_fn=bnd,
         singular_angles=(float(np.angle(cc)) % TWO_PI,),
         angular_hint=64,
+        deriv_abs2_fn=dv_abs2,
     )
 
 
@@ -381,12 +404,17 @@ def log_kernel() -> AnalyticFunction:
     def dv(z):
         return 1.0 / (1.0 - np.asarray(z, dtype=complex))
 
+    def dv_abs2(z):
+        w = 1.0 - np.asarray(z, dtype=complex)
+        return 1.0 / (w.real ** 2 + w.imag ** 2)
+
     return AnalyticFunction(
         label="log1",
         eval_fn=ev,
         deriv_fn=dv,
         singular_angles=(0.0,),
         angular_hint=64,
+        deriv_abs2_fn=dv_abs2,
     )
 
 

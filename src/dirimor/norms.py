@@ -166,13 +166,12 @@ def classify_trend(slope: float) -> str:
 def _trace_report(quantity, value, maximizer, grid, trace, *, error=0.0, flags=()) -> NormReport:
     """A scanned quantity's report.  Its refinement delta (the relative
     change over the last step), trend flag and levels all come from the
-    (level, running value) ``trace``; an empty trace adds no trend flag."""
+    (level, running value) ``trace``, which holds at least one level."""
     delta = 0.0
     if len(trace) >= 2 and trace[-1][1] != 0.0:
         delta = abs(trace[-1][1] - trace[-2][1]) / abs(trace[-1][1])
-    if trace:
-        slope = trend_slope([l for l, _ in trace], [v for _, v in trace])
-        flags = tuple(flags) + (classify_trend(slope),)
+    slope = trend_slope([l for l, _ in trace], [v for _, v in trace])
+    flags = tuple(flags) + (classify_trend(slope),)
     return NormReport(quantity=quantity, value=value, maximizer=maximizer, grid=grid,
                       refinement_delta=delta, error=error, flags=tuple(flags),
                       levels=tuple(trace))
@@ -185,9 +184,10 @@ def _scan_report(quantity, entries, grid, *, offset=0.0, errors=None, flags=()) 
     attained at that entry's point (``None`` when no value is positive) with
     that entry's error from ``errors`` (parallel to entries; 0.0 without).
     Its levels trace is the running maximum of the per-level maxima, each
-    plus ``offset``, in increasing level order."""
+    plus ``offset``, in increasing level order; a scan without entries
+    traces the single level (0, offset)."""
     best, chosen = 0.0, None
-    per_level: dict = {}
+    per_level: dict = {0: 0.0} if not entries else {}
     for i, (level, _, v) in enumerate(entries):
         per_level[level] = max(per_level.get(level, 0.0), v)
         if v > best:
@@ -238,15 +238,9 @@ def grid_for_function(
     return RadialAnnuliGrid(depth=depth, n_min=f.angular_hint, growth_cap=growth_cap)
 
 
-@dataclass(frozen=True)
-class WeightedDerivativeMeasure:
-    """The measure |g'(z)|^2 (1-|z|^2)^p dm(z) attached to a symbol g."""
-
-    g: AnalyticFunction
-    p: float
-
-    def density(self, z):
-        return np.abs(self.g.derivative(z)) ** 2 * (1.0 - np.abs(z) ** 2) ** self.p
+def derivative_density(g: AnalyticFunction, p: float) -> Callable:
+    """The density of the measure |g'(z)|^2 (1-|z|^2)^p dm(z) of a symbol g."""
+    return lambda z: g.deriv_abs2(z) * (1.0 - np.abs(z) ** 2) ** p
 
 
 # ---------------------------------------------------------------------------
@@ -273,7 +267,7 @@ def dirichlet_norm(f: AnalyticFunction, p: float) -> NormReport:
     """sqrt(|f(0)|^2 + integral of |f'|^2 (1-|z|^2)^p dm), on the function's
     own disc grid of depth 40."""
     grid = grid_for_function(f, 40, panel_order=8, base_panels=24)
-    res = integrate_disc(WeightedDerivativeMeasure(f, p).density, grid)
+    res = integrate_disc(derivative_density(f, p), grid)
     f0 = abs(f.at_zero())
     value = math.sqrt(f0 * f0 + max(res.value, 0.0))
     prev = math.sqrt(f0 * f0 + max(res.value - res.level_sums[-1], 0.0))
@@ -324,7 +318,7 @@ def translate_seminorm(
             g, depth, panel_order=panel_order, base_panels=base_panels,
             growth_cap=_growth_for_radius(abs(a)),
         )
-        res = integrate_disc(WeightedDerivativeMeasure(g, p).density, grid)
+        res = integrate_disc(derivative_density(g, p), grid)
         return math.sqrt(max(res.value, 0.0))
     if route != "weight":
         raise ValueError(f"unknown route {route!r}")
@@ -358,7 +352,7 @@ def _translate_scan(
     disc grids of the grid's ``depth`` and ``base_panels``.
 
     Functions with focal directions get one graded grid per scan direction
-    (reusing the derivative evaluation across the radii of that direction);
+    (reusing the |f'|^2 evaluation across the radii of that direction);
     focus-free functions share a single uniform grid dense enough in angle
     for the deepest Mobius weight scanned.
 
@@ -406,7 +400,7 @@ def _scan_group(f, p, weight_of_a, pts, disc):
     match it bit for bit; ``**=`` keeps numpy's scalar-power fast paths.
     """
     z, w, _ = disc.nodes()
-    base = WeightedDerivativeMeasure(f, p).density(z) * w
+    base = derivative_density(f, p)(z) * w
     zw = np.empty_like(z)
     q = np.empty(z.shape)
     out = []
@@ -529,7 +523,7 @@ def _level_sums_from_nodes(f, p_arr, z, w, lv):
     sums = np.zeros((len(p_arr), TRACE_LEVEL_CAP + 2))
     if z.size == 0:
         return sums
-    d2 = np.abs(f.derivative(z)) ** 2 * w
+    d2 = f.deriv_abs2(z) * w
     one_minus = 1.0 - np.abs(z) ** 2
     idx = np.minimum(lv, TRACE_LEVEL_CAP + 1)
     for i, p in enumerate(p_arr):
@@ -548,7 +542,7 @@ def _plain_box_sums(f, p_arr, arcs, length, radial_order, max_level):
         ang = centers[:, None] + th[None, :]
         for i in range(len(rr)):
             z = rr[i] * np.exp(1j * ang)
-            d2 = np.abs(f.derivative(z)) ** 2
+            d2 = f.deriv_abs2(z)
             wrow = (rw[i] * rr[i] / math.pi) * tw
             one_minus_p = (1.0 - rr[i] ** 2) ** p_arr
             row = d2 @ wrow  # per-arc sum of |f'|^2 * angular weights
@@ -777,9 +771,8 @@ def gpcm_quantity(
     array at once; batches never span several w, which bounds memory.  Points
     with vanishing mu(S(w)) are skipped and recorded; a scan with no positive
     value reports 0 with a "degenerate" flag."""
-    measure = WeightedDerivativeMeasure(g, p)
     table_depth = min(GPCM_TABLE_DEPTH, effective_depth(g, GPCM_TABLE_DEPTH))
-    table = BoxMassTable(measure.density, depth=table_depth)
+    table = BoxMassTable(derivative_density(g, p), depth=table_depth)
     total = table.total_mass()
     pts = ParamGrid(k_a=k_w, a_angle_cap=w_angle_cap).a_points()
 

@@ -9,7 +9,8 @@ where J_g integrates f g', I_g integrates f' g, and M_g multiplies by g.
 Operator *values* come from quadrature along the radial segment [0, z]
 (graded toward the far endpoint, 120-480 nodes depending on how close the
 segment gets to a flagged singularity); operator *derivatives* are closed
-form, which is what every norm computation consumes.
+form, which is what every norm computation consumes: J_g and I_g give
+|h'|^2 as |f|^2 |g'|^2 and |f'|^2 |g|^2 through ``deriv_abs2``.
 
 Boundedness is never certified: a scan reports per-c norm ratios over the
 test family f_c(z) = (1 - conj(c) z)^(-p(1-lam)/2) with c marching toward
@@ -90,7 +91,7 @@ def _op_common(f: AnalyticFunction, g: AnalyticFunction):
 
 def apply_Jg(f: AnalyticFunction, g: AnalyticFunction) -> AnalyticFunction:
     """h with h' = f g' and h(0) = 0; values by radial path quadrature."""
-    fe, gd = f.eval_fn, g.deriv_fn
+    fe, gd, ga2 = f.eval_fn, g.deriv_fn, g.deriv_abs2
 
     def dv(z):
         return fe(z) * gd(z)
@@ -102,13 +103,14 @@ def apply_Jg(f: AnalyticFunction, g: AnalyticFunction) -> AnalyticFunction:
         label=f"Jg[{g.label}]({f.label})",
         eval_fn=ev,
         deriv_fn=dv,
+        deriv_abs2_fn=lambda z: np.abs(fe(z)) ** 2 * ga2(z),
         **_op_common(f, g),
     )
 
 
 def apply_Ig(f: AnalyticFunction, g: AnalyticFunction) -> AnalyticFunction:
     """h with h' = f' g and h(0) = 0; values by radial path quadrature."""
-    fd, ge = f.deriv_fn, g.eval_fn
+    fd, ge, fa2 = f.deriv_fn, g.eval_fn, f.deriv_abs2
 
     def dv(z):
         return fd(z) * ge(z)
@@ -120,6 +122,7 @@ def apply_Ig(f: AnalyticFunction, g: AnalyticFunction) -> AnalyticFunction:
         label=f"Ig[{g.label}]({f.label})",
         eval_fn=ev,
         deriv_fn=dv,
+        deriv_abs2_fn=lambda z: fa2(z) * np.abs(ge(z)) ** 2,
         **_op_common(f, g),
     )
 

@@ -31,9 +31,9 @@ from .gaps import GapCoefficients, gap_block_sums, remark_coefficient_rule, rema
 from .norms import (
     BOX_PANEL_ORDER,
     ParamGrid,
-    WeightedDerivativeMeasure,
     boundary_double_seminorm,
     box_quantity_pair,
+    derivative_density,
     dm_norms_translate,
     dm_seminorm_box,
     growth_envelope,
@@ -350,7 +350,7 @@ def _v3(config: RunConfig, fixed: dict, family_of: Callable):
     params = SpaceParams(p, lam)
     f = make_power_kernel(BoundaryPoint(0.0), params.translate_exponent)
     spread_cap = fixed["spread_cap"]
-    density = WeightedDerivativeMeasure(f, p).density
+    density = derivative_density(f, p)
     vals = []
     for j in range(1, fixed["h_levels"] + 1):
         h = 2.0 ** -j

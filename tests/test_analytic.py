@@ -1,5 +1,6 @@
 """Core contracts of the analytic-function layer: Mobius identities, built-in
-families against closed-form values, derivative consistency."""
+families against closed-form values, derivative consistency, and the |f'|^2
+path against the complex derivative."""
 
 import math
 
@@ -20,6 +21,8 @@ from dirimor.analytic import (
     mobius_derivative,
     mobius_translate,
 )
+from dirimor.operators import IG, JG, MG, apply_operator
+from dirimor.quadrature import RadialAnnuliGrid
 
 RNG = np.random.default_rng(20260808)
 
@@ -199,6 +202,61 @@ def test_derivative_matches_centered_difference(fn):
     dv = fn.derivative(z)
     rel = np.abs(fd - dv) / np.maximum(np.abs(dv), 1e-30)
     assert np.max(rel) < 1e-6
+
+
+# -- the |f'|^2 path ------------------------------------------------------------
+
+
+def graded_nodes(f):
+    """Nodes of a graded disc grid out to |z| = 1 - 2^-24, or to the
+    function's certified radius when that is smaller."""
+    depth = 24 if f.r_max >= 1.0 else int(-math.log2(1.0 - f.r_max))
+    z, _, _ = RadialAnnuliGrid(depth=depth, foci=(0.0, 1.3), panel_order=4, base_panels=8).nodes()
+    return z
+
+
+KERNEL = make_power_kernel(0.9, 0.35)
+BOUNDARY_KERNEL = make_power_kernel(1.0, 0.15)
+SYMBOLS = (make_taylor([0.5, 0.5]), log_kernel(), make_gap_series(remark_rule(0.5), K=20))
+
+
+@pytest.mark.parametrize(
+    "fn",
+    [
+        make_taylor([1, 2, 0, 1]),
+        constant(2 - 1j),
+        KERNEL,
+        make_power_kernel(-0.3 + 0.8j, 1.2),
+        BOUNDARY_KERNEL,
+        make_power_kernel(BoundaryPoint(2.0), 0.35),
+        make_gap_series(remark_rule(0.3), K=20),
+        log_kernel(),
+        KERNEL.scaled(0.5 + 2j),
+        make_taylor([0, 1, 1]) + KERNEL,
+        mobius_translate(KERNEL, 0.5 - 0.3j),
+        mobius_translate(log_kernel(), 0.9j),
+    ] + [apply_operator(kind, f, g) for kind in (JG, IG, MG)
+         for f in (KERNEL, BOUNDARY_KERNEL) for g in SYMBOLS],
+    ids=lambda f: f.label,
+)
+def test_deriv_abs2_matches_derivative(fn):
+    # scans read |f'|^2 through deriv_abs2; the complex derivative checks it
+    z = graded_nodes(fn)
+    want = np.abs(fn.derivative(z)) ** 2
+    assert np.all(np.abs(fn.deriv_abs2(z) - want) <= 1e-13 * want)
+
+
+def test_scaled_deriv_abs2_carries_the_factor():
+    # replace() would keep the kernel's own |f'|^2 and drop |alpha|^2
+    z = graded_nodes(KERNEL)
+    alpha = 0.5 + 2j
+    assert np.array_equal(KERNEL.scaled(alpha).deriv_abs2(z), abs(alpha) ** 2 * KERNEL.deriv_abs2(z))
+
+
+def test_deriv_abs2_checks_the_certified_radius():
+    f = make_gap_series(remark_rule(0.3), K=20)
+    with pytest.raises(EvaluationDomainError):
+        f.deriv_abs2(0.9999999)
 
 
 # -- translates ---------------------------------------------------------------

@@ -15,11 +15,14 @@ if str(BENCH) not in sys.path:
 import workloads  # noqa: E402
 
 SEED = 20260808
-# workload -> one operation key of each kind it runs
+# workload -> one operation key of each kind it runs, plus the 0.9 kernel
+# operations behind the translate rotation check and the box domination check
 OPERATIONS = {
-    "translate": [("scan", "taylor:0,1"), ("seminorm", 3)],
+    "translate": [("scan", "taylor:0,1"), ("seminorm", 3),
+                  ("scan", "kernel:c=0.9+0i,s=auto"), ("scan", "kernel:c=0+0.9i,s=auto")],
     "boundary": [("scan", "taylor:0,1", 36), ("arc", 3)],
-    "box": [("box", "taylor:0,1"), ("pair", "taylor:0,1"), ("qp",), ("gpcm", "taylor:0,1")],
+    "box": [("box", "taylor:0,1"), ("pair", "taylor:0,1"), ("qp",), ("gpcm", "taylor:0,1"),
+            ("box", "kernel:c=0.9+0i,s=auto"), ("pair", "kernel:c=0.9+0i,s=auto")],
 }
 
 

@@ -108,7 +108,7 @@ def test_translate_two_routes_agree(f, a):
 
 def _plain_seminorm(f, p, a, grid):
     z, w, _ = grid.nodes()
-    base = np.abs(f.derivative(z)) ** 2 * (1.0 - np.abs(z) ** 2) ** p * w
+    base = f.deriv_abs2(z) * (1.0 - np.abs(z) ** 2) ** p * w
     q = (1.0 - abs(a) ** 2) / np.abs(1.0 - np.conj(a) * z) ** 2
     return math.sqrt(max(float(np.sum(base * q ** p)), 0.0))
 
@@ -562,8 +562,10 @@ def test_scan_reports_share_one_reduction(quantity, spec):
 
     params = SpaceParams(0.5, 0.4)
     rep, f0, points = _reduced_scan(quantity, parse_function_spec(spec, params), params)
-    # a gpcm scan that skips every point (g constant) has an empty trace
-    vals = [v for _, v in rep.levels] or [0.0]
+    # every scan traces at least one level, also a gpcm scan that skips
+    # every point (g constant)
+    assert rep.levels
+    vals = [v for _, v in rep.levels]
     assert rep.value == vals[-1]
     assert all(a <= b for a, b in zip(vals, vals[1:]))
     none_positive = spec == "taylor:0" or (spec == "taylor:1" and quantity not in ("growth", "hinf"))
