@@ -356,16 +356,20 @@ def make_gap_series(
     a = np.array([complex(coeff_rule(k)) for k in range(1, K + 1)])
 
     def _sum_terms(z, with_factors):
+        # in place: the same operations, in the same order, as
+        # power = power * power; acc = acc + a_k * power (* 2^k)
         z = np.asarray(z, dtype=complex)
         acc = np.zeros_like(z)
-        power = z  # z^(2^0); squares to z^(2^k)
+        term = np.empty_like(z)
+        power = z * z  # z^(2^1); squared in place to z^(2^k)
         for k in range(1, K + 1):
-            power = power * power
-            term = a[k - 1] * power
+            if k > 1:
+                power *= power
+            np.multiply(a[k - 1], power, out=term)
             if with_factors:
-                term = term * (2.0 ** k)
-            acc = acc + term
-        return acc
+                term *= 2.0 ** k
+            acc += term
+        return acc if acc.ndim else acc[()]
 
     def ev(z):
         return _sum_terms(z, with_factors=False)
@@ -373,10 +377,13 @@ def make_gap_series(
     def dv(z):
         # derivative sum a_k 2^k z^(2^k - 1); the z=0 limit is 0
         z = np.asarray(z, dtype=complex)
-        out = np.zeros_like(z)
         nz = z != 0
-        if np.any(nz):
-            out[nz] = _sum_terms(z[nz], with_factors=True) / z[nz]
+        if nz.all():
+            out = _sum_terms(z, with_factors=True) / z
+        else:
+            out = np.zeros_like(z)
+            if np.any(nz):
+                out[nz] = _sum_terms(z[nz], with_factors=True) / z[nz]
         if out.shape == ():
             return complex(out)
         return out

@@ -26,6 +26,7 @@ polynomials; tests hold these pairs together.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, replace
 from typing import Callable, Optional, Sequence
@@ -113,6 +114,11 @@ class ParamGrid:
     n_centers: int = 64
     depth: int = 24
     base_panels: int = 16
+
+    def __post_init__(self):
+        for name, least in (("k_a", 0), ("a_angle_cap", 1), ("k_arc", 0), ("n_centers", 1)):
+            if getattr(self, name) < least:
+                raise ValueError(f"{name} must be at least {least}, got {getattr(self, name)}")
 
     def a_points(self):
         pts = [(0, 0.0 + 0.0j)]
@@ -351,10 +357,14 @@ def _translate_scan(
     a-grid of weight_of_a(|a|) times the translate seminorm of f at a, on
     disc grids of the grid's ``depth`` and ``base_panels``.
 
-    Functions with focal directions get one graded grid per scan direction
-    (reusing the |f'|^2 evaluation across the radii of that direction);
-    focus-free functions share a single uniform grid dense enough in angle
-    for the deepest Mobius weight scanned.
+    Non-oscillatory functions (polynomials and kernels alike) get one graded
+    grid per scan direction, with that direction as an extra focus; the
+    |f'|^2 evaluation is reused across the radii of the direction.
+    Oscillatory functions keep a single uniform grid, dense enough in angle
+    for the deepest Mobius weight scanned, and scan ``grid.a_points()`` on it
+    through ``_uniform_scan``: a level whose direction count divides every
+    ring size of that grid takes the rotation-shift route, any other level
+    the per-point loop of ``_scan_group``.
 
     Functions whose grids for a direction (or whose uniform grids) are equal
     share one build of it.  Each function's entries come in the order of
@@ -364,43 +374,53 @@ def _translate_scan(
     """
     entries = [[] for _ in fs]
 
-    def scan(pts, discs):
-        """Scan function i at pts on its grid, for each (i, grid) of discs;
-        equal grids are built once, one at a time (popped, so a grid's nodes
-        are freed before the next grid is built)."""
+    def scan(discs, run):
+        """Extend function i's entries by run(fs[i], grid) for each (i, grid)
+        of discs; equal grids are built once, one at a time (popped, so a
+        grid's nodes are freed before the next grid is built)."""
         groups: dict = {}
         for i, disc in discs:
             groups.setdefault(disc, []).append(i)
         while groups:
             disc, members = groups.popitem()
             for i in members:
-                entries[i].extend(_scan_group(fs[i], p, weight_of_a, pts, disc))
+                entries[i].extend(run(fs[i], disc))
 
     focal = [i for i, f in enumerate(fs) if not f.oscillatory]
     for _, pts in grid.a_points_by_direction():
         ang = next((float(np.angle(a)) % TWO_PI for _, a in pts if a != 0), None)
         extra = (ang,) if ang is not None else ()
-        scan(pts, [(i, grid_for_function(fs[i], grid.depth, extra_foci=extra,
-                                         panel_order=TRANSLATE_PANEL_ORDER,
-                                         base_panels=grid.base_panels)) for i in focal])
+        scan([(i, grid_for_function(fs[i], grid.depth, extra_foci=extra,
+                                    panel_order=TRANSLATE_PANEL_ORDER,
+                                    base_panels=grid.base_panels)) for i in focal],
+             lambda f, disc: _scan_group(f, p, weight_of_a, pts, disc))
     cap = min(grid.k_a + 1, 11)
-    scan(grid.a_points(), [(i, grid_for_function(f, grid.depth, growth_cap=cap))
-                           for i, f in enumerate(fs) if f.oscillatory])
+    scan([(i, grid_for_function(f, grid.depth, growth_cap=cap))
+          for i, f in enumerate(fs) if f.oscillatory],
+         lambda f, disc: _uniform_scan(f, p, weight_of_a, grid, disc))
     desc = {**desc, "k_a": grid.k_a, "a_angle_cap": grid.a_angle_cap,
             "depth": grid.depth, "base_panels": grid.base_panels}
     return [_scan_report(desc["scan"], es, desc, offset=abs(f.at_zero()))
             for f, es in zip(fs, entries)]
 
 
-def _scan_group(f, p, weight_of_a, pts, disc):
-    """(level, a, weight_of_a(|a|) * seminorm) for each (level, a) in pts.
+def _mobius_weight(a, z, p, zw, q):
+    """q <- ((1-|a|^2)/|1-conj(a) z|^2)^p, built in the work arrays zw and q
+    in the operation order of the plain expression, so values match it bit
+    for bit; ``**=`` keeps numpy's scalar-power fast paths."""
+    np.multiply(np.conj(a), z, out=zw)
+    np.subtract(1.0, zw, out=zw)
+    np.absolute(zw, out=q)
+    q **= 2
+    np.divide(1.0 - abs(a) ** 2, q, out=q)
+    q **= p
+    return q
 
-    The Mobius weight ((1-|a|^2)/|1-conj(a) z|^2)^p is built in two reused
-    work arrays in the operation order of the plain expression, so values
-    match it bit for bit; ``**=`` keeps numpy's scalar-power fast paths.
-    """
-    z, w, _ = disc.nodes()
-    base = derivative_density(f, p)(z) * w
+
+def _point_entries(base, z, p, weight_of_a, pts):
+    """(level, a, weight_of_a(|a|) * seminorm) for each (level, a) in pts,
+    from base = |f'|^2 (1-|z|^2)^p times the node weights: one Mobius
+    weight per point, in two reused work arrays."""
     zw = np.empty_like(z)
     q = np.empty(z.shape)
     out = []
@@ -408,16 +428,58 @@ def _scan_group(f, p, weight_of_a, pts, disc):
         if a == 0:
             sem2 = float(np.sum(base))
         else:
-            np.multiply(np.conj(a), z, out=zw)
-            np.subtract(1.0, zw, out=zw)
-            np.absolute(zw, out=q)
-            q **= 2
-            np.divide(1.0 - abs(a) ** 2, q, out=q)
-            q **= p
-            np.multiply(base, q, out=q)
-            sem2 = float(np.sum(q))
+            sem2 = float(np.sum(np.multiply(base, _mobius_weight(a, z, p, zw, q), out=q)))
         sem = math.sqrt(max(sem2, 0.0))
         out.append((level, a, weight_of_a(abs(a)) * sem))
+    return out
+
+
+def _scan_group(f, p, weight_of_a, pts, disc):
+    """(level, a, weight_of_a(|a|) * seminorm) for each (level, a) in pts,
+    on the disc grid ``disc``, one Mobius weight per point."""
+    z, w, _ = disc.nodes()
+    return _point_entries(derivative_density(f, p)(z) * w, z, p, weight_of_a, pts)
+
+
+def _uniform_scan(f, p, weight_of_a, grid, disc):
+    """The entries of ``_scan_group`` over ``grid.a_points()`` on a uniform
+    disc grid, in that order.
+
+    Level k of the a-grid is the orbit r_k e^{2 pi i m/n}, m = 0..n-1, and
+    ring j of the grid has N_j angles (i + 1/2) 2 pi/N_j.  When n divides
+    every N_j, the Mobius weight of direction m is the weight W0 of a = r_k
+    shifted by m N_j/n slots on each ring (block-circulant).  With each
+    ring's angles cut into n blocks and G[b, d] the sum of base on block b
+    times W0 on block d, the seminorm^2 of direction m is
+    sum_b G[b, (b - m) mod n]: one weight pass per level in place of n.  This
+    drifts from the per-point loop by rounding only (about 3e-14 relative);
+    a = 0 and every other level take that loop, bit for bit.
+    """
+    z, w, _ = disc.nodes()
+    base = derivative_density(f, p)(z) * w
+    rings = disc.ring_sizes()
+    order = disc.RADIAL_ORDER
+    assert order * sum(rings) == z.size, "uniform disc grid expected"
+    out = []
+    for level, group in itertools.groupby(grid.a_points(), key=lambda pt: pt[0]):
+        pts = list(group)
+        n = len(pts)
+        if level == 0 or any(size % n for size in rings):
+            out.extend(_point_entries(base, z, p, weight_of_a, pts))
+            continue
+        w0 = _mobius_weight(pts[0][1], z, p, np.empty_like(z), np.empty(z.shape))
+        gram = np.zeros((n, n))
+        start = 0
+        for size in rings:
+            stop = start + order * size
+            b = base[start:stop].reshape(order, n, size // n)
+            v = w0[start:stop].reshape(order, n, size // n)
+            gram += np.matmul(b, v.transpose(0, 2, 1)).sum(axis=0)
+            start = stop
+        m = np.arange(n)
+        sem2 = gram[m[None, :], (m[None, :] - m[:, None]) % n].sum(axis=1)
+        out.extend((lv, a, weight_of_a(abs(a)) * math.sqrt(max(float(s2), 0.0)))
+                   for (lv, a), s2 in zip(pts, sem2))
     return out
 
 

@@ -189,10 +189,16 @@ class RadialAnnuliGrid:
         if self.depth < 2:
             raise ValueError("grid depth must be at least 2")
 
+    def ring_sizes(self) -> tuple:
+        """Uniform mode: the angle count N_j of each annulus j; annulus j holds
+        RADIAL_ORDER * N_j consecutive nodes, ring by ring."""
+        return tuple(max(self.n_min, 8 * 2 ** min(j, self.growth_cap)) for j in range(self.depth))
+
     @cached_property
     def _nodes(self):
         zs, ws, lv = [], [], []
         anchor = self.foci[0] if self.foci else 0.0
+        sizes = () if self.foci else self.ring_sizes()
         for j, (rr, rw, delta, _) in enumerate(radial_panels(1.0, self.depth, self.RADIAL_ORDER)):
             if self.foci:
                 th, tw = angular_nodes(
@@ -200,7 +206,7 @@ class RadialAnnuliGrid:
                     self.base_panels, self.panel_order, wrap=True,
                 )
             else:
-                n = max(self.n_min, 8 * 2 ** min(j, self.growth_cap))
+                n = sizes[j]
                 th = (np.arange(n) + 0.5) * (TWO_PI / n)
                 tw = np.full(n, TWO_PI / n)
             z = rr[:, None] * np.exp(1j * th[None, :])

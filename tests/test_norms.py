@@ -34,6 +34,9 @@ from dirimor.norms import (
     translate_seminorm,
     trend_slope,
 )
+from dirimor import norms
+from dirimor.gaps import remark_example
+from dirimor.operators import apply_Jg
 from dirimor.quadrature import Arc
 
 RNG = np.random.default_rng(1234)
@@ -136,6 +139,63 @@ def test_scan_group_equals_plain_weight_bitwise(f, scan_grid, p):
                                 panel_order=4, growth_cap=_growth_for_radius(abs(a)))
         assert translate_seminorm(f, p, a, route="weight", depth=24, panel_order=4) == \
             _plain_seminorm(f, p, a, own)
+
+
+def _shift_and_loop(monkeypatch, f, grid, p=0.5):
+    """(entries of _uniform_scan, entries of the per-point loop over the same
+    a-points and grid, levels _uniform_scan left to the per-point loop)."""
+    disc = grid_for_function(f, grid.depth, growth_cap=min(grid.k_a + 1, 11))
+    weight = lambda r: (1.0 - r * r) ** 0.3
+    loop = _scan_group(f, p, weight, grid.a_points(), disc)
+    looped = set()
+    point_entries = norms._point_entries
+
+    def spy(base, z, p, weight_of_a, pts):
+        looped.update(level for level, _ in pts)
+        return point_entries(base, z, p, weight_of_a, pts)
+
+    monkeypatch.setattr(norms, "_point_entries", spy)
+    shift = norms._uniform_scan(f, p, weight, grid, disc)
+    assert [e[:2] for e in shift] == [e[:2] for e in loop]
+    return shift, loop, looped
+
+
+@pytest.mark.parametrize("cap", [8, 16, 64])
+@pytest.mark.parametrize(
+    "f",
+    [gap(0.5), make_taylor([1, 2, 0, 1]),
+     apply_Jg(make_power_kernel(0.5, 0.3), remark_example(0.3))],
+    ids=["gap", "polynomial", "Jg-image"],
+)
+def test_shift_route_matches_point_loop(monkeypatch, f, cap):
+    # every level k >= 1 is a full orbit whose size divides every ring
+    grid = ParamGrid(k_a=6, a_angle_cap=cap, depth=12, base_panels=8)
+    shift, loop, looped = _shift_and_loop(monkeypatch, f, grid)
+    assert looped == {0}
+    assert shift[0] == loop[0]
+    for (_, _, got), (_, _, want) in zip(shift, loop):
+        assert abs(got - want) <= 1e-13 * want
+
+
+@pytest.mark.parametrize(
+    "degree, cap, looped_levels",
+    [(2, 3, set(range(7))), (2, 12, set(range(7))), (15, 8, set(range(7))),
+     (22, 64, {0, 3, 4, 5, 6})],
+    ids=["cap-3", "cap-12", "hint-68", "hint-96-mixed"],
+)
+def test_shift_route_falls_back_bitwise(monkeypatch, degree, cap, looped_levels):
+    # a level whose direction count fails to divide some ring size keeps the
+    # per-point loop bit for bit; a degree-22 polynomial (angular hint 96)
+    # routes its 16- and 32-direction levels and loops its 64-direction ones
+    coeffs = np.random.default_rng(degree).normal(size=degree + 1)
+    grid = ParamGrid(k_a=6, a_angle_cap=cap, depth=12, base_panels=8)
+    shift, loop, looped = _shift_and_loop(monkeypatch, make_taylor(coeffs), grid)
+    assert looped == looped_levels
+    for (level, _, got), (_, _, want) in zip(shift, loop):
+        if level in looped_levels:
+            assert got == want
+        else:
+            assert abs(got - want) <= 1e-13 * want
 
 
 # -- dm norms -------------------------------------------------------------------

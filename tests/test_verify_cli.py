@@ -11,7 +11,7 @@ import pytest
 
 from dirimor.analytic import SpaceParams
 from dirimor.cli import main
-from dirimor.norms import NormReport
+from dirimor.norms import NormReport, ParamGrid
 from dirimor.verify import (
     DEFAULT_SUITE,
     FunctionSpecError,
@@ -419,6 +419,32 @@ def test_cli_bad_input_exits_2_with_one_error_line(argv, token, tmp_path, capsys
     bogus.write_text(json.dumps({"bogus": 1}))
     assert main([str(bogus) if a == "BOGUS" else a for a in argv]) == 2
     assert token in _one_error_line(capsys.readouterr().err)
+
+
+@pytest.mark.parametrize(
+    "quantity,flag,value,field",
+    [
+        ("dm-translate", None, {"a_angle_cap": 0}, "a_angle_cap"),
+        ("dm-translate", None, {"a_angle_cap": -3}, "a_angle_cap"),
+        ("dm-translate", "--k-a", "-1", "k_a"),
+        ("dm-box", None, {"n_centers": 0}, "n_centers"),
+        ("dm-box", "--k-arc", "-1", "k_arc"),
+    ],
+    ids=["a_angle_cap-0", "a_angle_cap-negative", "k_a", "n_centers", "k_arc"],
+)
+def test_cli_rejects_empty_scan_sizes(quantity, flag, value, field, tmp_path, capsys):
+    # a scan of a = 0 alone (or of no arcs) must not pass for a supremum
+    argv = ["norm", "--quantity", quantity, "--function", "gap:q=0.5,K=20"]
+    if flag is None:
+        cfg = tmp_path / "grid.json"
+        cfg.write_text(json.dumps(value))
+        argv += ["--config", str(cfg)]
+    else:
+        argv += [flag, value]
+    assert main(argv) == 2
+    assert field in _one_error_line(capsys.readouterr().err)
+    # the empty-direction edge cases a scan may legitimately ask for
+    ParamGrid(k_a=0, k_arc=0, a_angle_cap=1, n_centers=1)
 
 
 @pytest.mark.parametrize(
