@@ -540,77 +540,60 @@ def _box_level_sums(f: AnalyticFunction, p_list: Sequence[float], grid: ParamGri
     """Per-arc, per-exponent dyadic-level sums of |f'|^2 (1-|z|^2)^p over S(I),
     with Gauss rules of ``radial_order`` nodes on the radial panels.
 
-    Returns a list of (level_j, Arc, sums) with sums shaped
-    (len(p_list), TRACE_LEVEL_CAP+2); the final slot collects contributions
-    deeper than the trace cap so that the full-depth value is the row sum.
-    All exponents share the same nodes, which makes nodewise-dominated
-    integrand inequalities carry over to the computed values exactly.
+    Returns a list of (level_j, Arc, sums), one per arc in ``grid.arcs()``
+    order, with sums shaped (len(p_list), TRACE_LEVEL_CAP+2); the final slot
+    collects contributions deeper than the trace cap so that the full-depth
+    value is the row sum.  All exponents share the same nodes, which makes
+    nodewise-dominated integrand inequalities carry over to the computed
+    values exactly.
+
+    Each box is integrated on its own window about the arc's centre, graded
+    toward the offsets of the foci within 2.5 half-widths of it and their
+    periodic images; arcs of one level with equal offsets form one batch.
     """
     max_level = None
     if f.r_max < 1.0:
         max_level = effective_depth(f, 10 ** 6)
     p_arr = np.asarray(list(p_list), dtype=float)
-    out = []
     arcs = grid.arcs()
-    by_level: dict = {}
-    for j, arc in arcs:
-        by_level.setdefault(j, []).append(arc)
-    foci = f.singular_angles
-    for j, arc_list in sorted(by_level.items()):
-        length = arc_list[0].length
-        half = math.pi * length
-        plain, focused = [], []
-        for arc in arc_list:
-            near = any(
-                min((ph - arc.center) % TWO_PI, (arc.center - ph) % TWO_PI) < 2.5 * half
-                for ph in foci
-            )
-            (focused if near else plain).append(arc)
-        if plain:
-            sums_list = _plain_box_sums(f, p_arr, plain, length, radial_order, max_level)
-            out.extend((j, arc, s) for arc, s in zip(plain, sums_list))
-        for arc in focused:
-            reg = Region.box_of_arc(arc)
-            z, w, lv = region_node_arrays(
-                reg, rel_depth=BOX_REL_DEPTH, radial_order=radial_order,
-                foci=foci, base_panels=BOX_BASE_PANELS, panel_order=BOX_PANEL_ORDER,
-                max_level=max_level,
-            )
-            sums = _level_sums_from_nodes(f, p_arr, z, w, lv)
-            out.append((j, arc, sums))
+    batches: dict = {}
+    for i, (j, arc) in enumerate(arcs):
+        half = math.pi * arc.length
+        offs = tuple(
+            (ph - arc.center + math.pi) % TWO_PI - math.pi
+            for ph in f.singular_angles
+            if min((ph - arc.center) % TWO_PI, (arc.center - ph) % TWO_PI) < 2.5 * half
+        )
+        batches.setdefault((j, offs), []).append(i)
+    out = [None] * len(arcs)
+    for (_, offs), members in batches.items():
+        batch = _box_sums(f, p_arr, [arcs[i][1] for i in members], offs, radial_order, max_level)
+        for i, sums in zip(members, batch):
+            out[i] = (*arcs[i], sums)
     return out
 
 
-def _level_sums_from_nodes(f, p_arr, z, w, lv):
-    sums = np.zeros((len(p_arr), TRACE_LEVEL_CAP + 2))
-    if z.size == 0:
-        return sums
-    d2 = f.deriv_abs2(z) * w
-    one_minus = 1.0 - np.abs(z) ** 2
-    idx = np.minimum(lv, TRACE_LEVEL_CAP + 1)
-    for i, p in enumerate(p_arr):
-        contrib = d2 * one_minus ** p
-        sums[i] = np.bincount(idx, weights=contrib, minlength=TRACE_LEVEL_CAP + 2)
-    return sums
-
-
-def _plain_box_sums(f, p_arr, arcs, length, radial_order, max_level):
+def _box_sums(f, p_arr, arcs, offs, radial_order, max_level):
+    """Level sums of the boxes of ``arcs``, all of one length: each radial
+    panel carries one angular window (-half, half) about every arc's centre,
+    graded toward the focus offsets ``offs``, and one |f'|^2 evaluation on
+    the (radial node, arc, angle) block."""
+    length = arcs[0].length
     centers = np.array([a.center for a in arcs])
     half = math.pi * length
     sums = np.zeros((len(arcs), len(p_arr), TRACE_LEVEL_CAP + 2))
     for rr, rw, delta, j_abs in radial_panels(length, BOX_REL_DEPTH, radial_order, max_level):
-        th, tw = _window_nodes(-half, half, delta, (), BOX_BASE_PANELS, BOX_PANEL_ORDER)
+        th, tw = _window_nodes(-half, half, delta, offs, BOX_BASE_PANELS, BOX_PANEL_ORDER)
         j_abs = min(j_abs, TRACE_LEVEL_CAP + 1)
-        ang = centers[:, None] + th[None, :]
+        e = np.exp(1j * (centers[:, None] + th[None, :]))
+        d2 = f.deriv_abs2(rr[:, None, None] * e)
         for i in range(len(rr)):
-            z = rr[i] * np.exp(1j * ang)
-            d2 = f.deriv_abs2(z)
             wrow = (rw[i] * rr[i] / math.pi) * tw
             one_minus_p = (1.0 - rr[i] ** 2) ** p_arr
-            row = d2 @ wrow  # per-arc sum of |f'|^2 * angular weights
+            row = d2[i] @ wrow  # per-arc sum of |f'|^2 * angular weights
             for q, om in enumerate(one_minus_p):
                 sums[:, q, j_abs] += om * row
-    return [sums[m] for m in range(len(arcs))]
+    return sums
 
 
 def _box_scan_report(name, weighted, grid, extra_desc=None) -> NormReport:
@@ -694,8 +677,9 @@ def box_quantity_pair(
     radial_order: int = 6,
 ):
     """Box integrals of the derivative measure at two weight exponents on the
-    same nodes: list of (arc, value_p1, value_p2).  Sharing nodes preserves
-    nodewise integrand domination in the computed values."""
+    same nodes: list of (arc, value_p1, value_p2), one per arc in
+    ``grid.arcs()`` order.  Sharing nodes preserves nodewise integrand
+    domination in the computed values."""
     grid = grid or ParamGrid()
     sums = _box_level_sums(f, [p1, p2], grid, radial_order)
     return [
@@ -760,7 +744,10 @@ def _ray_scan(quantity, f, k_max, angles_at, weight_at, grid) -> NormReport:
     the angles ``angles_at(k)``; k = 0 is the single point z = 0.
 
     The levels trace is the running maximum over k, and the maximizer is
-    the first node attaining the maximum (``None`` when every value is 0)."""
+    the first node attaining the maximum (``None`` when every value is 0).
+    A negative k_max comes only from a negative ``k_levels``."""
+    if k_max < 0:
+        raise ValueError(f"k_levels must be at least 0, got {k_max}")
     entries = []
     for k in range(k_max + 1):
         r = 1.0 - 2.0 ** -k

@@ -24,7 +24,11 @@ trigonometric polynomials of degree below the node count) or graded:
 composite Gauss panels whose widths shrink geometrically toward a set of
 focus angles, down to the local radial scale ``1 - r``.  Graded layouts are
 anchored at the first focus so that rotating a problem rotates its grid,
-making rotation-symmetric inputs produce bitwise-symmetric results.
+making rotation-symmetric inputs produce bitwise-symmetric results.  Windows
+of fitted regions grade toward each focus and its periodic images
+``phi +- 2 pi`` alike, so a piece that ends at angle 0 (or 2 pi) is graded
+toward a focus just across that seam, and the window (-pi, pi) toward a
+focus at pi from both ends.
 
 Every integration returns the per-dyadic-level contributions along with the
 value; scan-type callers use these prefixes to expose divergence trends as
@@ -136,7 +140,7 @@ def angular_nodes(lo, hi, delta, foci, base_panels, order, *, wrap=False):
 def _window_nodes(wlo, whi, delta, foci, base_panels, order):
     width = whi - wlo
     nb = max(4, min(base_panels, int(math.ceil(width / (TWO_PI / 64))) + 3))
-    return angular_nodes(wlo, whi, delta, foci, nb, order)
+    return angular_nodes(wlo, whi, delta, foci, nb, order, wrap=True)
 
 
 def radial_panels(d: float, depth: int, order: int, max_level: Optional[int] = None):

@@ -8,6 +8,9 @@ import pytest
 
 from dirimor.analytic import BoundaryPoint, SpaceParams, log_kernel, make_power_kernel, make_taylor
 from dirimor.norms import (
+    BOX_BASE_PANELS,
+    BOX_PANEL_ORDER,
+    BOX_REL_DEPTH,
     TRACE_LEVEL_CAP,
     NormReport,
     ParamGrid,
@@ -23,6 +26,7 @@ from dirimor.norms import (
     dirichlet_norm_coeff,
     dm_norm_translate,
     dm_norms_translate,
+    derivative_density,
     dm_seminorm_box,
     general_morrey_norm,
     gpcm_quantity,
@@ -37,7 +41,8 @@ from dirimor.norms import (
 from dirimor import norms
 from dirimor.gaps import remark_example
 from dirimor.operators import apply_Jg
-from dirimor.quadrature import Arc
+from dirimor.quadrature import Arc, Region, integrate_region
+from dirimor.verify import parse_function_spec
 
 RNG = np.random.default_rng(1234)
 
@@ -246,8 +251,6 @@ def test_box_quantity_closed_form_candidate():
     f = make_taylor([0, 1])
     grid = ParamGrid(k_arc=1, n_centers=4)
     rep = dm_seminorm_box(f, SpaceParams(1.0, 1.0), grid)
-    from dirimor.quadrature import Arc, Region, integrate_region
-
     reg = Region.box_of_arc(Arc(0.0, 0.5))
     val = integrate_region(lambda z: (1 - np.abs(z) ** 2), reg).value / 0.5
     assert val == pytest.approx(0.28125, rel=1e-8)
@@ -261,6 +264,55 @@ def test_box_scan_maximizer_in_grid():
     rep = dm_seminorm_box(f, SpaceParams(0.5, 0.4), grid)
     assert rep.maximizer.length in [1.0] + [2.0 ** -j for j in range(1, 7)]
     assert rep.value > 0
+
+
+def test_box_scan_is_invariant_under_rotation_by_pi():
+    # the boundary kernel at angle 0 puts its singularity on the seam of
+    # [0, 2 pi), where boxes used to be cut in two; its rotation by pi must
+    # read the same
+    params = SpaceParams(0.5, 0.4)
+    grid = ParamGrid(k_arc=6, n_centers=8)
+    a, b = (dm_seminorm_box(parse_function_spec(f"kernel:c={c}+0i,s=auto", params), params, grid)
+            for c in ("1", "-1"))
+    assert a.value == pytest.approx(b.value, rel=1e-9)
+
+
+def test_lune_at_zero_matches_rotated_lune():
+    # V3's lune integral of the boundary kernel at b = 0 against the lune at
+    # b = pi of the kernel rotated by pi: the lune at 0 is cut at the seam
+    params = SpaceParams(0.5, 0.4)
+    for j in range(1, 13):
+        h = 2.0 ** -j
+        a, b = (integrate_region(
+            derivative_density(make_power_kernel(BoundaryPoint(c), params.translate_exponent),
+                               params.p),
+            Region.lune_of(c, h), foci=(c,), rel_depth=24, radial_order=6,
+            panel_order=BOX_PANEL_ORDER).value for c in (0.0, math.pi))
+        assert a == pytest.approx(b, rel=1e-6), h
+
+
+@pytest.mark.parametrize(
+    "spec", ["taylor:1,2,0,1", "kernel:c=0.9+0i,s=auto", "kernel:c=1+0i,s=auto", "log1"])
+def test_box_rows_match_region_integrals(spec):
+    # second route for the batched box sums: integrate_region over each arc's
+    # canonical box, on the same fitted radial panels and angular settings.
+    # Gap series are left out: their oscillation is aliased, so the sums
+    # hang on the background panel count, which differs between the relative
+    # window and a canonical piece (4 against 5 at |I| = 2^-6)
+    params = SpaceParams(0.5, 0.4)
+    f = parse_function_spec(spec, params)
+    grid = ParamGrid(k_arc=6, n_centers=8)
+    p1, p2 = 0.3, 0.6
+    rows = box_quantity_pair(f, p1, p2, grid)
+    assert [arc for arc, _, _ in rows] == [arc for _, arc in grid.arcs()]
+    max_level = None if f.r_max >= 1.0 else norms.effective_depth(f, 10 ** 6)
+    for arc, q1, q2 in rows:
+        for got, p in ((q1, p1), (q2, p2)):
+            want = integrate_region(
+                derivative_density(f, p), Region.box_of_arc(arc), rel_depth=BOX_REL_DEPTH,
+                radial_order=6, foci=f.singular_angles, base_panels=BOX_BASE_PANELS,
+                panel_order=BOX_PANEL_ORDER, max_level=max_level).value
+            assert got == pytest.approx(want, rel=1e-9), (arc, p)
 
 
 def test_box_pair_inequality_nodewise():
@@ -374,6 +426,16 @@ def test_hinf_scan():
     # the running max is nondecreasing (maximum principle)
     vals = [v for _, v in rep3.levels]
     assert all(vals[i] <= vals[i + 1] + 1e-15 for i in range(len(vals) - 1))
+
+
+def test_ray_scans_reject_negative_depth():
+    # a scan of no radius at all must not report a bounded supremum of 0
+    f = make_taylor([0, 1])
+    with pytest.raises(ValueError, match="k_levels"):
+        hinf_sup(f, k_levels=-1)
+    with pytest.raises(ValueError, match="k_levels"):
+        growth_envelope(f, SpaceParams(0.5, 0.4), k_levels=-2)
+    assert hinf_sup(f, k_levels=0).levels == ((0, 0.0),)
 
 
 # -- gpcm --------------------------------------------------------------------------
@@ -540,8 +602,6 @@ def test_translate_seminorm_closed_form_identity_function():
 
 def test_box_integral_closed_form_general_p():
     # f(z) = z over S(I): |I| * (1 - (1-|I|)^2)^(p+1) / (p+1)
-    from dirimor.quadrature import Arc, Region, integrate_region
-
     for p in (0.25, 0.5, 0.75):
         for length in (0.125, 0.5, 1.0):
             reg = Region.box_of_arc(Arc(0.85, length))
@@ -560,8 +620,6 @@ def test_qp_log_full_circle_contributes_zero():
 def test_batched_translate_scan_equals_one_scan_per_function():
     # functions sharing a grid share one build, and an oscillatory function
     # keeps its uniform grid; every report must equal its one-function scan
-    from dirimor.verify import parse_function_spec
-
     params = SpaceParams(0.5, 0.4)
     specs = ["taylor:1", "taylor:0,1", "taylor:1,2,0,1", "kernel:c=0.9+0i,s=auto",
              "kernel:c=0+0.9i,s=auto", "log1", "gap:q=0.2,K=20", "gap:q=0.5,K=20",
@@ -618,8 +676,6 @@ def test_scan_reports_share_one_reduction(quantity, spec):
     # the value is the last running maximum of the trace, and the maximizer
     # is a scanned point exactly when some scanned value is positive; the
     # constant 1 has positive values only in the sup-type scans, and 0 nowhere
-    from dirimor.verify import parse_function_spec
-
     params = SpaceParams(0.5, 0.4)
     rep, f0, points = _reduced_scan(quantity, parse_function_spec(spec, params), params)
     # every scan traces at least one level, also a gpcm scan that skips

@@ -429,8 +429,9 @@ def test_cli_bad_input_exits_2_with_one_error_line(argv, token, tmp_path, capsys
         ("dm-translate", "--k-a", "-1", "k_a"),
         ("dm-box", None, {"n_centers": 0}, "n_centers"),
         ("dm-box", "--k-arc", "-1", "k_arc"),
+        ("hinf", "--k-a", "-1", "k_levels"),
     ],
-    ids=["a_angle_cap-0", "a_angle_cap-negative", "k_a", "n_centers", "k_arc"],
+    ids=["a_angle_cap-0", "a_angle_cap-negative", "k_a", "n_centers", "k_arc", "hinf-k_levels"],
 )
 def test_cli_rejects_empty_scan_sizes(quantity, flag, value, field, tmp_path, capsys):
     # a scan of a = 0 alone (or of no arcs) must not pass for a supremum
