@@ -38,16 +38,12 @@ from .quadrature import (
     Arc,
     BoxMassTable,
     RadialAnnuliGrid,
-    Region,
     TWO_PI,
-    _piece_columns,
-    _point_box_pieces,
     _window_nodes,
     arc_double_integral,
     chord_gap,
     integrate_disc,
     radial_panels,
-    region_node_arrays,
 )
 
 TREND_SLOPE_THRESHOLD = 0.1
@@ -116,7 +112,8 @@ class ParamGrid:
     base_panels: int = 16
 
     def __post_init__(self):
-        for name, least in (("k_a", 0), ("a_angle_cap", 1), ("k_arc", 0), ("n_centers", 1)):
+        for name, least in (("k_a", 0), ("a_angle_cap", 1), ("k_arc", 0), ("n_centers", 1),
+                            ("depth", 2), ("base_panels", 1)):
             if getattr(self, name) < least:
                 raise ValueError(f"{name} must be at least {least}, got {getattr(self, name)}")
 
@@ -797,9 +794,48 @@ def hinf_sup(g: AnalyticFunction, *, k_levels: int = 10) -> NormReport:
 # Measure self-interaction scan
 # ---------------------------------------------------------------------------
 
-# Dyadic depth of the box-mass table, and the fitted quadrature of each S(w).
+# Dyadic depth of the box-mass table, and the fitted quadrature of each S(w):
+# GPCM_REL_DEPTH dyadic radial panels of GPCM_RADIAL_ORDER nodes below the
+# box's top, and angular Gauss panels of order GPCM_PANEL_ORDER over
+# GPCM_BASE_PANELS background cells.
 GPCM_TABLE_DEPTH = 12
-GPCM_OUTER_OPTS = dict(rel_depth=8, radial_order=4, base_panels=4, panel_order=4)
+GPCM_REL_DEPTH = 8
+GPCM_RADIAL_ORDER = 4
+GPCM_BASE_PANELS = 4
+GPCM_PANEL_ORDER = 4
+
+
+def _gpcm_nodes(w: complex, singular_angles, table_depth: int):
+    """Nodes of S(w) on its window (-h, h) about c = arg w, h = pi (1 - |w|),
+    and the box S(z) cap S(w) of each node z = r e^{i (c + th)}.
+
+    Returns (r, th, weight, lo, hi): each node's radius, window angle and
+    dm-weight, and S(z) cap S(w) as the one angular interval (lo, hi) in
+    absolute angle.  The window is graded toward the offsets of the singular
+    angles and, for w != 0, toward its centre; the radial panels stop at
+    1 - 2^-table_depth, where the mass table ends.  S(z) has half-width
+    pi (1 - r) <= h about th, so the interval (th -+ pi (1 - r)) clipped to
+    (-h, h) is the whole intersection when 3 h <= 2 pi, which holds on the
+    w-grid (|w| >= 1/2); at w = 0, S(w) is the disc and nothing is clipped.
+    """
+    c = math.atan2(w.imag, w.real)
+    h = math.pi * (1.0 - abs(w))
+    offs = {(ph - c + math.pi) % TWO_PI - math.pi for ph in singular_angles}
+    if w != 0:
+        offs.add(0.0)
+    offs = tuple(sorted(offs))
+    rs, ths, wts = [], [], []
+    for rr, rw, delta, _ in radial_panels(1.0 - abs(w), GPCM_REL_DEPTH, GPCM_RADIAL_ORDER,
+                                          table_depth):
+        th, tw = _window_nodes(-h, h, delta, offs, GPCM_BASE_PANELS, GPCM_PANEL_ORDER)
+        rs.append(np.repeat(rr, th.size))
+        ths.append(np.tile(th, rr.size))
+        wts.append(((rw * rr)[:, None] * tw[None, :] / math.pi).ravel())
+    r, th, weight = (np.concatenate(a) for a in (rs, ths, wts))
+    lo, hi = th - math.pi * (1.0 - r), th + math.pi * (1.0 - r)
+    if w != 0:
+        lo, hi = np.maximum(lo, -h), np.minimum(hi, h)
+    return r, th, weight, lo + c, hi + c
 
 
 def gpcm_quantity(
@@ -815,34 +851,31 @@ def gpcm_quantity(
 
     Box masses of mu come from a cumulative table over a fixed grid (built
     once per symbol): every mu(S(w)) in one batched query, then one query per
-    w for the boxes S(z) cap S(w) at all nodes z of S(w).  Those
-    intersections are exact interval geometry, computed on the whole node
-    array at once; batches never span several w, which bounds memory.  Points
-    with vanishing mu(S(w)) are skipped and recorded; a scan with no positive
+    w for the boxes S(z) cap S(w) at all nodes z of S(w).  Each S(w) is
+    integrated on its own window about arg w (:func:`_gpcm_nodes`), so a box
+    across angle 0 is laid out as its rotations are, and each S(z) cap S(w)
+    is one angular interval read off the node's window coordinates.  Points
+    with vanishing mu(S(w)) are skipped and recorded: these include every w
+    with no radial panel above the table's depth.  A scan with no positive
     value reports 0 with a "degenerate" flag."""
     table_depth = min(GPCM_TABLE_DEPTH, effective_depth(g, GPCM_TABLE_DEPTH))
     table = BoxMassTable(derivative_density(g, p), depth=table_depth)
     total = table.total_mass()
     pts = ParamGrid(k_a=k_w, a_angle_cap=w_angle_cap).a_points()
 
-    boxes = [Region.box_of_point(wpt) for _, wpt in pts]
-    mu_boxes = table.box_masses(
-        np.array([sw.r_lo for sw in boxes]), *_piece_columns([sw.pieces for sw in boxes])
-    ).tolist()
+    ws = np.array([wpt for _, wpt in pts], dtype=complex)
+    c = np.arctan2(ws.imag, ws.real)
+    h = math.pi * (1.0 - np.abs(ws))
+    mu_boxes = table.box_masses(np.abs(ws), c - h, c + h).tolist()
 
     entries = []
     skipped = 0
-    for (k, wpt), sw, mu_sw in zip(pts, boxes, mu_boxes):
+    for (k, wpt), mu_sw in zip(pts, mu_boxes):
         if not (mu_sw > 1e-14 * max(total, 1e-300)):
             skipped += 1
             continue
-        foci = tuple(sorted(set(g.singular_angles) | ({float(np.angle(wpt)) % TWO_PI} if wpt != 0 else set())))
-        z, w, _ = region_node_arrays(sw, foci=foci, max_level=table_depth, **GPCM_OUTER_OPTS)
-        if z.size == 0:
-            skipped += 1
-            continue
-        r0 = np.abs(z)
-        masses = table.box_masses(r0, *_point_box_pieces(z, sw.pieces))
+        r0, _, w, lo, hi = _gpcm_nodes(complex(wpt), g.singular_angles, table_depth)
+        masses = table.box_masses(r0, lo, hi)
         integrand = masses ** 2 / (1.0 - r0 ** 2) ** (2.0 + p)
         entries.append((k, complex(wpt), float(np.sum(integrand * w)) / mu_sw))
     grid = {"scan": "gpcm", "k_w": k_w, "w_angle_cap": w_angle_cap,

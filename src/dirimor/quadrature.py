@@ -11,6 +11,15 @@ arc associated with ``w`` has normalized length ``1 - |w|``; the two box
 families cohere only under this normalization.  Boundary double integrals
 use *raw* arc length ``|du| = dtheta``.
 
+Scans integrate a box on its own window: S(w) is the window ``(-h, h)``
+about ``c = arg w`` with ``h = pi (1 - |w|)``, and the box of an arc the
+window of its half-length about its centre.  A box across angle 0 is then
+laid out exactly as its rotations are, and :meth:`BoxMassTable.box_masses`
+reads any one interval of the line periodically.  :class:`Region` keeps the
+canonical pieces inside ``[0, 2 pi]``; it serves lunes and
+:func:`integrate_region`, and is the scalar reference for the window
+geometry.
+
 Mesh design
 -----------
 The radial direction is always resolved by dyadic annuli ``[1-2^-j,
@@ -150,8 +159,10 @@ def radial_panels(d: float, depth: int, order: int, max_level: Optional[int] = N
     weights, its outer distance delta = 1 - r_hi to the circle, and the
     absolute dyadic level int(-log2(1 - r_mid)) of its midpoint.  With
     ``max_level`` the panels stop at 1 - 2^-max_level (the panel crossing it
-    is cut there).
+    is cut there).  An ``order`` below 1 raises ValueError.
     """
+    if order < 1:
+        raise ValueError(f"radial order must be at least 1, got {order}")
     cap_r = None if max_level is None else 1.0 - 2.0 ** -max_level
     for ell in range(depth):
         lo_r = 1.0 - d * 2.0 ** -ell
@@ -315,67 +326,6 @@ def _intersect_pieces(a_pieces, b_pieces):
             if hi - lo > 1e-15:
                 out.append((lo, hi))
     return tuple(sorted(out))
-
-
-def _piece_columns(pieces_list):
-    """Piece lists as (m, q) arrays (lo, hi), one column per list; empty
-    slots hold (0, 0) and m = max(2, longest list)."""
-    m = max(2, max(map(len, pieces_list), default=0))
-    lo = np.zeros((m, len(pieces_list))); hi = np.zeros((m, len(pieces_list)))
-    for i, pieces in enumerate(pieces_list):
-        for c, (a, b) in enumerate(pieces):
-            lo[c, i], hi[c, i] = a, b
-    return lo, hi
-
-
-def _point_box_pieces(z: np.ndarray, pieces):
-    """Angular pieces of S(v) cap ``pieces`` for every node v of ``z``.
-
-    Column i of the (m, q) arrays (lo, hi) holds the pieces of
-    ``_intersect_pieces(_canonical_pieces(c - h, c + h), pieces)`` for z[i],
-    bit for bit and in the same order; empty slots hold (0, 0), and
-    m = max(2, longest).  h and c come from Python's ``abs`` and
-    ``math.atan2``, which can differ from numpy's by an ulp; every later
-    step repeats the scalar code elementwise.
-    """
-    zl = z.tolist()
-    q = len(zl)
-    h = math.pi * (1.0 - np.array([abs(v) for v in zl], dtype=float))
-    c = np.array([math.atan2(v.imag, v.real) for v in zl], dtype=float)
-    # _canonical_pieces as two slots; unused slots hold (0, 0)
-    width = (c + h) - (c - h)
-    lo = np.mod(c - h, TWO_PI)
-    hi = lo + width
-    full = width >= TWO_PI - 1e-15
-    live = (width > 0.0) & ~full
-    wrap = live & (hi > TWO_PI)
-    a_lo = np.zeros((2, q)); a_hi = np.zeros((2, q))
-    a_lo[0] = np.where(live, lo, 0.0)
-    a_hi[0] = np.select([full | wrap, live], [TWO_PI, hi], 0.0)
-    a_hi[1] = np.where(wrap, hi - TWO_PI, 0.0)
-    # _pieces_width: 0 + (2 pi - lo) + ((hi - 2 pi) - 0.0) for two pieces
-    a_full = (a_hi[0] - a_lo[0]) + (a_hi[1] - a_lo[1]) >= TWO_PI - 1e-15
-    b = np.array(pieces, dtype=float).reshape(len(pieces), 2)
-    if _pieces_width(pieces) >= TWO_PI - 1e-15:
-        lo, hi, longest = a_lo, a_hi, 2
-    else:
-        lo = np.maximum(a_lo[:, None], b[:, 0, None]).reshape(2 * len(b), q)
-        hi = np.minimum(a_hi[:, None], b[:, 1, None]).reshape(2 * len(b), q)
-        keep = hi - lo > 1e-15
-        order = np.lexsort((hi, np.where(keep, lo, np.inf)), axis=0)  # as sorted()
-        keep = np.take_along_axis(keep, order, 0)
-        lo = np.where(keep, np.take_along_axis(lo, order, 0), 0.0)
-        hi = np.where(keep, np.take_along_axis(hi, order, 0), 0.0)
-        longest = int(keep.sum(axis=0).max(initial=0))
-    m = max(2, longest, len(b) if a_full.any() else 0)
-    out_lo = np.zeros((m, q)); out_hi = np.zeros((m, q))
-    k = min(m, len(lo))
-    out_lo[:k], out_hi[:k] = lo[:k], hi[:k]
-    if a_full.any():  # a full point box returns ``pieces`` as given
-        out_lo[:, a_full] = out_hi[:, a_full] = 0.0
-        out_lo[:len(b), a_full] = b[:, :1]
-        out_hi[:len(b), a_full] = b[:, 1:]
-    return out_lo, out_hi
 
 
 @dataclass(frozen=True)
@@ -758,12 +708,19 @@ class BoxMassTable:
         return float(sum(cum[-1] for (_, _, _, cum) in self._rows))
 
     def box_masses(self, r_lo: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-        """Masses of the Q = len(r_lo) boxes [r_lo[i], 1) x (angular pieces).
+        """Masses of the boxes [r_lo[i], 1) x (lo[i], hi[i]), one angular
+        interval per box, with 0 <= hi - lo <= 2 pi; the interval may lie
+        anywhere on the real line.
 
-        ``lo`` and ``hi`` are (m, Q) arrays: column i holds box i's pieces,
-        one per row; empty slots hold (0, 0) and add an exact zero."""
-        out = np.zeros(len(r_lo))
+        Each row's cumulative sums are read periodically, as
+        C(x) = floor(x / 2 pi) * total + interp(x mod 2 pi), so an interval
+        across angle 0 is one query; the whole turns between the two ends
+        enter as an exact multiple of the row total."""
         r_lo = np.asarray(r_lo, dtype=float)
+        turns_hi, hi = np.divmod(np.asarray(hi, dtype=float), TWO_PI)
+        turns_lo, lo = np.divmod(np.asarray(lo, dtype=float), TWO_PI)
+        turns = turns_hi - turns_lo
+        out = np.zeros(len(r_lo))
         for (slo, shi, n, cum) in self._rows:
             frac = np.clip((shi - r_lo) / (shi - slo), 0.0, 1.0)
             active = frac > 0.0
@@ -771,14 +728,13 @@ class BoxMassTable:
                 continue
             scale = n / TWO_PI
             grid = np.arange(n + 1, dtype=float)
-            cols = np.interp(hi * scale, grid, cum) - np.interp(lo * scale, grid, cum)
-            seg = cols[0]
-            for col in cols[1:]:
-                seg = seg + col
-            out += frac * seg
+            seg = np.interp(hi * scale, grid, cum) - np.interp(lo * scale, grid, cum)
+            out += frac * (seg + turns * cum[-1])
         return out
 
     def region_mass(self, region: Region) -> float:
+        """Mass of a box-like region: the sum over its angular pieces."""
         if region.is_empty:
             return 0.0
-        return float(self.box_masses(np.array([region.r_lo]), *_piece_columns([region.pieces]))[0])
+        lo, hi = np.array(region.pieces, dtype=float).T
+        return float(np.sum(self.box_masses(np.full(len(lo), region.r_lo), lo, hi)))

@@ -19,7 +19,8 @@ SEED = 20260808
 # operations behind the translate rotation check and the box domination check,
 # and a gap series, whose translate scan takes the uniform-grid shift route;
 # the boundary kernel at angle 0 and log1 put the box checks on boxes that
-# straddle angle 0 next to a singular direction
+# straddle angle 0 next to a singular direction, and the gpcm scans of log1
+# and the 0.9 kernel put the trace checks on point boxes that straddle it
 OPERATIONS = {
     "translate": [("scan", "taylor:0,1"), ("seminorm", 3),
                   ("scan", "kernel:c=0.9+0i,s=auto"), ("scan", "kernel:c=0+0.9i,s=auto"),
@@ -27,7 +28,8 @@ OPERATIONS = {
     "boundary": [("scan", "taylor:0,1", 36), ("arc", 3)],
     "box": [("box", "taylor:0,1"), ("pair", "taylor:0,1"), ("qp",), ("gpcm", "taylor:0,1"),
             ("box", "kernel:c=0.9+0i,s=auto"), ("pair", "kernel:c=0.9+0i,s=auto"),
-            ("box", "kernel:c=1+0i,s=auto"), ("pair", "log1")],
+            ("box", "kernel:c=1+0i,s=auto"), ("pair", "log1"),
+            ("gpcm", "log1"), ("gpcm", "kernel:c=0.9+0i,s=auto")],
 }
 
 

@@ -11,6 +11,7 @@ from dirimor.norms import (
     BOX_BASE_PANELS,
     BOX_PANEL_ORDER,
     BOX_REL_DEPTH,
+    GPCM_TABLE_DEPTH,
     TRACE_LEVEL_CAP,
     NormReport,
     ParamGrid,
@@ -21,6 +22,7 @@ from dirimor.norms import (
     classify_trend,
     dirichlet_norm,
     _box_scan_report,
+    _gpcm_nodes,
     _growth_for_radius,
     _scan_group,
     dirichlet_norm_coeff,
@@ -41,7 +43,8 @@ from dirimor.norms import (
 from dirimor import norms
 from dirimor.gaps import remark_example
 from dirimor.operators import apply_Jg
-from dirimor.quadrature import Arc, Region, integrate_region
+from dirimor.quadrature import (Arc, BoxMassTable, Region, integrate_region, radial_panels,
+                                region_intersect)
 from dirimor.verify import parse_function_spec
 
 RNG = np.random.default_rng(1234)
@@ -438,6 +441,23 @@ def test_ray_scans_reject_negative_depth():
     assert hinf_sup(f, k_levels=0).levels == ((0, 0.0),)
 
 
+@pytest.mark.parametrize("field,value", [("depth", 1), ("depth", 0), ("base_panels", 0)])
+def test_param_grid_rejects_sizes_the_scans_would_change(field, value):
+    # a translate scan would run at depth 2 or on one background panel and
+    # report the size it was given
+    with pytest.raises(ValueError, match=field):
+        ParamGrid(**{field: value})
+    ParamGrid(depth=2, base_panels=1)
+
+
+def test_box_scans_reject_radial_order_below_1():
+    f = make_taylor([0, 1])
+    with pytest.raises(ValueError, match="radial order"):
+        dm_seminorm_box(f, SpaceParams(0.5, 0.4), ParamGrid(k_arc=1, n_centers=2), radial_order=0)
+    with pytest.raises(ValueError, match="radial order"):
+        list(radial_panels(0.5, 4, -1))
+
+
 # -- gpcm --------------------------------------------------------------------------
 
 
@@ -468,6 +488,55 @@ def test_gpcm_gap_symbol_bounded_scan():
     rep = gpcm_quantity(g, 0.5, k_w=5)
     assert rep.value > 0
     assert "unbounded-trend" not in rep.flags
+
+
+def test_gpcm_kernel_at_angle_0_equals_its_rotation_by_pi():
+    # S(w) is laid out on its own window about arg w, so the box at angle 0,
+    # which straddles the seam of [0, 2 pi), is integrated as its rotations are
+    params = SpaceParams(0.5, 0.4)
+    at_0, at_pi = (gpcm_quantity(parse_function_spec(s, params), params.p, k_w=4, w_angle_cap=4)
+                   for s in ("kernel:c=1+0i,s=auto", "kernel:c=-1+0i,s=auto"))
+    assert at_0.value == pytest.approx(at_pi.value, rel=1e-12)
+    assert at_0.maximizer == pytest.approx(-at_pi.maximizer, abs=1e-15)
+
+
+def test_gpcm_node_boxes_match_region_geometry():
+    # every node of every S(w) at k_w=3, w_angle_cap=8 (the full box at w = 0,
+    # boxes across angle 0, boxes graded toward the kernel's focus at 0): the
+    # one interval gpcm queries holds the mass of the scalar intersection
+    # S(z) cap S(w).  The reference reads |z|, which may differ from r by an
+    # ulp; at the deepest nodes (1 - r ~ 5e-4, slabs of height 6e-5) one ulp
+    # of radius or angle moves a mass by up to ~1e-12.
+    f = parse_function_spec("kernel:c=0.9+0i,s=auto", SpaceParams(0.5, 0.4))
+    table = BoxMassTable(derivative_density(f, 0.5), depth=GPCM_TABLE_DEPTH)
+    pieces_seen = set()
+    for _, w in ParamGrid(k_a=3, a_angle_cap=8).a_points():
+        w = complex(w)
+        r, th, _, lo, hi = _gpcm_nodes(w, f.singular_angles, GPCM_TABLE_DEPTH)
+        got = table.box_masses(r, lo, hi)
+        z = r * np.exp(1j * (math.atan2(w.imag, w.real) + th))
+        sw = Region.box_of_point(w)
+        pieces_seen.add(len(sw.pieces))
+        boxes = [region_intersect(Region.box_of_point(v), sw) for v in z.tolist()]
+        # region_mass of every box at once: one query per piece, summed per box
+        owner = np.repeat(np.arange(len(boxes)), [len(b.pieces) for b in boxes])
+        plo, phi = np.array([pc for b in boxes for pc in b.pieces]).T
+        r_lo = np.array([b.r_lo for b in boxes])[owner]
+        want = np.bincount(owner, table.box_masses(r_lo, plo, phi), minlength=len(boxes))
+        assert np.all(want > 0.0)
+        assert got == pytest.approx(want, rel=4e-12, abs=0.0)
+    assert pieces_seen == {1, 2}
+
+
+@pytest.mark.parametrize("spec,k_w,skipped", [("taylor:0,1", 13, 2), ("gap:q=0.5,K=20", 12, 1)])
+def test_gpcm_skips_w_beyond_the_mass_table(spec, k_w, skipped):
+    # mu(S(w)) is exactly 0 once |w| >= 1 - 2^-table_depth, where no radial
+    # panel of S(w) lies inside the table; such w are skipped, not integrated
+    params = SpaceParams(0.5, 0.4)
+    rep = gpcm_quantity(parse_function_spec(spec, params), params.p, k_w=k_w, w_angle_cap=1)
+    assert rep.grid["table_depth"] == GPCM_TABLE_DEPTH
+    assert rep.grid["skipped"] == skipped
+    assert rep.value > 0.0 and rep.maximizer is not None
 
 
 # -- trend helpers -------------------------------------------------------------------

@@ -14,16 +14,12 @@ from dirimor.quadrature import (
     RadialAnnuliGrid,
     Region,
     _canonical_pieces,
-    _intersect_pieces,
-    _piece_columns,
-    _point_box_pieces,
     arc_double_integral,
     chord_gap,
     graded_breakpoints,
     integrate_disc,
     integrate_region,
     region_intersect,
-    region_node_arrays,
 )
 
 TWO_PI = 2 * math.pi
@@ -370,76 +366,57 @@ def test_mass_table_counts_every_piece():
     assert table.region_mass(both) == pytest.approx(sum(singles), rel=1e-12)
 
 
-def _scalar_point_box_pieces(z, pieces):
-    out = []
-    for v in z.tolist():
-        h = math.pi * (1.0 - abs(v))
-        c = math.atan2(v.imag, v.real)
-        out.append(_intersect_pieces(_canonical_pieces(c - h, c + h), pieces))
-    return out
-
-
-def _assert_columns_equal(lo, hi, want):
-    m = max(2, max(map(len, want), default=0))
-    assert lo.shape == hi.shape == (m, len(want))
-    for i, pieces in enumerate(want):
-        padded = list(pieces) + [(0.0, 0.0)] * (m - len(pieces))
-        assert [(lo[c, i], hi[c, i]) for c in range(m)] == padded
-
-
-def test_point_box_pieces_match_scalar_loop():
-    # the nodes of every S(w) of a gpcm scan at k_w=3, w_angle_cap=8: the
-    # full box at w = 0, one-piece boxes and the two-piece box at angle 0
-    counts = set()
-    for k in range(4):
-        n = 1 if k == 0 else min(max(8, 8 * 2 ** k), 8)
-        for m in range(n):
-            w = (1.0 - 2.0 ** -k) * np.exp(2j * math.pi * m / n)
-            sw = Region.box_of_point(w)
-            counts.add(len(sw.pieces))
-            foci = (float(np.angle(w)) % TWO_PI,) if w != 0 else ()
-            z, _, _ = region_node_arrays(sw, rel_depth=8, radial_order=4, foci=foci,
-                                         base_panels=4, panel_order=4, max_level=12)
-            _assert_columns_equal(*_point_box_pieces(z, sw.pieces),
-                                  _scalar_point_box_pieces(z, sw.pieces))
-    assert counts == {1, 2}
-    # z = 0 (full width), angle exactly pi, boxes wrapping across 0 / 2 pi,
-    # and box edges within 1e-15 of a piece edge
-    edge = 1.0
-    hand = np.array(
-        [0j, -0.5 + 0j, -0.5 - 0j, 0.3 + 0j, 0.9 * np.exp(-0.05j), 0.7 * np.exp(6.2j)]
-        + [0.5 * np.exp(1j * (edge + 0.5 * math.pi + d)) for d in (-1e-15, 0.0, 1e-15)]
-    )
-    for pieces in [((0.0, TWO_PI),), ((edge, 2.5),), ((5.9, TWO_PI), (0.0, edge)),
-                   Region.box_of_point(0.6).pieces]:
-        _assert_columns_equal(*_point_box_pieces(hand, pieces),
-                              _scalar_point_box_pieces(hand, pieces))
-
-
-def test_box_masses_batch_equals_region_mass():
+def _kernel_table(depth=8):
     f = make_power_kernel(0.9, 0.35)
-    table = BoxMassTable(lambda z: np.abs(f.derivative(z)) ** 2 * (1 - np.abs(z) ** 2) ** 0.5,
-                         depth=8)
-    three = region_intersect(
-        Region.box_of_arc(Arc(-1.25, 3.5 / TWO_PI)),
-        Region.box_of_arc(Arc(1.6, 3.8 / TWO_PI)),
-    )
-    boxes = [three, Region.box_of_point(0.0)]
-    for r, t in [(0.5, 0.0), (0.9, 0.0), (0.3, 3.0), (0.75, -2.0), (0.95, 1.0), (0.6, 6.0)]:
-        boxes.append(Region.box_of_point(r * np.exp(1j * t)))
-    for a, b in [(0.4, 0.6j), (0.5, -0.4), (0.8, 0.7 * np.exp(0.3j)), (0.2j, -0.3j),
-                 (0.9, 0.9 * np.exp(-0.05j)), (0.1 + 0.1j, 0.6), (-0.7, -0.6 + 0.1j),
-                 (0.3, 0.0), (0.85j, 0.8j), (0.5 * np.exp(2.5j), 0.6 * np.exp(3.2j)),
-                 (0.99, 0.98), (0.4 * np.exp(-0.4j), 0.45 * np.exp(0.3j))]:
-        boxes.append(region_intersect(Region.box_of_point(a), Region.box_of_point(b)))
-    assert len(boxes) == 20 and {len(b.pieces) for b in boxes} == {1, 2, 3}
-    singles = [table.region_mass(b) for b in boxes]
-    batch = table.box_masses(np.array([b.r_lo for b in boxes]),
-                             *_piece_columns([b.pieces for b in boxes]))
-    assert batch.tolist() == singles
-    back = table.box_masses(np.array([b.r_lo for b in boxes[::-1]]),
-                            *_piece_columns([b.pieces for b in boxes[::-1]]))
-    assert back.tolist() == singles[::-1]
+    return BoxMassTable(lambda z: np.abs(f.derivative(z)) ** 2 * (1 - np.abs(z) ** 2) ** 0.5,
+                        depth=depth)
+
+
+# (r_lo, lo, hi): inside [0, 2 pi], across 0, across 2 pi, inside (-2 pi, 0),
+# ending on 0 and on 2 pi, a whole turn below zero, full circles from
+# several starts, and a sliver
+PERIODIC_BOXES = [
+    (0.5, 0.3, 1.9), (0.0, 0.0, TWO_PI), (0.75, -0.4, 0.2), (0.9, -0.05, 0.05),
+    (0.3, 6.0, 7.0), (0.6, TWO_PI - 0.1, TWO_PI + 0.3), (0.4, -5.5, -0.5),
+    (0.95, -3.0, -2.9), (0.2, -1.0, 0.0), (0.7, 5.0, TWO_PI), (0.85, -11.0, -10.2),
+    (0.1, -1.0, TWO_PI - 1.0), (0.5, -math.pi, math.pi), (0.3, 2.5, 2.5 + TWO_PI),
+    (0.99, 1.0, 1.0 + 1e-9),
+]
+
+
+def test_box_masses_read_one_interval_periodically():
+    table = _kernel_table()
+    for r_lo, lo, hi in PERIODIC_BOXES:
+        got = float(table.box_masses(np.array([r_lo]), np.array([lo]), np.array([hi]))[0])
+        want = table.region_mass(Region("box", r_lo, _canonical_pieces(lo, hi)))
+        assert got == pytest.approx(want, rel=1e-12, abs=0.0), (r_lo, lo, hi)
+    # an empty interval holds no mass; a full turn holds the table's whole
+    # mass wherever it starts
+    assert table.box_masses(np.array([0.5]), np.array([2.0]), np.array([2.0]))[0] == 0.0
+    assert table.box_masses(np.array([0.0]), np.array([-7.0]), np.array([TWO_PI - 7.0]))[0] \
+        == pytest.approx(table.total_mass(), rel=1e-12)
+
+
+def test_box_masses_of_a_radial_density_hang_on_width_alone():
+    # a reference that does not read across angle 0: under a density constant
+    # in angle, each interval holds twice the mass of half its width placed
+    # at 0.25, inside (0, 2 pi)
+    table = BoxMassTable(lambda z: (1 - np.abs(z) ** 2) ** 0.5, depth=8)
+    for r_lo, lo, hi in PERIODIC_BOXES:
+        if hi - lo < 1e-6:  # a sliver's mass is below the cumulative sums' resolution
+            continue
+        got, half = table.box_masses(np.array([r_lo, r_lo]), np.array([lo, 0.25]),
+                                     np.array([hi, 0.25 + 0.5 * (hi - lo)]))
+        assert got == pytest.approx(2.0 * half, rel=1e-12), (r_lo, lo, hi)
+
+
+def test_box_masses_batch_equals_single_queries():
+    table = _kernel_table()
+    r_lo, lo, hi = (np.array(col) for col in zip(*PERIODIC_BOXES))
+    singles = [float(table.box_masses(r_lo[i:i + 1], lo[i:i + 1], hi[i:i + 1])[0])
+               for i in range(len(r_lo))]
+    assert table.box_masses(r_lo, lo, hi).tolist() == singles
+    assert table.box_masses(r_lo[::-1], lo[::-1], hi[::-1]).tolist() == singles[::-1]
 
 
 def test_breakpoints_cached_read_only_and_list_foci_accepted():

@@ -449,6 +449,23 @@ def test_cli_rejects_empty_scan_sizes(quantity, flag, value, field, tmp_path, ca
 
 
 @pytest.mark.parametrize(
+    "quantity,flag,value,token",
+    [
+        ("dm-translate", "--depth", "0", "depth"),
+        ("dm-translate", "--angular-min", "0", "base_panels"),
+        ("dm-box", "--radial-order", "0", "radial order"),
+    ],
+    ids=["depth", "angular-min", "radial-order"],
+)
+def test_cli_rejects_grid_sizes_below_their_floor(quantity, flag, value, token, capsys):
+    # the scan would otherwise run at another size than the report names,
+    # or fail inside numpy
+    argv = ["norm", "--quantity", quantity, "--function", "gap:q=0.5,K=20", flag, value]
+    assert main(argv) == 2
+    assert token in _one_error_line(capsys.readouterr().err)
+
+
+@pytest.mark.parametrize(
     "rule,token",
     [("geometric", "missing r"), ("remark:v=1", "missing q"), ("geometric:r=x", "r='x'")],
 )
