@@ -19,11 +19,9 @@ from .quadrature import (
     QuadratureError,
     QuadratureResult,
     RadialAnnuliGrid,
-    Region,
     arc_double_integral,
     integrate_disc,
-    integrate_region,
-    region_intersect,
+    integrate_lune,
 )
 from .norms import (
     NormReport,

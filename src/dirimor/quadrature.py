@@ -11,14 +11,13 @@ arc associated with ``w`` has normalized length ``1 - |w|``; the two box
 families cohere only under this normalization.  Boundary double integrals
 use *raw* arc length ``|du| = dtheta``.
 
-Scans integrate a box on its own window: S(w) is the window ``(-h, h)``
-about ``c = arg w`` with ``h = pi (1 - |w|)``, and the box of an arc the
-window of its half-length about its centre.  A box across angle 0 is then
-laid out exactly as its rotations are, and :meth:`BoxMassTable.box_masses`
-reads any one interval of the line periodically.  :class:`Region` keeps the
-canonical pieces inside ``[0, 2 pi]``; it serves lunes and
-:func:`integrate_region`, and is the scalar reference for the window
-geometry.
+Every region is integrated on its own window: S(w) is the window
+``(-h, h)`` about ``c = arg w`` with ``h = pi (1 - |w|)``, the box of an arc
+the window of its half-length about its centre, and the lune
+``{|e^{ib} - z| < h}`` at radius r the window of its chord half-angle about
+``b``.  A region across angle 0 is then laid out exactly as its rotations
+are, and :meth:`BoxMassTable.box_masses` reads any one interval of the line
+periodically.
 
 Mesh design
 -----------
@@ -70,7 +69,6 @@ class QuadratureResult:
     error: float
     level_sums: tuple  # contribution per absolute dyadic level j (1-r ~ 2^-j)
     nodes_used: int
-    flags: tuple = ()
 
 
 @lru_cache(maxsize=32)
@@ -248,13 +246,13 @@ class RadialAnnuliGrid:
         }
 
 
-def _finalize(vals, w, levels, depth, nodes_used, flags=()):
+def _finalize(vals, w, levels, depth, nodes_used):
     contrib = vals * w
     per = np.bincount(levels, weights=contrib, minlength=depth)
     value = float(np.sum(per))
     tail = _tail_estimate(per)
     err = abs(float(per[-1])) + tail if len(per) >= 1 else 0.0
-    return QuadratureResult(value, err, tuple(float(x) for x in per), nodes_used, flags)
+    return QuadratureResult(value, err, tuple(float(x) for x in per), nodes_used)
 
 
 def _tail_estimate(per_level):
@@ -292,40 +290,8 @@ def integrate_disc(field: Callable, grid: RadialAnnuliGrid) -> QuadratureResult:
 
 
 # ---------------------------------------------------------------------------
-# Regions: boxes, lunes, intersections
+# Arcs and lunes
 # ---------------------------------------------------------------------------
-
-
-def _canonical_pieces(lo: float, hi: float):
-    """Split an angular interval into pieces inside [0, 2 pi]."""
-    width = hi - lo
-    if width <= 0.0:
-        return ()
-    if width >= TWO_PI - 1e-15:
-        return ((0.0, TWO_PI),)
-    lo = lo % TWO_PI
-    hi = lo + width
-    if hi <= TWO_PI:
-        return ((lo, hi),)
-    return ((lo, TWO_PI), (0.0, hi - TWO_PI))
-
-
-def _pieces_width(pieces) -> float:
-    return float(sum(hi - lo for lo, hi in pieces))
-
-
-def _intersect_pieces(a_pieces, b_pieces):
-    if _pieces_width(a_pieces) >= TWO_PI - 1e-15:
-        return tuple(b_pieces)
-    if _pieces_width(b_pieces) >= TWO_PI - 1e-15:
-        return tuple(a_pieces)
-    out = []
-    for alo, ahi in a_pieces:
-        for blo, bhi in b_pieces:
-            lo, hi = max(alo, blo), min(ahi, bhi)
-            if hi - lo > 1e-15:
-                out.append((lo, hi))
-    return tuple(sorted(out))
 
 
 @dataclass(frozen=True)
@@ -345,177 +311,60 @@ class Arc:
         return TWO_PI * self.length
 
 
-@dataclass(frozen=True)
-class Region:
-    """Radially outer region: radial range [r_lo, 1) x angular pieces.
-
-    ``lune`` regions carry (boundary angle, chord radius h) and clip their
-    angular window per radius against the chord |b - z| = h.
-    """
-
-    kind: str
-    r_lo: float
-    pieces: tuple
-    lune: Optional[tuple] = None
-
-    @staticmethod
-    def full_disc() -> "Region":
-        return Region("disc", 0.0, ((0.0, TWO_PI),))
-
-    @staticmethod
-    def empty() -> "Region":
-        return Region("empty", 1.0, ())
-
-    @staticmethod
-    def box_of_arc(arc: Arc) -> "Region":
-        half = math.pi * arc.length
-        return Region(
-            "box_of_arc", 1.0 - arc.length,
-            _canonical_pieces(arc.center - half, arc.center + half),
-        )
-
-    @staticmethod
-    def box_of_point(w: complex) -> "Region":
-        w = complex(w)
-        r = abs(w)
-        if r >= 1.0:
-            raise ValueError("point box requires an interior point")
-        if r == 0.0:
-            return Region("box_of_point", 0.0, ((0.0, TWO_PI),))
-        half = math.pi * (1.0 - r)
-        c = math.atan2(w.imag, w.real)
-        return Region("box_of_point", r, _canonical_pieces(c - half, c + half))
-
-    @staticmethod
-    def lune_of(b_angle: float, h: float) -> "Region":
-        if h <= 0.0:
-            raise ValueError("lune chord radius must be positive")
-        if h >= 2.0:
-            return Region.full_disc()
-        b = float(b_angle) % TWO_PI
-        half_max = 2.0 * math.asin(min(1.0, h / 2.0))
-        return Region(
-            "lune", max(0.0, 1.0 - h),
-            _canonical_pieces(b - half_max, b + half_max),
-            lune=(b, float(h)),
-        )
-
-    @property
-    def is_empty(self) -> bool:
-        return self.kind == "empty" or not self.pieces
-
-    def windows_at(self, r: float):
-        """Angular pieces of the region at radius r."""
-        if self.lune is None:
-            return self.pieces
-        b, h = self.lune
-        if r <= 0.0:
-            return ((0.0, TWO_PI),) if h > 1.0 else ()
-        c = (1.0 + r * r - h * h) / (2.0 * r)
-        if c >= 1.0:
-            return ()
-        if c <= -1.0:
-            return ((0.0, TWO_PI),)
-        half = math.acos(c)
-        return _canonical_pieces(b - half, b + half)
-
-
-def region_intersect(a: Region, b: Region) -> Region:
-    """Intersection of two box-like regions (radial range and angular pieces)."""
-    if a.lune is not None or b.lune is not None:
-        raise ValueError("region_intersect supports box-like regions only")
-    if a.is_empty or b.is_empty:
-        return Region.empty()
-    pieces = _intersect_pieces(a.pieces, b.pieces)
-    if not pieces:
-        return Region.empty()
-    return Region("intersection", max(a.r_lo, b.r_lo), pieces)
-
-
-# ---------------------------------------------------------------------------
-# Fitted region quadrature
-# ---------------------------------------------------------------------------
+# angular background cells of a lune window
+LUNE_BASE_PANELS = 8
 
 
 def region_node_arrays(
-    region: Region,
+    b: float,
+    h: float,
     *,
     rel_depth: int = 28,
     radial_order: int = 8,
     foci: tuple = (),
-    base_panels: int = 8,
     panel_order: int = 8,
-    max_level: Optional[int] = None,
 ):
-    """Quadrature nodes fitted to a region.
+    """Quadrature nodes of the lune {z : |e^{ib} - z| < h} in the disc.
 
-    Radial panels are dyadic in the distance to the boundary, scaled to the
-    region's own radial extent (``rel_depth`` levels); ``max_level`` caps the
-    absolute dyadic depth (nodes with 1-r < 2^-max_level are dropped), which
-    scan code uses to expose depth trends.  Returns (z, w, abs_level).
+    Radial panels are dyadic in the distance to the circle over the lune's
+    radial range (1 - min(h, 1), 1), ``rel_depth`` levels deep.  At each
+    radial node r the lune is the one interval b +- acos((1 + r^2 - h^2) / 2r),
+    the full turn when the cosine is <= -1; it is integrated on its own window
+    about b, graded toward the offsets of ``foci`` down to 1 - r.  Returns
+    (z, w, abs_level), each node's level int(-log2(1 - r)).
     """
-    if region.is_empty:
-        return (np.empty(0, complex), np.empty(0), np.empty(0, dtype=np.int32))
+    if not h > 0.0:
+        raise ValueError(f"lune chord radius h must be positive, got {h}")
+    offs = tuple((ph - b + math.pi) % TWO_PI - math.pi for ph in foci)
     zs, ws, lv = [], [], []
-    for rr, rw, delta, j_abs in radial_panels(1.0 - region.r_lo, rel_depth, radial_order, max_level):
-        if region.lune is not None:
-            # chord-clipped window varies with radius: build per radial node
-            for i in range(len(rr)):
-                r = rr[i]
-                windows = region.windows_at(r)
-                if not windows:
-                    continue
-                delta_r = 1.0 - r
-                j_node = int(-math.log2(max(delta_r, 1e-300)))
-                for (wlo, whi) in windows:
-                    th, tw = _window_nodes(wlo, whi, delta_r, foci, base_panels, panel_order)
-                    zs.append(r * np.exp(1j * th))
-                    ws.append((rw[i] * r / math.pi) * tw)
-                    lv.append(np.full(th.size, j_node, dtype=np.int32))
-        else:
-            # constant window: one angular layout per radial panel, graded to
-            # the panel's finest radial scale, tensored with the radial nodes
-            for (wlo, whi) in region.pieces:
-                th, tw = _window_nodes(wlo, whi, delta, foci, base_panels, panel_order)
-                z = rr[:, None] * np.exp(1j * th[None, :])
-                w = (rw * rr)[:, None] * tw[None, :] / math.pi
-                zs.append(z.ravel())
-                ws.append(w.ravel())
-                lv.append(np.full(z.size, j_abs, dtype=np.int32))
-    if not zs:
-        return (np.empty(0, complex), np.empty(0), np.empty(0, dtype=np.int32))
+    for rr, rw, _, _ in radial_panels(min(h, 1.0), rel_depth, radial_order):
+        for r, wr in zip(rr.tolist(), rw.tolist()):
+            # Gauss nodes lie above 1 - h, where the cosine is below 1
+            half = math.acos(max((1.0 + r * r - h * h) / (2.0 * r), -1.0))
+            th, tw = _window_nodes(-half, half, 1.0 - r, offs, LUNE_BASE_PANELS, panel_order)
+            zs.append(r * np.exp(1j * (b + th)))
+            ws.append((wr * r / math.pi) * tw)
+            lv.append(np.full(th.size, int(-math.log2(max(1.0 - r, 1e-300))), dtype=np.int32))
     return np.concatenate(zs), np.concatenate(ws), np.concatenate(lv)
 
 
-def integrate_region(
+def integrate_lune(
     field: Callable,
-    region: Region,
+    b: float,
+    h: float,
     *,
     rel_depth: int = 28,
     radial_order: int = 8,
     foci: tuple = (),
-    base_panels: int = 8,
     panel_order: int = 8,
-    max_level: Optional[int] = None,
 ) -> QuadratureResult:
-    """Integral of a field over a region against dm, on a fitted graded mesh."""
-    if region.is_empty:
-        return QuadratureResult(0.0, 0.0, (), 0, flags=("empty",))
-    z, w, lv = region_node_arrays(
-        region,
-        rel_depth=rel_depth,
-        radial_order=radial_order,
-        foci=foci,
-        base_panels=base_panels,
-        panel_order=panel_order,
-        max_level=max_level,
-    )
-    if z.size == 0:
-        return QuadratureResult(0.0, 0.0, (), 0, flags=("empty",))
+    """Integral of a field against dm over the lune {z : |e^{ib} - z| < h},
+    on the nodes of :func:`region_node_arrays`."""
+    z, w, lv = region_node_arrays(b, h, rel_depth=rel_depth, radial_order=radial_order,
+                                  foci=foci, panel_order=panel_order)
     vals = np.asarray(field(z), dtype=float)
-    _check_finite(vals, z, f"integrate_region[{region.kind}]")
-    depth = int(np.max(lv)) + 1
-    return _finalize(vals, w, lv, depth, z.size)
+    _check_finite(vals, z, "integrate_lune")
+    return _finalize(vals, w, lv, int(np.max(lv)) + 1, z.size)
 
 
 # ---------------------------------------------------------------------------
@@ -572,11 +421,10 @@ def arc_double_integral(
     value, panel_sums, n_nodes = _run(t_depth, ARC_T_ORDER, s_base, s_order)
     tail = _tail_estimate(np.array(panel_sums)) if len(panel_sums) >= 3 else 0.0
     err = tail
-    flags = ()
     if resolution_check:
         v2, _, _ = _run(max(8, t_depth - 8), ARC_T_ORDER // 2, max(4, s_base // 2), max(4, s_order // 2))
         err += abs(value - v2)
-    return QuadratureResult(float(value), float(err), tuple(panel_sums), n_nodes, flags)
+    return QuadratureResult(float(value), float(err), tuple(panel_sums), n_nodes)
 
 
 def _dyadic_panels(total: float, depth: int):
@@ -712,10 +560,12 @@ class BoxMassTable:
         interval per box, with 0 <= hi - lo <= 2 pi; the interval may lie
         anywhere on the real line.
 
-        Each row's cumulative sums are read periodically, as
-        C(x) = floor(x / 2 pi) * total + interp(x mod 2 pi), so an interval
-        across angle 0 is one query; the whole turns between the two ends
-        enter as an exact multiple of the row total."""
+        Each row is read periodically: the whole turns between the two ends
+        enter as an exact multiple of the row total, the whole cells between
+        them as a difference of cumulative sums, and the two end cells by
+        their covered fractions.  Moving an end inside its cell then moves
+        the mass by a share of that cell alone; reading each end as an
+        interpolated cumulative sum would round it to the row total."""
         r_lo = np.asarray(r_lo, dtype=float)
         turns_hi, hi = np.divmod(np.asarray(hi, dtype=float), TWO_PI)
         turns_lo, lo = np.divmod(np.asarray(lo, dtype=float), TWO_PI)
@@ -723,18 +573,14 @@ class BoxMassTable:
         out = np.zeros(len(r_lo))
         for (slo, shi, n, cum) in self._rows:
             frac = np.clip((shi - r_lo) / (shi - slo), 0.0, 1.0)
-            active = frac > 0.0
-            if not np.any(active):
+            if not np.any(frac > 0.0):
                 continue
-            scale = n / TWO_PI
-            grid = np.arange(n + 1, dtype=float)
-            seg = np.interp(hi * scale, grid, cum) - np.interp(lo * scale, grid, cum)
+            x_lo, x_hi = lo * (n / TWO_PI), hi * (n / TWO_PI)
+            # an angle just below 2 pi can scale to n: it ends cell n - 1
+            i_lo = np.minimum(x_lo.astype(np.intp), n - 1)
+            i_hi = np.minimum(x_hi.astype(np.intp), n - 1)
+            part_hi = (x_hi - i_hi) * (cum[i_hi + 1] - cum[i_hi])
+            part_lo = (x_lo - i_lo) * (cum[i_lo + 1] - cum[i_lo])
+            seg = (cum[i_hi] - cum[i_lo]) + (part_hi - part_lo)
             out += frac * (seg + turns * cum[-1])
         return out
-
-    def region_mass(self, region: Region) -> float:
-        """Mass of a box-like region: the sum over its angular pieces."""
-        if region.is_empty:
-            return 0.0
-        lo, hi = np.array(region.pieces, dtype=float).T
-        return float(np.sum(self.box_masses(np.full(len(lo), region.r_lo), lo, hi)))

@@ -48,7 +48,7 @@ from .operators import (
     make_test_family,
     ratio_scan,
 )
-from .quadrature import Region, integrate_region
+from .quadrature import integrate_lune
 
 SCHEMA = "dirimor-verify@1"
 
@@ -354,9 +354,8 @@ def _v3(config: RunConfig, fixed: dict, family_of: Callable):
     vals = []
     for j in range(1, fixed["h_levels"] + 1):
         h = 2.0 ** -j
-        reg = Region.lune_of(0.0, h)
-        q = integrate_region(
-            density, reg, foci=(0.0,), rel_depth=24,
+        q = integrate_lune(
+            density, 0.0, h, foci=(0.0,), rel_depth=24,
             radial_order=config.box_radial_order, panel_order=BOX_PANEL_ORDER,
         ).value / h ** params.box_exponent
         vals.append({"h": h, "quantity": q})

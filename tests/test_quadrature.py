@@ -1,26 +1,37 @@
-"""Quadrature oracles: beta-integral exactness, closed-form region areas,
-additivity, refinement convergence, diagonal-avoiding double integrals."""
+"""Quadrature oracles: beta-integral exactness, closed-form box and lune
+areas, additivity, refinement convergence, diagonal-avoiding double
+integrals."""
 
 import math
 
 import numpy as np
 import pytest
 
-from dirimor.analytic import make_power_kernel
+from dirimor.analytic import SpaceParams, make_power_kernel, make_taylor
+from dirimor.norms import (
+    BOX_REL_DEPTH,
+    GPCM_REL_DEPTH,
+    GPCM_TABLE_DEPTH,
+    ParamGrid,
+    _box_sums,
+    _gpcm_nodes,
+    box_quantity_pair,
+    derivative_density,
+)
 from dirimor.quadrature import (
     Arc,
     BoxMassTable,
     QuadratureError,
     RadialAnnuliGrid,
-    Region,
-    _canonical_pieces,
+    _window_nodes,
     arc_double_integral,
     chord_gap,
     graded_breakpoints,
     integrate_disc,
-    integrate_region,
-    region_intersect,
+    integrate_lune,
+    radial_panels,
 )
+from dirimor.verify import parse_function_spec
 
 TWO_PI = 2 * math.pi
 
@@ -102,122 +113,127 @@ def test_nonfinite_sample_reports_location():
     assert abs(exc.value.location) > 0.9
 
 
-# -- regions ------------------------------------------------------------------
+# -- boxes and lunes ----------------------------------------------------------
 
 
-def _fraction(reg):
-    """The share of the circle a region's angular pieces cover."""
-    return sum(hi - lo for lo, hi in reg.pieces) / TWO_PI
+def box_closed_form(length, p):
+    """integral of (1-|z|^2)^p over S(I), |I| = length, as a box row computes
+    it: |I| (1 - (1-|I|)^2)^(p+1) / (p+1), less the same form over the sliver
+    within |I| 2^-BOX_REL_DEPTH of the circle, where the box's radial panels
+    stop."""
+    r_hi = 1.0 - length * 2.0 ** -BOX_REL_DEPTH
+    outer = (1.0 - r_hi ** 2) ** (p + 1)
+    return length * ((1.0 - (1.0 - length) ** 2) ** (p + 1) - outer) / (p + 1)
+
+
+def _z_rows(p1, p2, k_arc=3, n_centers=4):
+    """box_quantity_pair rows of f(z) = z, where |f'| = 1."""
+    return box_quantity_pair(make_taylor([0, 1]), p1, p2, ParamGrid(k_arc=k_arc, n_centers=n_centers))
 
 
 def test_box_area_closed_form():
-    # |I| = 1/2: area = |I| (2|I| - |I|^2) = 0.375
-    reg = Region.box_of_arc(Arc(0.3, 0.5))
-    res = integrate_region(lambda z: np.ones(z.shape), reg)
-    # relative depth 2^-28 leaves ~2e-9 of the area in the outer sliver
-    assert res.value == pytest.approx(0.375, rel=1e-8)
-    # and in closed form from the box's angular width and inner radius
-    assert _fraction(reg) * (1 - reg.r_lo ** 2) == pytest.approx(0.375, rel=1e-8)
+    # |I| = 1/2: area = |I| (2|I| - |I|^2) = 0.375 in full
+    for arc, q0, _ in _z_rows(0.0, 1.0):
+        assert q0 == pytest.approx(box_closed_form(arc.length, 0.0), rel=1e-12), arc
+        if arc.length == 0.5:
+            assert q0 == pytest.approx(0.375, rel=3e-5)  # the sliver above the panels
 
 
 def test_box_weighted_closed_form():
-    reg = Region.box_of_arc(Arc(0.0, 0.5))
-    res = integrate_region(lambda z: 1 - np.abs(z) ** 2, reg)
-    assert res.value == pytest.approx(0.140625, rel=1e-9)
+    for arc, _, q1 in _z_rows(0.0, 1.0):
+        assert q1 == pytest.approx(box_closed_form(arc.length, 1.0), rel=1e-12), arc
+        if arc.length == 0.5:
+            assert q1 == pytest.approx(0.140625, rel=1e-9)
+
+
+def lune_area(h):
+    """Normalized area of {|1 - z| < h} in the disc: the lens of the unit
+    circle and the circle of radius h about 1, over pi."""
+    if h >= 2.0:
+        return 1.0
+    lens = h * h * math.acos(h / 2) + 2 * math.asin(h / 2) - 0.5 * h * math.sqrt(4 - h * h)
+    return lens / math.pi
 
 
 def test_lune_covering_disc():
-    reg = Region.lune_of(0.0, 2.0)
-    assert reg.kind == "disc"
-    res = integrate_region(lambda z: np.ones(z.shape), reg)
-    assert res.value == pytest.approx(1.0, rel=2e-8)
+    for h in (2.0, 3.0):
+        res = integrate_lune(lambda z: np.ones(z.shape), 0.0, h)
+        assert res.value == pytest.approx(1.0, rel=2e-8)
 
 
 def test_lune_area_against_chord_geometry():
-    # area of {|1 - z| < h} inside the disc, via an independent midpoint scan
-    h = 0.5
-    reg = Region.lune_of(0.0, h)
-    got = integrate_region(lambda z: np.ones(z.shape), reg).value
-    n = 4001
-    rr = np.linspace(1e-9, 1 - 1e-9, n)
-    width = np.arccos(np.clip((1 + rr ** 2 - h ** 2) / (2 * rr), -1, 1))
-    ref = float(np.trapezoid(2 * width * rr / math.pi, rr))
-    assert got == pytest.approx(ref, rel=2e-4)
+    # the chord half-angle has a square-root edge at r = 1 - h (and a kink at
+    # r = h - 1 when h > 1), which the radial Gauss panels resolve to ~1e-4
+    for b in (0.0, 2.5):
+        for h in (2.0 ** -6, 0.5, 1.0, 1.5):
+            got = integrate_lune(lambda z: np.ones(z.shape), b, h).value
+            assert got == pytest.approx(lune_area(h), rel=2e-4), (b, h)
 
 
-def test_empty_region_flagged():
-    res = integrate_region(lambda z: np.ones(z.shape), Region.empty())
-    assert res.value == 0.0 and res.error == 0.0
-    assert "empty" in res.flags
+@pytest.mark.parametrize("h", [0.0, -0.5, float("nan")])
+def test_lune_rejects_nonpositive_h(h):
+    with pytest.raises(ValueError, match="h must be positive"):
+        integrate_lune(lambda z: np.ones(z.shape), 0.0, h)
 
 
 def test_point_box_geometry():
-    s0 = Region.box_of_point(0.0)
-    assert _fraction(s0) == pytest.approx(1.0)
-    w = 0.9 * np.exp(0.4j)
-    sw = Region.box_of_point(w)
-    assert sw.r_lo == pytest.approx(0.9)
-    assert _fraction(sw) == pytest.approx(0.1)
+    # the nodes of S(w) lie in [|w|, 1) x (-h, h) about arg w, h = pi (1 - |w|),
+    # and their weights sum to the area of S(w) up to the panels' top
+    for w in (0.0, 0.9 * np.exp(0.4j), 0.75 * np.exp(-2.0j)):
+        r, th, wt, lo, hi = _gpcm_nodes(complex(w), (), GPCM_TABLE_DEPTH)
+        h = math.pi * (1 - abs(w))
+        assert np.all((r >= abs(w)) & (r < 1)) and np.all(np.abs(th) <= h)
+        r_hi = 1 - max((1 - abs(w)) * 2.0 ** -GPCM_REL_DEPTH, 2.0 ** -GPCM_TABLE_DEPTH)
+        area = (1 - abs(w)) * (r_hi ** 2 - abs(w) ** 2)
+        assert float(np.sum(wt)) == pytest.approx(area, rel=1e-12), w
 
 
-def test_region_intersections():
-    w = 0.8 * np.exp(1.1j)
-    sw = Region.box_of_point(w)
-    s0 = Region.box_of_point(0.0)
-    both = region_intersect(s0, sw)
-    assert both.r_lo == pytest.approx(sw.r_lo)
-    assert both.pieces == sw.pieces
-    same = region_intersect(sw, sw)
-    assert same.r_lo == sw.r_lo and same.pieces == sw.pieces
-    far = region_intersect(Region.box_of_point(0.9), Region.box_of_point(-0.9))
-    assert far.is_empty
-
-
-def test_intersection_wraparound():
-    a = Region.box_of_point(0.9 * np.exp(1j * 0.05))
-    b = Region.box_of_point(0.9 * np.exp(-1j * 0.05))
-    both = region_intersect(a, b)
-    assert not both.is_empty
-    # overlap is a single arc through angle 0, width 2*pi*0.1 - 0.1
-    assert sum(hi - lo for lo, hi in both.pieces) == pytest.approx(TWO_PI * 0.1 - 0.1, rel=1e-12)
+def _window_integral(field, centre, wlo, whi, r_lo, foci=()):
+    """integral of a field over [r_lo, 1) x (centre + wlo, centre + whi) on
+    the window rule of the box scans."""
+    total = 0.0
+    for rr, rw, delta, _ in radial_panels(1.0 - r_lo, 28, 8):
+        th, tw = _window_nodes(wlo, whi, delta, foci, 8, 8)
+        z = rr[:, None] * np.exp(1j * (centre + th[None, :]))
+        total += float(np.sum(field(z) * ((rw * rr)[:, None] * tw[None, :]))) / math.pi
+    return total
 
 
 def test_additivity_two_way_split():
     field = lambda z: 1 + 0.5 * np.real(z) + np.abs(z) ** 2
     arc = Arc(1.0, 0.25)
-    whole = Region.box_of_arc(arc)
     half = math.pi * arc.length
-    left = Region("box_of_arc", whole.r_lo, ((arc.center - half, arc.center),))
-    right = Region("box_of_arc", whole.r_lo, ((arc.center, arc.center + half),))
-    v = integrate_region(field, whole).value
-    v2 = integrate_region(field, left).value + integrate_region(field, right).value
+    r_lo = 1 - arc.length
+    v = _window_integral(field, arc.center, -half, half, r_lo, (0.3,))
+    v2 = (_window_integral(field, arc.center, -half, 0.0, r_lo, (0.3,))
+          + _window_integral(field, arc.center, 0.0, half, r_lo, (0.3,)))
     assert v == pytest.approx(v2, rel=1e-8)
 
 
 def test_refinement_convergence_polynomial():
     field = lambda z: np.abs(z) ** 4 * (1 - np.abs(z) ** 2)
-    reg = Region.box_of_arc(Arc(0.0, 0.25))
-    v1 = integrate_region(field, reg, rel_depth=28).value
-    v2 = integrate_region(field, reg, rel_depth=56).value
+    v1 = integrate_lune(field, 0.0, 0.5, rel_depth=28).value
+    v2 = integrate_lune(field, 0.0, 0.5, rel_depth=56).value
     assert v1 == pytest.approx(v2, rel=1e-8)
 
 
 def test_box_monotonicity():
-    field = lambda z: (1 - np.abs(z) ** 2) ** 0.5 + 0.1
-    vals = []
-    for ln in [1 / 16, 1 / 8, 1 / 4, 1 / 2, 1.0]:
-        vals.append(integrate_region(field, Region.box_of_arc(Arc(0.2, ln))).value)
+    # nested boxes about one centre, under |f'|^2 (1-|z|^2)^(1/2) > 0
+    f = make_taylor([0, 1, 0.5])
+    vals = [float(np.sum(_box_sums(f, np.array([0.5]), [Arc(0.2, ln)], (), 6, None)))
+            for ln in [1 / 16, 1 / 8, 1 / 4, 1 / 2, 1.0]]
     assert all(vals[i] <= vals[i + 1] * (1 + 1e-9) for i in range(len(vals) - 1))
 
 
 def test_depth_cap_truncates():
-    field = lambda z: np.ones(z.shape)
-    reg = Region.box_of_arc(Arc(0.0, 1.0))
-    res = integrate_region(field, reg, max_level=6)
-    assert res.value == pytest.approx((1 - 2.0 ** -6) ** 2, rel=1e-10)
-    # max_level=L keeps radii below 1-2^-L, i.e. dyadic levels 0..L-1
-    full = integrate_region(field, reg)
-    assert sum(full.level_sums[:6]) == pytest.approx(res.value, rel=1e-10)
+    # max_level=L keeps radii below 1-2^-L, i.e. dyadic levels 0..L-1, and the
+    # panels cover [0, 1-2^-L] exactly
+    panels = list(radial_panels(1.0, 28, 8, max_level=6))
+    assert max(j for *_, j in panels) == 5
+    area = sum(float(np.sum(2 * rr * rw)) for rr, rw, _, _ in panels)
+    assert area == pytest.approx((1 - 2.0 ** -6) ** 2, rel=1e-12)
+    full = list(radial_panels(1.0, 28, 8))
+    assert [j for *_, j in full[:6]] == [j for *_, j in panels]
 
 
 # -- boundary double integrals -------------------------------------------------
@@ -321,13 +337,15 @@ def test_double_integral_nan_near_diagonal_names_node(arc):
 
 
 def test_mass_table_against_fitted_quadrature():
+    # mu(S(w)) of (1-|z|^2)^(1/2) dm in closed form: (1-|w|) (1-|w|^2)^(3/2) / 1.5
     dens = lambda z: (1 - np.abs(z) ** 2) ** 0.5
     table = BoxMassTable(dens, depth=14)
     assert table.total_mass() == pytest.approx(2 / 3, rel=1e-3)
     for w in [0.0, 0.5, 0.8 * np.exp(1j * 2.0)]:
-        reg = Region.box_of_point(w)
-        fitted = integrate_region(dens, reg).value
-        assert table.region_mass(reg) == pytest.approx(fitted, rel=5e-3)
+        r, c = abs(w), float(np.angle(w))
+        h = math.pi * (1 - r)
+        got = float(table.box_masses(np.array([r]), np.array([c - h]), np.array([c + h]))[0])
+        assert got == pytest.approx((1 - r) * (1 - r ** 2) ** 1.5 / 1.5, rel=5e-3), w
 
 
 def test_disc_refinement_convergence_polynomial():
@@ -354,18 +372,6 @@ def test_graded_grid_weights_cover_disc():
     assert abs(np.sum(w) - covered) / covered < 1e-12
 
 
-def test_mass_table_counts_every_piece():
-    # two wrapped boxes whose intersection has three angular pieces
-    both = region_intersect(
-        Region.box_of_arc(Arc(-1.25, 3.5 / TWO_PI)),
-        Region.box_of_arc(Arc(1.6, 3.8 / TWO_PI)),
-    )
-    assert len(both.pieces) == 3
-    table = BoxMassTable(lambda z: np.ones(z.shape), depth=6)
-    singles = [table.region_mass(Region("piece", both.r_lo, (pc,))) for pc in both.pieces]
-    assert table.region_mass(both) == pytest.approx(sum(singles), rel=1e-12)
-
-
 def _kernel_table(depth=8):
     f = make_power_kernel(0.9, 0.35)
     return BoxMassTable(lambda z: np.abs(f.derivative(z)) ** 2 * (1 - np.abs(z) ** 2) ** 0.5,
@@ -385,11 +391,21 @@ PERIODIC_BOXES = [
 
 
 def test_box_masses_read_one_interval_periodically():
+    # shifting an interval by whole turns reads the same mass, and splitting
+    # it at an interior angle reads the sum of its two parts
     table = _kernel_table()
+    one = lambda r_lo, lo, hi: float(table.box_masses(np.array([r_lo]), np.array([lo]),
+                                                      np.array([hi]))[0])
     for r_lo, lo, hi in PERIODIC_BOXES:
-        got = float(table.box_masses(np.array([r_lo]), np.array([lo]), np.array([hi]))[0])
-        want = table.region_mass(Region("box", r_lo, _canonical_pieces(lo, hi)))
-        assert got == pytest.approx(want, rel=1e-12, abs=0.0), (r_lo, lo, hi)
+        got = one(r_lo, lo, hi)
+        assert got > 0.0
+        for k in (-2, 1, 3):
+            shifted = one(r_lo, lo + k * TWO_PI, hi + k * TWO_PI)
+            assert shifted == pytest.approx(got, rel=1e-12), (r_lo, lo, hi, k)
+        for t in (0.25, 0.5, 0.9):
+            mid = lo + t * (hi - lo)
+            parts = one(r_lo, lo, mid) + one(r_lo, mid, hi)
+            assert parts == pytest.approx(got, rel=1e-12), (r_lo, lo, hi, t)
     # an empty interval holds no mass; a full turn holds the table's whole
     # mass wherever it starts
     assert table.box_masses(np.array([0.5]), np.array([2.0]), np.array([2.0]))[0] == 0.0
@@ -410,6 +426,27 @@ def test_box_masses_of_a_radial_density_hang_on_width_alone():
         assert got == pytest.approx(2.0 * half, rel=1e-12), (r_lo, lo, hi)
 
 
+# the deepest gpcm node boxes of log1 and of the boundary kernel at
+# k_w=3, w_angle_cap=8 that sit in a direction of low density
+DEEP_NARROW_BOXES = [
+    ("log1", 0.9994778164823228, 3.139302746996302, 3.142583722802222),
+    ("kernel:c=1+0i,s=auto", 0.9989556329646455, -2.2551010583862396, -2.2485391067743974),
+]
+
+
+@pytest.mark.parametrize("spec,r_lo,lo,hi", DEEP_NARROW_BOXES, ids=["log1", "kernel:c=1"])
+def test_narrow_box_masses_keep_their_digits(spec, r_lo, lo, hi):
+    # moving both ends by one ulp moves these masses by about 1.1e-13; read
+    # as the difference of two interpolated cumulative sums, they moved by
+    # 1.1e-10 (log1) and 7.9e-11 (kernel), digits lost to the row totals
+    params = SpaceParams(0.5, 0.4)
+    table = BoxMassTable(derivative_density(parse_function_spec(spec, params), params.p),
+                         depth=GPCM_TABLE_DEPTH)
+    at, moved = table.box_masses(np.full(2, r_lo), np.array([lo, np.nextafter(lo, 9.0)]),
+                                 np.array([hi, np.nextafter(hi, 9.0)]))
+    assert moved == pytest.approx(at, rel=2e-13)
+
+
 def test_box_masses_batch_equals_single_queries():
     table = _kernel_table()
     r_lo, lo, hi = (np.array(col) for col in zip(*PERIODIC_BOXES))
@@ -421,9 +458,8 @@ def test_box_masses_batch_equals_single_queries():
 
 def test_breakpoints_cached_read_only_and_list_foci_accepted():
     field = lambda z: np.abs(z) ** 2
-    reg = Region.box_of_arc(Arc(0.3, 0.25))
-    as_list = integrate_region(field, reg, foci=[0.0]).value
-    assert as_list == integrate_region(field, reg, foci=(0.0,)).value
+    as_list = integrate_lune(field, 0.3, 0.25, foci=[0.0]).value
+    assert as_list == integrate_lune(field, 0.3, 0.25, foci=(0.0,)).value
     b = graded_breakpoints(0.0, TWO_PI, 2.0 ** -6, (1.0,), 16, wrap=True)
     assert b is graded_breakpoints(0.0, TWO_PI, 2.0 ** -6, (1.0,), 16, wrap=True)
     with pytest.raises(ValueError):
