@@ -530,15 +530,14 @@ class BoxMassTable:
     """
 
     SLABS = 8  # midpoint slabs per dyadic annulus
-    N_MIN = 64  # angular cells: max(N_MIN, 8 * 2^min(j, GROWTH_CAP)) in annulus j
-    GROWTH_CAP = 10
 
     def __init__(self, density: Callable, *, depth: int = 12):
         rows = []
-        for j in range(depth):
+        # annulus j has the angle count of a uniform disc grid's ring j
+        sizes = RadialAnnuliGrid(depth=depth, n_min=64, growth_cap=10).ring_sizes()
+        for j, n in enumerate(sizes):
             r0 = 1.0 - 2.0 ** -j
             h = (2.0 ** -j - 2.0 ** -(j + 1)) / self.SLABS
-            n = max(self.N_MIN, 8 * 2 ** min(j, self.GROWTH_CAP))
             th = (np.arange(n) + 0.5) * (TWO_PI / n)
             e = np.exp(1j * th)
             for i in range(self.SLABS):

@@ -283,54 +283,55 @@ class VerificationTask:
     fixed: dict = field(default_factory=dict)
 
 
+def _trace_at(report, level: int) -> float:
+    """The value of ``report``'s levels trace at its last level <= ``level``."""
+    return next(v for lv, v in reversed(report.levels) if lv <= level)
+
+
 def _v1(config: RunConfig, fixed: dict, family_of: Callable):
-    """Box quantity vs squared translate quantity across the suite."""
+    """Box quantity vs squared translate quantity across the suite, on the base
+    grid and its refinement; the base norm is the refined scan's trace at k_a."""
     params = config.space_params()
     suite = build_suite(config, params)
     lo, hi = fixed["ratio_band"]
     dlo, dhi = fixed["drift_band"]
-    grids = (config.param_grid(), config.param_grid().refined())
-    fs = [f for _, f in suite]
-    translates = [dm_norms_translate(fs, params, g) for g in grids]
+    grid = config.param_grid()
+    refined = dm_norms_translate([f for _, f in suite], params, grid.refined())
     measured, ok = [], True
-    for i, (name, f) in enumerate(suite):
+    for (name, f), t in zip(suite, refined):
         row = {"function": name}
         ratios = []
-        for g, ts in zip(grids, translates):
+        for g, norm in ((grid, _trace_at(t, grid.k_a)), (grid.refined(), t.value)):
             b = dm_seminorm_box(f, params, g, radial_order=config.box_radial_order)
-            tq = (ts[i].value - abs(f.at_zero())) ** 2
+            tq = (norm - abs(f.at_zero())) ** 2
             if tq <= 1e-18 or b.value <= 1e-18:
-                ratios = None
+                row["skipped"] = "degenerate"
                 break
             ratios.append(tq / b.value)
-        if ratios is None:
-            row["skipped"] = "degenerate"
-            measured.append(row)
-            continue
-        drift = ratios[1] / ratios[0]
-        row.update(ratio=ratios[0], refined_ratio=ratios[1], drift=drift)
-        good = lo <= ratios[0] <= hi and lo <= ratios[1] <= hi and dlo < drift < dhi
-        row["pass"] = good
-        ok = ok and good
+        else:
+            drift = ratios[1] / ratios[0]
+            row.update(ratio=ratios[0], refined_ratio=ratios[1], drift=drift)
+            good = lo <= ratios[0] <= hi and lo <= ratios[1] <= hi and dlo < drift < dhi
+            row["pass"] = good
+            ok = ok and good
         measured.append(row)
     return measured, ok
 
 
 def _v2(config: RunConfig, fixed: dict, family_of: Callable):
-    """Growth envelope controlled by the translate norm, drift-stable."""
+    """Growth envelope controlled by the translate norm, drift-stable; the base
+    norm and the 12-level envelope are traces of the refined and 14-level scans."""
     params = config.space_params()
     suite = build_suite(config, params)
     drift_cap = fixed["drift_cap"]
-    fs = [f for _, f in suite]
-    n1s, n2s = (
-        [t.value for t in dm_norms_translate(fs, params, g)]
-        for g in (config.param_grid(), config.param_grid().refined())
-    )
+    grid = config.param_grid()
+    refined = dm_norms_translate([f for _, f in suite], params, grid.refined())
     measured, ok = [], True
     c_est = 0.0
-    for (name, f), n1, n2 in zip(suite, n1s, n2s):
-        e1 = growth_envelope(f, params, k_levels=12).value
-        e2 = growth_envelope(f, params, k_levels=14).value
+    for (name, f), t in zip(suite, refined):
+        env = growth_envelope(f, params, k_levels=14)
+        n1, n2 = _trace_at(t, grid.k_a), t.value
+        e1, e2 = _trace_at(env, 12), env.value
         r1, r2 = e1 / n1, e2 / n2
         drift = r2 / r1 if r1 > 0 else 1.0
         good = (1.0 / drift_cap) < drift < drift_cap

@@ -741,6 +741,24 @@ def test_batched_translate_scan_equals_one_scan_per_function():
     assert batched[1] == batched[-1]
 
 
+def test_refined_scan_traces_the_base_scan_bitwise():
+    # a refinement adds one radius to the a-grid: per-direction graded grids
+    # do not depend on k_a, and the uniform grid's angle cap min(k_a + 1, 11)
+    # is 11 at k_a = 10 and 11, so the refined trace at the base k_a is the
+    # base value; likewise a deeper growth envelope traces the shallower one
+    params = SpaceParams(0.5, 0.4)
+    specs = ["taylor:1,2,0,1", "kernel:c=0.9+0i,s=auto", "gap:q=0.5,K=20"]
+    fs = [parse_function_spec(spec, params) for spec in specs]
+    grid = ParamGrid(k_a=10, a_angle_cap=8, depth=12)
+    base = dm_norms_translate(fs, params, grid)
+    refined = dm_norms_translate(fs, params, grid.refined())
+    assert [dict(r.levels)[10] for r in refined] == [b.value for b in base]
+    for f in fs[1:]:
+        deep = growth_envelope(f, params, k_levels=14)
+        shallow = growth_envelope(f, params, k_levels=12)
+        assert dict(deep.levels)[12] == shallow.value
+
+
 # -- one reducer for every point and arc supremum ------------------------------
 
 REDUCED_SPECS = ["kernel:c=0.9+0i,s=auto", "taylor:1,2,0,1", "taylor:1", "taylor:0"]

@@ -593,6 +593,52 @@ def test_family_memo_builds_each_key_once_under_contention(monkeypatch):
     assert cfg.scan_grid() != cfg.with_overrides({"scan_depth": 12}).scan_grid()
 
 
+TINY_REFINEMENT = {"suite": ["taylor:0,1", "kernel:c=0.9+0i,s=auto", "log1"],
+                   "k_a": 3, "a_angle_cap": 8, "depth": 10, "k_arc": 1, "n_centers": 2}
+
+
+def test_v1_v2_read_base_norms_off_one_refined_scan(monkeypatch):
+    # V1 and V2 scan the suite's translates once, on the refined grid, and
+    # V2 runs one envelope per function; their base-grid figures must equal,
+    # bit for bit, those of explicit base-grid scans
+    from dirimor import verify
+    from dirimor.norms import dm_seminorm_box
+
+    cfg = RunConfig().with_overrides(TINY_REFINEMENT)
+    params = cfg.space_params()
+    fs = [f for _, f in build_suite(cfg, params)]
+    grid = cfg.param_grid()
+    norms = [t.value for t in verify.dm_norms_translate(fs, params, grid)]
+    envelopes = [verify.growth_envelope(f, params, k_levels=12).value for f in fs]
+    boxes = [dm_seminorm_box(f, params, grid, radial_order=cfg.box_radial_order).value
+             for f in fs]
+
+    calls = {"dm_norms_translate": 0, "growth_envelope": 0}
+
+    def spy(name):
+        run = getattr(verify, name)
+
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return run(*args, **kwargs)
+
+        monkeypatch.setattr(verify, name, counted)
+
+    for name in calls:
+        spy(name)
+
+    v1, _ = verify._v1(cfg, verify.TASKS["V1"].fixed, None)
+    assert calls == {"dm_norms_translate": 1, "growth_envelope": 0}
+    assert [row["ratio"] for row in v1] == [
+        (n - abs(f.at_zero())) ** 2 / b for f, n, b in zip(fs, norms, boxes)]
+
+    calls.update(dm_norms_translate=0)
+    v2, _ = verify._v2(cfg, verify.TASKS["V2"].fixed, None)
+    assert calls == {"dm_norms_translate": 1, "growth_envelope": len(fs)}
+    assert [row["norm"] for row in v2[:-1]] == norms
+    assert [row["envelope"] for row in v2[:-1]] == envelopes
+
+
 # -- --out is checked before any computation ---------------------------------------
 
 
