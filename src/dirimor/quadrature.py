@@ -400,67 +400,73 @@ def arc_double_integral(
     like |u-v|^-beta (beta < 1) at the diagonal.  F must be symmetric,
     F(u, v) = F(v, u): a proper arc integrates 2 F(u, v) over the half
     u > v, and raises ValueError when F(v, u) differs from F(u, v) beyond
-    rtol 1e-12 on one row of nodes.  The difference angle t is
+    rtol 1e-12 on one row of nodes.  The difference angle t = u - v is
     resolved on dyadic panels refining toward t=0 (and toward t=2 pi for the
     full circle), so no node ever lands on the diagonal.  The error estimate
     combines a coarse re-run with the geometric tail of the t-panels.
     """
     if beta >= 1.0:
         raise ValueError("diagonal singularity exponent must satisfy beta < 1")
-
-    # the smallest dyadic t-panel must stay above the angle grid's float
+    full = arc.length >= 1.0
+    L = arc.radian_length
+    a0 = arc.center - 0.5 * L
+    # the t-panels halve L toward t = 0, or on the full circle pi toward both
+    # ends of (0, 2 pi); the smallest must stay above the angle grid's float
     # resolution, or u = v + t rounds onto the diagonal
+    t_range = math.pi if full else L
     t_floor = 64.0 * np.finfo(float).eps * TWO_PI
-    t_depth = min(t_depth, max(8, int(math.log2(arc.radian_length / t_floor))))
+    t_depth = min(t_depth, max(8, int(math.log2(t_range / t_floor))))
 
-    def _run(t_depth_, t_order_, s_base_, s_order_):
-        if arc.length >= 1.0:
-            return _double_full_circle(F, t_depth_, t_order_, s_base_, s_order_, v_foci)
-        return _double_proper_arc(F, arc, t_depth_, t_order_, s_base_, s_order_, v_foci)
+    def _run(t_depth_, t_order, s_base_, s_order_):
+        total, panel_sums, n_nodes = 0.0, [], 0
+        for tlo, thi in _t_panels(t_range, full, t_depth_):
+            tt, tw = _gauss_on(tlo, thi, t_order)
+            t_mid = 0.5 * (tlo + thi)
+            if full:
+                foci = tuple(x for phi in v_foci for x in (phi, phi - t_mid))
+                gap = max(0.25 * min(t_mid, TWO_PI - t_mid), 1e-9)
+                v, vw = angular_nodes(0.0, TWO_PI, gap, foci, s_base_, s_order_, wrap=True)
+                scale = tw
+            else:
+                s, vw = _s_layout(a0, L, t_mid, v_foci, s_base_, s_order_)
+                # Gauss t-nodes are interior to (0, L], so every span L - t is positive
+                span = L - tt
+                v = a0 + s[None, :] * span[:, None]
+                scale = 2.0 * tw * span
+            u = v + tt[:, None]
+            vals = np.asarray(F(u, v), dtype=float)
+            _check_finite(vals, v, "arc_double_integral")
+            if not full and not panel_sums:
+                _require_symmetric(F, u[0], v[0], vals[0])
+            panel = 0.0
+            for k in range(len(tt)):
+                panel += scale[k] * float(np.dot(vw, vals[k]))
+            n_nodes += vals.size
+            total += panel
+            panel_sums.append(panel)
+        return total, panel_sums, n_nodes
 
     value, panel_sums, n_nodes = _run(t_depth, ARC_T_ORDER, s_base, s_order)
-    tail = _tail_estimate(np.array(panel_sums)) if len(panel_sums) >= 3 else 0.0
-    err = tail
+    err = _tail_estimate(np.array(panel_sums))
     if resolution_check:
         v2, _, _ = _run(max(8, t_depth - 8), ARC_T_ORDER // 2, max(4, s_base // 2), max(4, s_order // 2))
         err += abs(value - v2)
     return QuadratureResult(float(value), float(err), tuple(panel_sums), n_nodes)
 
 
-def _dyadic_panels(total: float, depth: int):
-    """Panels of (0, total]: [total 2^-(m+1), total 2^-m], m = 0..depth-1."""
-    edges = total * 2.0 ** -np.arange(depth + 1, dtype=float)
-    return [(edges[m + 1], edges[m]) for m in range(depth)]
+def _t_panels(t_range, full, depth):
+    """The dyadic t-panels, coarse to fine, so that the finest (diagonal-
+    adjacent) contributions sit last, where the tail extrapolation reads them.
 
-
-def _double_proper_arc(F, arc, t_depth, t_order, s_base, s_order, v_foci):
-    L = arc.radian_length
-    a0 = arc.center - 0.5 * L
-    total = 0.0
-    panel_sums = []
-    n_nodes = 0
-    for (tlo, thi) in _dyadic_panels(L, t_depth):
-        tt, tw = _gauss_on(tlo, thi, t_order)
-        t_mid = 0.5 * (tlo + thi)
-        s_nodes, s_wts = _s_layout(a0, L, t_mid, v_foci, s_base, s_order)
-        # Gauss t-nodes are interior to (0, L], so every span L - t is positive
-        span = L - tt
-        v = a0 + s_nodes[None, :] * span[:, None]
-        u = v + tt[:, None]
-        vals = np.asarray(F(u, v), dtype=float)
-        _check_finite(vals, v, "arc_double_integral")
-        if not panel_sums:
-            _require_symmetric(F, u[0], v[0], vals[0])
-        vals = 2.0 * vals
-        panel = 0.0
-        for k in range(len(tt)):
-            panel += tw[k] * span[k] * float(np.dot(s_wts, vals[k]))
-        n_nodes += vals.size
-        total += panel
-        panel_sums.append(panel)
-    # dyadic panels run coarse to fine, so the finest (diagonal-adjacent)
-    # contributions sit last, where the tail extrapolation reads them
-    return total, panel_sums, n_nodes
+    The panels [t_range 2^-(m+1), t_range 2^-m], m = 0..depth-1, and on the
+    full circle (t_range = pi) also their mirrors about pi.  A level's two
+    panels tie in distance to the diagonal up to rounding, which orders them."""
+    edges = t_range * 2.0 ** -np.arange(depth + 1, dtype=float)
+    panels = [(edges[m + 1], edges[m]) for m in range(depth)]
+    if not full:
+        return panels
+    panels += [(TWO_PI - hi, TWO_PI - lo) for lo, hi in panels]
+    return sorted(panels, key=lambda p: min(p[0], TWO_PI - p[1]))[::-1]
 
 
 def _require_symmetric(F, u, v, vals):
@@ -483,35 +489,6 @@ def _s_layout(a0, L, t_mid, v_foci, s_base, s_order):
                     foci_s.append(s)
     delta_s = max(t_mid / span * 0.25, 1e-9)
     return angular_nodes(0.0, 1.0, delta_s, tuple(foci_s), s_base, s_order)
-
-
-def _double_full_circle(F, t_depth, t_order, s_base, s_order, v_foci):
-    total = 0.0
-    panel_sums = []
-    n_nodes = 0
-    halves = [(x, y) for (x, y) in _dyadic_panels(math.pi, t_depth)]
-    panels = [(lo, hi) for lo, hi in halves] + [(TWO_PI - hi, TWO_PI - lo) for lo, hi in halves]
-    order_key = sorted(range(len(panels)), key=lambda i: min(panels[i][0], TWO_PI - panels[i][1]))
-    for idx in order_key[::-1]:  # coarse first, finest (nearest diagonal) last
-        tlo, thi = panels[idx]
-        tt, tw = _gauss_on(tlo, thi, t_order)
-        t_mid = 0.5 * (tlo + thi)
-        gap_scale = min(t_mid, TWO_PI - t_mid)
-        foci = []
-        for phi in v_foci:
-            foci.extend([phi, phi - t_mid])
-        th, tww = angular_nodes(
-            0.0, TWO_PI, max(0.25 * gap_scale, 1e-9), tuple(foci), s_base, s_order, wrap=True
-        )
-        vals = np.asarray(F(th[None, :] + tt[:, None], th), dtype=float)
-        _check_finite(vals, th, "arc_double_integral")
-        panel = 0.0
-        for k in range(len(tt)):
-            panel += tw[k] * float(np.dot(tww, vals[k]))
-        n_nodes += vals.size
-        total += panel
-        panel_sums.append(panel)
-    return total, panel_sums, n_nodes
 
 
 # ---------------------------------------------------------------------------

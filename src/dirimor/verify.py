@@ -113,7 +113,7 @@ class RunConfig:
                          self.scan_depth, 12)
 
     def boundary_grid(self) -> ParamGrid:
-        return ParamGrid(self.k_a, self.a_angle_cap, self.boundary_k_arc, self.boundary_n_centers)
+        return ParamGrid(k_arc=self.boundary_k_arc, n_centers=self.boundary_n_centers)
 
     def describe(self) -> dict:
         d = dataclasses.asdict(self)
@@ -389,7 +389,8 @@ def _v4(config: RunConfig, fixed: dict, family_of: Callable):
 
 
 def _v5(config: RunConfig, fixed: dict, family_of: Callable):
-    """Boundary double-integral quantity vs box quantity, drift-stable."""
+    """Boundary double-integral quantity vs box quantity, drift-stable; the
+    base-grid quantity is the refined scan's trace at k_arc."""
     params = config.space_params()
     suite = _boundary_suite(build_suite(config, params))
     drift_cap = fixed["drift_cap"]
@@ -401,9 +402,8 @@ def _v5(config: RunConfig, fixed: dict, family_of: Callable):
         if bx <= 1e-18:
             measured.append({"function": name, "skipped": "degenerate"})
             continue
-        d1 = boundary_double_seminorm(f, params, bgrid, t_depth=config.boundary_t_depth).value
-        d2 = boundary_double_seminorm(f, params, bgrid.refined(),
-                                      t_depth=config.boundary_t_depth + 8).value
+        rep = boundary_double_seminorm(f, params, bgrid.refined(), t_depth=config.boundary_t_depth)
+        d1, d2 = _trace_at(rep, bgrid.k_arc), rep.value
         r1, r2 = d1 / bx, d2 / bx
         drift = r2 / r1 if r1 > 0 else 1.0
         good = (1.0 / drift_cap) < drift < drift_cap

@@ -44,7 +44,7 @@ from dirimor import norms
 from dirimor.gaps import remark_example
 from dirimor.operators import apply_Jg
 from dirimor.quadrature import Arc, BoxMassTable, integrate_lune, radial_panels
-from dirimor.verify import parse_function_spec
+from dirimor.verify import RunConfig, _boundary_suite, build_suite, parse_function_spec
 
 RNG = np.random.default_rng(1234)
 TWO_PI = 2 * math.pi
@@ -429,6 +429,21 @@ def test_boundary_double_identity_full_circle():
     assert lv[0] == pytest.approx(oracle, rel=1e-5)
 
 
+def test_boundary_double_converges_in_t_depth():
+    # V5 scans at one t-depth, so the boundary suite must already have
+    # converged in it: from t_depth 36 to 44 every level of the trace moves by
+    # at most 4.8e-9 relative (gap:q=0.5,K=20, whose full circle sets the
+    # supremum), the same figure as on V5's own arc grid
+    params = SpaceParams(0.5, 0.4)
+    suite = _boundary_suite(build_suite(RunConfig(), params))
+    grid = ParamGrid(k_arc=1, n_centers=2)
+    for name, f in suite:
+        base = boundary_double_seminorm(f, params, grid, t_depth=36)
+        deep = boundary_double_seminorm(f, params, grid, t_depth=44)
+        for (lv, a), (_, b) in zip(base.levels, deep.levels):
+            assert b == pytest.approx(a, rel=1e-8, abs=1e-12), (name, lv)
+
+
 # -- growth envelope / hinf -------------------------------------------------------
 
 
@@ -757,6 +772,13 @@ def test_refined_scan_traces_the_base_scan_bitwise():
         deep = growth_envelope(f, params, k_levels=14)
         shallow = growth_envelope(f, params, k_levels=12)
         assert dict(deep.levels)[12] == shallow.value
+    # V5's boundary scan: a refinement adds one arc level, and each arc is
+    # integrated on its own, so the refined trace at k_arc is the base value
+    arcs = ParamGrid(k_arc=2, n_centers=4)
+    for f in fs:
+        base = boundary_double_seminorm(f, params, arcs, t_depth=12)
+        refined = boundary_double_seminorm(f, params, arcs.refined(), t_depth=12)
+        assert dict(refined.levels)[2] == base.value
 
 
 # -- one reducer for every point and arc supremum ------------------------------

@@ -293,6 +293,22 @@ def test_double_integral_never_touches_diagonal():
     assert min(seen) > 0.0
 
 
+@pytest.mark.parametrize("arc", [Arc(0.7, 0.25), Arc(0.7, 1.0)])
+def test_double_integral_t_panels_stay_above_the_float_floor(arc):
+    # however deep the t-panels are asked to go, every difference angle F
+    # sees stays 64 eps 2 pi away from the diagonal, on both of its sides
+    t_floor = 64.0 * np.finfo(float).eps * TWO_PI
+    seen = []
+
+    def F(u, v):
+        t = np.abs(u - v)
+        seen.append(float(np.min(np.minimum(t, TWO_PI - t))))
+        return np.ones(np.broadcast(u, v).shape)
+
+    arc_double_integral(F, arc, t_depth=60)
+    assert min(seen) >= t_floor
+
+
 def test_double_integral_rotation_invariance():
     F = lambda u, v: chord_gap(u, v) ** 0.5
     a = arc_double_integral(F, Arc(0.0, 1.0), resolution_check=False).value

@@ -639,6 +639,35 @@ def test_v1_v2_read_base_norms_off_one_refined_scan(monkeypatch):
     assert [row["envelope"] for row in v2[:-1]] == envelopes
 
 
+def test_v5_reads_base_boundary_off_one_refined_scan(monkeypatch):
+    # V5 runs one boundary scan per function, on the refined arc grid; its
+    # base-grid quantity must equal, bit for bit, an explicit base-grid scan
+    from dirimor import verify
+    from dirimor.norms import dm_seminorm_box
+
+    cfg = RunConfig().with_overrides({**TINY_REFINEMENT, "boundary_k_arc": 1,
+                                      "boundary_n_centers": 2, "boundary_t_depth": 12})
+    params = cfg.space_params()
+    fs = [f for _, f in verify._boundary_suite(build_suite(cfg, params))]
+    base = [verify.boundary_double_seminorm(f, params, cfg.boundary_grid(), t_depth=12).value
+            for f in fs]
+    boxes = [dm_seminorm_box(f, params, cfg.param_grid(), radial_order=cfg.box_radial_order).value
+             for f in fs]
+
+    scanned = []
+    run = verify.boundary_double_seminorm
+
+    def counted(f, *args, **kwargs):
+        scanned.append(f)
+        return run(f, *args, **kwargs)
+
+    monkeypatch.setattr(verify, "boundary_double_seminorm", counted)
+    v5, _ = verify._v5(cfg, verify.TASKS["V5"].fixed, None)
+    assert len(fs) >= 2 and [f.label for f in scanned] == [f.label for f in fs]
+    assert [row["boundary"] for row in v5] == base
+    assert [row["ratio"] for row in v5] == [d / b for d, b in zip(base, boxes)]
+
+
 # -- --out is checked before any computation ---------------------------------------
 
 
