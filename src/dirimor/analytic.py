@@ -4,11 +4,12 @@ All function objects evaluate vectorized: ``f(z)``, ``f.derivative(z)`` and
 ``f.deriv_abs2(z)`` accept complex scalars or numpy arrays of any shape and
 return matching shapes.  Every norm reads a function through |f'|^2, so
 scans take it from ``deriv_abs2``, which power kernels, ``log1`` and the
-J_g, I_g images compute without the complex derivative; ``derivative``
-stays the check route.  Interior points are plain ``complex`` values with
-``|z| < 1``; points on the unit circle are carried by :class:`BoundaryPoint`
-(an angle, modulus exactly 1) so that boundary evaluation never goes
-through the interior code path.
+J_g, I_g images compute without the complex derivative (an image's is a
+:class:`SymbolProduct`, whose symbol factor a translate scan shares between
+the images of one symbol); ``derivative`` stays the check route.  Interior
+points are plain ``complex`` values with ``|z| < 1``; points on the unit
+circle are carried by :class:`BoundaryPoint` (an angle, modulus exactly 1)
+so that boundary evaluation never goes through the interior code path.
 
 Functions are immutable after construction and safe to share between
 workers.  Each one carries
@@ -108,6 +109,20 @@ def mobius_derivative(a, z):
 
 
 @dataclass(frozen=True)
+class SymbolProduct:
+    """|h'|^2 = own(z) * symbol(z) of an operator image h of f with symbol g:
+    ``own`` reads f and ``symbol`` is a bound method of g (``g.abs2`` for
+    I_g, ``g.deriv_abs2`` for J_g), so the images of one symbol carry equal
+    ``symbol`` factors, which a scan evaluates once per grid."""
+
+    own: Callable
+    symbol: Callable
+
+    def __call__(self, z):
+        return self.own(z) * self.symbol(z)
+
+
+@dataclass(frozen=True)
 class AnalyticFunction:
     """An evaluable analytic function on the disc.
 
@@ -152,6 +167,18 @@ class AnalyticFunction:
             return np.abs(self.deriv_fn(z)) ** 2
         return self.deriv_abs2_fn(z)
 
+    def abs2(self, z):
+        """|f(z)|^2, the factor a symbol f gives |(I_f h)'|^2."""
+        return np.abs(self(z)) ** 2
+
+    def deriv_abs2_factors(self):
+        """(own, symbol) with |f'|^2 = own(z) * symbol(z); symbol is None
+        unless ``deriv_abs2_fn`` is a :class:`SymbolProduct`."""
+        fn = self.deriv_abs2_fn
+        if isinstance(fn, SymbolProduct):
+            return fn.own, fn.symbol
+        return self.deriv_abs2, None
+
     def at_zero(self) -> complex:
         return complex(self.eval_fn(0.0 + 0.0j))
 
@@ -193,7 +220,8 @@ class AnalyticFunction:
             bnd = lambda t: alpha * fb(t)
         fe, fd, fa2 = self.eval_fn, self.deriv_fn, self.deriv_abs2
         a2 = abs(alpha) ** 2
-        # replace() would keep self's deriv_abs2_fn without the |alpha|^2 factor
+        # replace() would keep self's deriv_abs2_fn (a SymbolProduct included)
+        # without the |alpha|^2 factor
         return replace(
             self,
             label=f"({alpha!r}*{self.label})",

@@ -330,7 +330,9 @@ def translate_seminorm(
         f, depth, extra_foci=extra, panel_order=panel_order,
         base_panels=base_panels, growth_cap=_growth_for_radius(abs(a)),
     )
-    return _scan_group(f, p, lambda r: 1.0, [(0, a)], grid)[0][2]
+    rows = _group_rows([f], p, grid,
+                       lambda bases, z: _point_rows(bases, z, p, lambda r: 1.0, [(0, a)]))
+    return rows[0][0][2]
 
 
 def _growth_for_radius(r: float) -> int:
@@ -341,6 +343,9 @@ def _growth_for_radius(r: float) -> int:
 
 # Gauss order of the graded angular panels of translate scans
 TRANSLATE_PANEL_ORDER = 4
+# Members of a translate-scan group whose bases are held at once; each block
+# shares one Mobius weight per point, and a small block bounds the memory
+MEMBER_BLOCK = 2
 
 
 def _translate_scan(
@@ -359,29 +364,34 @@ def _translate_scan(
     |f'|^2 evaluation is reused across the radii of the direction.
     Oscillatory functions keep a single uniform grid, dense enough in angle
     for the deepest Mobius weight scanned, and scan ``grid.a_points()`` on it
-    through ``_uniform_scan``: a level whose direction count divides every
+    through ``_uniform_rows``: a level whose direction count divides every
     ring size of that grid takes the rotation-shift route, any other level
-    the per-point loop of ``_scan_group``.
+    the per-point loop of ``_point_rows``.
 
     Functions whose grids for a direction (or whose uniform grids) are equal
-    share one build of it.  Each function's entries come in the order of
-    its own scan: direction by direction, or ``grid.a_points()`` order on
-    a uniform grid; the first maximum wins.  Each report is named
-    ``desc["scan"]``, and its grid is ``desc`` plus the settings the scan read.
+    form one group, scanned on one build of the grid by ``_group_rows``: the
+    radial weight and each symbol factor are evaluated once per grid, and
+    each Mobius weight once per point and block of MEMBER_BLOCK members.
+    Each function's entries come in the order of its own scan: direction by
+    direction, or ``grid.a_points()`` order on a uniform grid; the first
+    maximum wins.  Each report is named ``desc["scan"]``, and its grid is
+    ``desc`` plus the settings the scan read.
     """
     entries = [[] for _ in fs]
 
     def scan(discs, run):
-        """Extend function i's entries by run(fs[i], grid) for each (i, grid)
-        of discs; equal grids are built once, one at a time (popped, so a
-        grid's nodes are freed before the next grid is built)."""
+        """Extend function i's entries by its rows of run(bases, z, disc) for
+        each (i, grid) of discs; equal grids are built once, one at a time
+        (popped, so a grid's nodes are freed before the next grid is built)."""
         groups: dict = {}
         for i, disc in discs:
             groups.setdefault(disc, []).append(i)
         while groups:
             disc, members = groups.popitem()
-            for i in members:
-                entries[i].extend(run(fs[i], disc))
+            rows = _group_rows([fs[i] for i in members], p, disc,
+                               lambda bases, z: run(bases, z, disc))
+            for i, es in zip(members, rows):
+                entries[i].extend(es)
 
     focal = [i for i, f in enumerate(fs) if not f.oscillatory]
     for _, pts in grid.a_points_by_direction():
@@ -390,15 +400,52 @@ def _translate_scan(
         scan([(i, grid_for_function(fs[i], grid.depth, extra_foci=extra,
                                     panel_order=TRANSLATE_PANEL_ORDER,
                                     base_panels=grid.base_panels)) for i in focal],
-             lambda f, disc: _scan_group(f, p, weight_of_a, pts, disc))
+             lambda bases, z, disc: _point_rows(bases, z, p, weight_of_a, pts))
     cap = min(grid.k_a + 1, 11)
     scan([(i, grid_for_function(f, grid.depth, growth_cap=cap))
           for i, f in enumerate(fs) if f.oscillatory],
-         lambda f, disc: _uniform_scan(f, p, weight_of_a, grid, disc))
+         lambda bases, z, disc: _uniform_rows(bases, z, p, weight_of_a, grid, disc))
     desc = {**desc, "k_a": grid.k_a, "a_angle_cap": grid.a_angle_cap,
             "depth": grid.depth, "base_panels": grid.base_panels}
     return [_scan_report(desc["scan"], es, desc, offset=abs(f.at_zero()))
             for f, es in zip(fs, entries)]
+
+
+def _group_rows(fs, p, disc, run) -> list:
+    """The rows of each function of fs from run(bases, z) on the disc grid
+    ``disc``, in blocks of MEMBER_BLOCK functions.
+
+    A base is |f'|^2 (1-|z|^2)^p w, built in place in the operation order of
+    ``derivative_density(f, p)(z) * w``, so it matches that bit for bit.
+    The radial weight and each symbol factor (keyed on the symbol) are
+    evaluated once per grid, after the first |f'|^2 that needs them, and
+    dropped before the last block is scanned; a block's bases are freed
+    before the next block's are built."""
+    z, w, _ = disc.nodes()
+    shared: dict = {}
+
+    def once(key, make):
+        if key not in shared:
+            shared[key] = make()
+        return shared[key]
+
+    def base(f):
+        own, symbol = f.deriv_abs2_factors()
+        d2 = own(z)
+        if symbol is not None:
+            d2 *= once(symbol, lambda: symbol(z))
+        d2 *= once(None, lambda: (1.0 - np.abs(z) ** 2) ** p)  # the radial weight
+        d2 *= w
+        return d2
+
+    rows = []
+    for lo in range(0, len(fs), MEMBER_BLOCK):
+        bases = [base(f) for f in fs[lo:lo + MEMBER_BLOCK]]
+        if lo + MEMBER_BLOCK >= len(fs):
+            shared.clear()
+        rows.extend(run(bases, z))
+        del bases
+    return rows
 
 
 def _mobius_weight(a, z, p, zw, q):
@@ -414,32 +461,31 @@ def _mobius_weight(a, z, p, zw, q):
     return q
 
 
-def _point_entries(base, z, p, weight_of_a, pts):
-    """(level, a, weight_of_a(|a|) * seminorm) for each (level, a) in pts,
-    from base = |f'|^2 (1-|z|^2)^p times the node weights: one Mobius
-    weight per point, in two reused work arrays."""
+def _point_rows(bases, z, p, weight_of_a, pts) -> list:
+    """Per base, (level, a, weight_of_a(|a|) * seminorm) for each (level, a)
+    in pts: one Mobius weight q per point, shared by the bases, each of
+    which takes np.sum(base * q) in a work row; the last base's product
+    overwrites q, which that point needs no more, so a single base needs no
+    row.  The work arrays are allocated after the bases are built."""
     zw = np.empty_like(z)
     q = np.empty(z.shape)
-    out = []
+    row = np.empty(z.shape) if len(bases) > 1 else None
+    out = [[] for _ in bases]
     for level, a in pts:
-        if a == 0:
-            sem2 = float(np.sum(base))
-        else:
-            sem2 = float(np.sum(np.multiply(base, _mobius_weight(a, z, p, zw, q), out=q)))
-        sem = math.sqrt(max(sem2, 0.0))
-        out.append((level, a, weight_of_a(abs(a)) * sem))
+        if a != 0:
+            _mobius_weight(a, z, p, zw, q)
+        wa = weight_of_a(abs(a))
+        for i, (b, es) in enumerate(zip(bases, out)):
+            if a == 0:
+                sem2 = float(np.sum(b))
+            else:
+                sem2 = float(np.sum(np.multiply(b, q, out=q if i == len(bases) - 1 else row)))
+            es.append((level, a, wa * math.sqrt(max(sem2, 0.0))))
     return out
 
 
-def _scan_group(f, p, weight_of_a, pts, disc):
-    """(level, a, weight_of_a(|a|) * seminorm) for each (level, a) in pts,
-    on the disc grid ``disc``, one Mobius weight per point."""
-    z, w, _ = disc.nodes()
-    return _point_entries(derivative_density(f, p)(z) * w, z, p, weight_of_a, pts)
-
-
-def _uniform_scan(f, p, weight_of_a, grid, disc):
-    """The entries of ``_scan_group`` over ``grid.a_points()`` on a uniform
+def _uniform_rows(bases, z, p, weight_of_a, grid, disc) -> list:
+    """The rows of ``_point_rows`` over ``grid.a_points()`` on a uniform
     disc grid, in that order.
 
     Level k of the a-grid is the orbit r_k e^{2 pi i m/n}, m = 0..n-1, and
@@ -448,35 +494,36 @@ def _uniform_scan(f, p, weight_of_a, grid, disc):
     shifted by m N_j/n slots on each ring (block-circulant).  With each
     ring's angles cut into n blocks and G[b, d] the sum of base on block b
     times W0 on block d, the seminorm^2 of direction m is
-    sum_b G[b, (b - m) mod n]: one weight pass per level in place of n.  This
-    drifts from the per-point loop by rounding only (about 3e-14 relative);
-    a = 0 and every other level take that loop, bit for bit.
+    sum_b G[b, (b - m) mod n]: one weight pass per level, shared by the
+    bases, in place of n per base.  This drifts from the per-point loop by
+    rounding only (about 3e-14 relative); a = 0 and every other level take
+    that loop, bit for bit.
     """
-    z, w, _ = disc.nodes()
-    base = derivative_density(f, p)(z) * w
     rings = disc.ring_sizes()
     order = disc.RADIAL_ORDER
     assert order * sum(rings) == z.size, "uniform disc grid expected"
-    out = []
+    out = [[] for _ in bases]
     for level, group in itertools.groupby(grid.a_points(), key=lambda pt: pt[0]):
         pts = list(group)
         n = len(pts)
         if level == 0 or any(size % n for size in rings):
-            out.extend(_point_entries(base, z, p, weight_of_a, pts))
+            for es, rows in zip(out, _point_rows(bases, z, p, weight_of_a, pts)):
+                es.extend(rows)
             continue
         w0 = _mobius_weight(pts[0][1], z, p, np.empty_like(z), np.empty(z.shape))
-        gram = np.zeros((n, n))
-        start = 0
-        for size in rings:
-            stop = start + order * size
-            b = base[start:stop].reshape(order, n, size // n)
-            v = w0[start:stop].reshape(order, n, size // n)
-            gram += np.matmul(b, v.transpose(0, 2, 1)).sum(axis=0)
-            start = stop
         m = np.arange(n)
-        sem2 = gram[m[None, :], (m[None, :] - m[:, None]) % n].sum(axis=1)
-        out.extend((lv, a, weight_of_a(abs(a)) * math.sqrt(max(float(s2), 0.0)))
-                   for (lv, a), s2 in zip(pts, sem2))
+        for b, es in zip(bases, out):
+            gram = np.zeros((n, n))
+            start = 0
+            for size in rings:
+                stop = start + order * size
+                bb = b[start:stop].reshape(order, n, size // n)
+                v = w0[start:stop].reshape(order, n, size // n)
+                gram += np.matmul(bb, v.transpose(0, 2, 1)).sum(axis=0)
+                start = stop
+            sem2 = gram[m[None, :], (m[None, :] - m[:, None]) % n].sum(axis=1)
+            es.extend((lv, a, weight_of_a(abs(a)) * math.sqrt(max(float(s2), 0.0)))
+                      for (lv, a), s2 in zip(pts, sem2))
     return out
 
 

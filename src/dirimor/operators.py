@@ -26,7 +26,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .analytic import AnalyticFunction, SpaceParams, make_power_kernel
+from .analytic import AnalyticFunction, SpaceParams, SymbolProduct, make_power_kernel
 from .norms import ParamGrid, classify_trend, dm_norms_translate, trend_slope
 from .quadrature import TWO_PI, _gauss_on
 
@@ -91,7 +91,7 @@ def _op_common(f: AnalyticFunction, g: AnalyticFunction):
 
 def apply_Jg(f: AnalyticFunction, g: AnalyticFunction) -> AnalyticFunction:
     """h with h' = f g' and h(0) = 0; values by radial path quadrature."""
-    fe, gd, ga2 = f.eval_fn, g.deriv_fn, g.deriv_abs2
+    fe, gd = f.eval_fn, g.deriv_fn
 
     def dv(z):
         return fe(z) * gd(z)
@@ -103,14 +103,14 @@ def apply_Jg(f: AnalyticFunction, g: AnalyticFunction) -> AnalyticFunction:
         label=f"Jg[{g.label}]({f.label})",
         eval_fn=ev,
         deriv_fn=dv,
-        deriv_abs2_fn=lambda z: np.abs(fe(z)) ** 2 * ga2(z),
+        deriv_abs2_fn=SymbolProduct(f.abs2, g.deriv_abs2),
         **_op_common(f, g),
     )
 
 
 def apply_Ig(f: AnalyticFunction, g: AnalyticFunction) -> AnalyticFunction:
     """h with h' = f' g and h(0) = 0; values by radial path quadrature."""
-    fd, ge, fa2 = f.deriv_fn, g.eval_fn, f.deriv_abs2
+    fd, ge = f.deriv_fn, g.eval_fn
 
     def dv(z):
         return fd(z) * ge(z)
@@ -122,7 +122,7 @@ def apply_Ig(f: AnalyticFunction, g: AnalyticFunction) -> AnalyticFunction:
         label=f"Ig[{g.label}]({f.label})",
         eval_fn=ev,
         deriv_fn=dv,
-        deriv_abs2_fn=lambda z: fa2(z) * np.abs(ge(z)) ** 2,
+        deriv_abs2_fn=SymbolProduct(f.deriv_abs2, g.abs2),
         **_op_common(f, g),
     )
 
@@ -288,7 +288,10 @@ def ratio_scan(kind: str, g: AnalyticFunction, family: TestFamily) -> RatioScanR
     ``ValueError``.  Each T f_c is normed with the family's own scan
     (``family.params`` and ``family.norm_grid``), so both
     sides of a ratio come from one grid; ``grid`` reports the family's
-    ``k_c`` and ``n_directions`` and the settings that scan read."""
+    ``k_c`` and ``n_directions`` and the settings that scan read.  All
+    images go through one ``dm_norms_translate``, so the images that share
+    a disc grid share its Mobius weights, and the I_g and J_g images share
+    g's factor of |h'|^2, evaluated once per grid."""
     apply = _operator(kind)
     images = [apply(e.function, g) for e in family.entries]
     reports = dm_norms_translate(images, family.params, family.norm_grid)

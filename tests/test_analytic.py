@@ -253,6 +253,37 @@ def test_scaled_deriv_abs2_carries_the_factor():
     assert np.array_equal(KERNEL.scaled(alpha).deriv_abs2(z), abs(alpha) ** 2 * KERNEL.deriv_abs2(z))
 
 
+def test_symbol_product_never_outlives_its_image():
+    # an I_g image's |h'|^2 is a SymbolProduct, read by scans through
+    # deriv_abs2_factors; whatever builds a new |f'|^2 from it (scaled,
+    # __add__, M_g, translates, replace() with a new deriv_abs2_fn) must not
+    # carry the product without its own factor
+    from dataclasses import replace
+
+    from dirimor.analytic import SymbolProduct
+
+    g = log_kernel()
+    img = apply_operator(IG, KERNEL, g)
+    assert isinstance(img.deriv_abs2_fn, SymbolProduct)
+    own, symbol = img.deriv_abs2_factors()
+    z = graded_nodes(img)
+    assert np.array_equal(own(z) * symbol(z), img.deriv_abs2(z))
+    alpha = 0.5 + 2j
+    scaled = img.scaled(alpha)
+    assert np.array_equal(scaled.deriv_abs2(z), abs(alpha) ** 2 * img.deriv_abs2(z))
+    assert scaled.deriv_abs2_factors()[1] is None
+    zs = random_interior(12, r_cap=0.9)
+    derived = [scaled, img + img, apply_operator(MG, img, make_taylor([1, 0.5])),
+               mobius_translate(img, 0.3 - 0.2j), replace(img, deriv_abs2_fn=None)]
+    for h in derived:
+        assert h.deriv_abs2_factors()[1] is None
+        want = np.abs(h.derivative(zs)) ** 2
+        assert np.all(np.abs(h.deriv_abs2(zs) - want) <= 1e-12 * want)
+    # the images of one symbol object share its factor; another object does not
+    assert apply_operator(IG, make_taylor([0, 1]), g).deriv_abs2_factors()[1] == symbol
+    assert apply_operator(IG, KERNEL, log_kernel()).deriv_abs2_factors()[1] != symbol
+
+
 def test_deriv_abs2_checks_the_certified_radius():
     f = make_gap_series(remark_rule(0.3), K=20)
     with pytest.raises(EvaluationDomainError):

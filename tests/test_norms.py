@@ -23,8 +23,9 @@ from dirimor.norms import (
     dirichlet_norm,
     _box_scan_report,
     _gpcm_nodes,
+    _group_rows,
     _growth_for_radius,
-    _scan_group,
+    _point_rows,
     dirichlet_norm_coeff,
     dm_norm_translate,
     dm_norms_translate,
@@ -42,7 +43,7 @@ from dirimor.norms import (
 )
 from dirimor import norms
 from dirimor.gaps import remark_example
-from dirimor.operators import apply_Jg
+from dirimor.operators import IG, JG, apply_Jg, apply_operator
 from dirimor.quadrature import Arc, BoxMassTable, integrate_lune, radial_panels
 from dirimor.verify import RunConfig, _boundary_suite, build_suite, parse_function_spec
 
@@ -135,13 +136,21 @@ def _plain_seminorm(f, p, a, grid):
     ids=["graded", "uniform"],
 )
 def test_scan_group_equals_plain_weight_bitwise(f, scan_grid, p):
-    # the work-array reduction must reproduce the plain expression bit for bit
+    # the work-array reduction must reproduce the plain expression bit for
+    # bit, for a group of one and for a group of more than MEMBER_BLOCK
     disc = grid_for_function(f, 24, **scan_grid)
     pts = [(k, (1.0 - 2.0 ** -k) * np.exp(1j * math.pi / 4)) for k in range(1, 11)]
-    got = _scan_group(f, p, lambda r: 1.0, pts, disc)
-    for (level, a), (lv, ga, val) in zip(pts, got):
-        assert (lv, ga) == (level, a)
-        assert val == _plain_seminorm(f, p, a, disc)
+    group = [f, f.scaled(0.5 + 2j), make_taylor([1, 2, 0, 1]), f]
+    assert len(group) > norms.MEMBER_BLOCK
+    for fs in ([f], group):
+        rows = _group_rows(fs, p, disc,
+                           lambda bases, z: _point_rows(bases, z, p, lambda r: 1.0, pts))
+        assert len(rows) == len(fs)
+        for g, got in zip(fs, rows):
+            for (level, a), (lv, ga, val) in zip(pts, got):
+                assert (lv, ga) == (level, a)
+                assert val == _plain_seminorm(g, p, a, disc)
+    for level, a in pts:
         # the grid translate_seminorm builds for a
         own = grid_for_function(f, 24, extra_foci=(float(np.angle(a)) % (2 * math.pi),),
                                 panel_order=4, growth_cap=_growth_for_radius(abs(a)))
@@ -150,20 +159,21 @@ def test_scan_group_equals_plain_weight_bitwise(f, scan_grid, p):
 
 
 def _shift_and_loop(monkeypatch, f, grid, p=0.5):
-    """(entries of _uniform_scan, entries of the per-point loop over the same
-    a-points and grid, levels _uniform_scan left to the per-point loop)."""
+    """(rows of _uniform_rows, rows of the per-point loop over the same
+    a-points and grid, levels _uniform_rows left to the per-point loop)."""
     disc = grid_for_function(f, grid.depth, growth_cap=min(grid.k_a + 1, 11))
     weight = lambda r: (1.0 - r * r) ** 0.3
-    loop = _scan_group(f, p, weight, grid.a_points(), disc)
+    loop = _group_rows([f], p, disc,
+                       lambda bases, z: _point_rows(bases, z, p, weight, grid.a_points()))[0]
     looped = set()
-    point_entries = norms._point_entries
 
-    def spy(base, z, p, weight_of_a, pts):
+    def spy(bases, z, p, weight_of_a, pts):
         looped.update(level for level, _ in pts)
-        return point_entries(base, z, p, weight_of_a, pts)
+        return _point_rows(bases, z, p, weight_of_a, pts)
 
-    monkeypatch.setattr(norms, "_point_entries", spy)
-    shift = norms._uniform_scan(f, p, weight, grid, disc)
+    monkeypatch.setattr(norms, "_point_rows", spy)
+    shift = _group_rows([f], p, disc,
+                        lambda bases, z: norms._uniform_rows(bases, z, p, weight, grid, disc))[0]
     assert [e[:2] for e in shift] == [e[:2] for e in loop]
     return shift, loop, looped
 
@@ -749,11 +759,30 @@ def test_batched_translate_scan_equals_one_scan_per_function():
              "kernel:c=0+0.9i,s=auto", "log1", "gap:q=0.2,K=20", "gap:q=0.5,K=20",
              "taylor:0,1"]
     fs = [parse_function_spec(spec, params) for spec in specs]
+    # operator images share their grid per direction and their symbol
+    # factor: I_g and J_g of ray kernels by log1 and by a polynomial, of the
+    # family's constant entry, by a gap symbol (uniform grid, shared w0),
+    # and a scaled image, which carries no symbol factor
+    s = params.translate_exponent
+    ray = [make_power_kernel(1.0 - 2.0 ** -k, s) for k in (1, 2, 3)]
+    one = make_power_kernel(0.0, 0.0)
+    images = [apply_operator(kind, f, g)
+              for g in (log_kernel(), make_taylor([0.5, 0.5]))
+              for kind in (IG, JG) for f in [one] + ray]
+    images += [apply_operator(kind, f, gap(0.3)) for kind in (IG, JG) for f in (one, ray[1])]
+    images.append(images[1].scaled(0.5 + 2j))
+    fs += images
     grid = ParamGrid(k_a=4, a_angle_cap=8, depth=12, base_panels=8)
+    # the I_g images by log1 share the direction-0 grid, a group larger than
+    # one member block
+    assert len({grid_for_function(f, grid.depth, extra_foci=(0.0,),
+                                  panel_order=norms.TRANSLATE_PANEL_ORDER,
+                                  base_panels=grid.base_panels) for f in images[:4]}) == 1
+    assert norms.MEMBER_BLOCK < 4
     batched = [r.as_dict() for r in dm_norms_translate(fs, params, grid)]
     single = [dm_norm_translate(f, params, grid).as_dict() for f in fs]
     assert batched == single
-    assert batched[1] == batched[-1]
+    assert batched[1] == batched[8]
 
 
 def test_refined_scan_traces_the_base_scan_bitwise():

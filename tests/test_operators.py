@@ -225,6 +225,53 @@ def test_family_builds_one_grid_per_distinct_key(monkeypatch):
     assert len(keys) < len(kernels) * len(SMALL_GRID.a_points_by_direction())
 
 
+def test_ratio_scan_shares_symbol_factor_and_mobius_weights(monkeypatch):
+    # the I_g images of one family share each direction's disc grid: log1's
+    # |g|^2 is evaluated once per grid built (not once per image), and each
+    # Mobius weight once per (point, grid) and block of MEMBER_BLOCK images
+    import dataclasses
+    from collections import Counter
+    from functools import cached_property
+
+    from dirimor import norms
+    from dirimor.quadrature import RadialAnnuliGrid
+
+    fam = small_family(k_c=3, n_directions=1)
+    log1 = log_kernel()
+    ev = log1.eval_fn
+    symbol_args = []
+    g = dataclasses.replace(log1, eval_fn=lambda z: (symbol_args.append(z), ev(z))[1])
+
+    built = []
+    nodes_fn = RadialAnnuliGrid.__dict__["_nodes"].func
+
+    def counted(grid):
+        out = nodes_fn(grid)
+        built.append(out[0])
+        return out
+
+    prop = cached_property(counted)
+    prop.__set_name__(RadialAnnuliGrid, "_nodes")
+    monkeypatch.setattr(RadialAnnuliGrid, "_nodes", prop)
+    weights = Counter()
+    mobius = norms._mobius_weight
+
+    def counted_weight(a, z, p, zw, q):
+        weights[a, id(z)] += 1
+        return mobius(a, z, p, zw, q)
+
+    monkeypatch.setattr(norms, "_mobius_weight", counted_weight)
+    ratio_scan(IG, g, fam)
+
+    assert len(built) == len(SMALL_GRID.a_points_by_direction())
+    on_grids = [id(z) for z in symbol_args if any(z is nodes for nodes in built)]
+    assert sorted(on_grids) == sorted(id(z) for z in built)
+    assert {z for _, z in weights} <= {id(z) for z in built}
+    assert len(weights) == len(SMALL_GRID.a_points()) - 1  # a = 0 needs no weight
+    assert max(weights.values()) == math.ceil(len(fam.entries) / norms.MEMBER_BLOCK)
+    assert norms.MEMBER_BLOCK < len(fam.entries)
+
+
 def test_family_norms_reproduced_by_its_own_grid():
     # the family's grid carries its whole translate scan, so norming the
     # family's functions on it again gives every recorded norm
