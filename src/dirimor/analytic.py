@@ -322,8 +322,16 @@ def make_power_kernel(c, s: float) -> AnalyticFunction:
         return s * cbar * np.exp(-(s + 1.0) * np.log(w))
 
     def dv_abs2(z):
-        w = 1.0 - cbar * np.asarray(z, dtype=complex)
-        return s2c2 * (w.real ** 2 + w.imag ** 2) ** -(s + 1.0)
+        # s^2 |c|^2 |1 - conj(c) z|^(-2 (s + 1)), built in place: one complex
+        # and one real grid-sized array, with the bits of the plain expression
+        w = np.multiply(cbar, np.asarray(z, dtype=complex))
+        np.subtract(1.0, w, out=w)
+        np.square(w.real, out=w.real)
+        np.square(w.imag, out=w.imag)
+        out = np.add(w.real, w.imag)
+        out **= -(s + 1.0)
+        out *= s2c2
+        return out
 
     bnd = None
     if not on_boundary:

@@ -620,23 +620,30 @@ def _box_level_sums(f: AnalyticFunction, p_list: Sequence[float], grid: ParamGri
 def _box_sums(f, p_arr, arcs, offs, radial_order, max_level):
     """Level sums of the boxes of ``arcs``, all of one length: each radial
     panel carries one angular window (-half, half) about every arc's centre,
-    graded toward the focus offsets ``offs``, and one |f'|^2 evaluation on
-    the (radial node, arc, angle) block."""
+    graded toward the focus offsets ``offs``, one |f'|^2 evaluation on the
+    (radial node, arc, angle) block and one stacked product with the nodes'
+    weight rows.  The nodes then enter their level's sums one after another,
+    in node order."""
     length = arcs[0].length
     centers = np.array([a.center for a in arcs])
     half = math.pi * length
     sums = np.zeros((len(arcs), len(p_arr), TRACE_LEVEL_CAP + 2))
     for rr, rw, delta, j_abs in radial_panels(length, BOX_REL_DEPTH, radial_order, max_level):
         th, tw = _window_nodes(-half, half, delta, offs, BOX_BASE_PANELS, BOX_PANEL_ORDER)
-        j_abs = min(j_abs, TRACE_LEVEL_CAP + 1)
         e = np.exp(1j * (centers[:, None] + th[None, :]))
         d2 = f.deriv_abs2(rr[:, None, None] * e)
-        for i in range(len(rr)):
-            wrow = (rw[i] * rr[i] / math.pi) * tw
-            one_minus_p = (1.0 - rr[i] ** 2) ** p_arr
-            row = d2[i] @ wrow  # per-arc sum of |f'|^2 * angular weights
-            for q, om in enumerate(one_minus_p):
-                sums[:, q, j_abs] += om * row
+        wrows = (rw * rr / math.pi)[:, None] * tw
+        # per-node, per-arc sums of |f'|^2 * angular weights; each node's
+        # slice takes the kernel d2[i] @ wrows[i] takes (matrix-vector, or
+        # a dot product for one arc)
+        rows = np.matmul(d2, wrows[:, :, None])[..., 0]
+        # each node's weights on a scalar base: an array base takes other
+        # numpy power loops (a square-root fast path at p = 0.5, a SIMD
+        # loop), whose last bits differ
+        oms = np.array([(1.0 - r ** 2) ** p_arr for r in rr])
+        acc = sums[:, :, min(j_abs, TRACE_LEVEL_CAP + 1)]
+        for c in rows[:, :, None] * oms[:, None, :]:
+            acc += c  # node by node: a reduction over nodes may sum pairwise
     return sums
 
 

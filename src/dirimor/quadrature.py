@@ -497,11 +497,15 @@ def _s_layout(a0, L, t_mid, v_foci, s_base, s_order):
 
 
 class BoxMassTable:
-    """Fast approximate masses mu([r0,1) x interval) of a fixed density.
+    """Approximate masses mu([r0, 1) x interval) of a fixed density.
 
-    Builds midpoint slabs (per dyadic annulus) x uniform angular cells and
-    stores per-row cumulative sums; a box mass is then a handful of linear
-    interpolations.  Rows straddling r0 enter with their overlap fraction.
+    Each dyadic annulus ``[1 - 2^-j, 1 - 2^-(j+1))`` is cut into ``SLABS``
+    midpoint slabs of uniform angular cells, and is stored as one
+    ``(SLABS, n + 1)`` block of per-slab cumulative cell sums (one float per
+    cell plus a leading zero per slab).  A query reads each slab it reaches
+    periodically: whole turns as multiples of the slab total, whole cells as
+    a difference of cumulative sums and the two end cells by their covered
+    fractions; a slab straddling r0 enters with its overlap fraction.
     Accuracy is grid-limited; intended for scan quantities where the same
     measure is queried against thousands of boxes.
     """
@@ -509,7 +513,7 @@ class BoxMassTable:
     SLABS = 8  # midpoint slabs per dyadic annulus
 
     def __init__(self, density: Callable, *, depth: int = 12):
-        rows = []
+        blocks = []
         # annulus j has the angle count of a uniform disc grid's ring j
         sizes = RadialAnnuliGrid(depth=depth, n_min=64, growth_cap=10).ring_sizes()
         for j, n in enumerate(sizes):
@@ -517,46 +521,73 @@ class BoxMassTable:
             h = (2.0 ** -j - 2.0 ** -(j + 1)) / self.SLABS
             th = (np.arange(n) + 0.5) * (TWO_PI / n)
             e = np.exp(1j * th)
+            cum = np.zeros((self.SLABS, n + 1))
             for i in range(self.SLABS):
-                lo = r0 + i * h
-                rc = lo + 0.5 * h
+                rc = (r0 + i * h) + 0.5 * h
                 dens = np.asarray(density(rc * e), dtype=float)
                 _check_finite(dens, rc * e, "BoxMassTable")
-                cell = dens * (rc * h * (TWO_PI / n) / math.pi)
-                cum = np.concatenate([[0.0], np.cumsum(cell)])
-                rows.append((lo, lo + h, n, cum))
-        self._rows = rows
+                np.cumsum(dens * (rc * h * (TWO_PI / n) / math.pi), out=cum[i, 1:])
+            blocks.append((r0, h, cum))
+        self._blocks = blocks
         self.depth = depth
 
     def total_mass(self) -> float:
-        return float(sum(cum[-1] for (_, _, _, cum) in self._rows))
+        return float(sum(s for (_, _, cum) in self._blocks for s in cum[:, -1]))
 
     def box_masses(self, r_lo: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
         """Masses of the boxes [r_lo[i], 1) x (lo[i], hi[i]), one angular
-        interval per box, with 0 <= hi - lo <= 2 pi; the interval may lie
-        anywhere on the real line.
+        interval per box with lo[i] <= hi[i]; the interval may lie anywhere
+        on the real line and may span whole turns.  A box with hi < lo (or
+        a NaN end) raises ValueError.
 
-        Each row is read periodically: the whole turns between the two ends
-        enter as an exact multiple of the row total, the whole cells between
+        Each slab is read periodically: the whole turns between the two ends
+        enter as an exact multiple of the slab total, the whole cells between
         them as a difference of cumulative sums, and the two end cells by
         their covered fractions.  Moving an end inside its cell then moves
         the mass by a share of that cell alone; reading each end as an
-        interpolated cumulative sum would round it to the row total."""
+        interpolated cumulative sum would round it to the slab total.
+
+        The boxes are taken in order of r_lo, so that a slab adds its share
+        to the prefix of boxes that reach it; the cells and end fractions of
+        an annulus are located once for all its slabs."""
         r_lo = np.asarray(r_lo, dtype=float)
-        turns_hi, hi = np.divmod(np.asarray(hi, dtype=float), TWO_PI)
-        turns_lo, lo = np.divmod(np.asarray(lo, dtype=float), TWO_PI)
+        lo = np.asarray(lo, dtype=float)
+        hi = np.asarray(hi, dtype=float)
+        bad = np.flatnonzero(~(hi >= lo))
+        if bad.size:
+            i = int(bad[0])
+            raise ValueError(f"box {i} needs lo <= hi, got (lo, hi) = "
+                             f"({float(lo[i])!r}, {float(hi[i])!r})")
+        order = np.argsort(r_lo, kind="stable")
+        r_lo = r_lo[order]
+        turns_hi, hi = np.divmod(hi[order], TWO_PI)
+        turns_lo, lo = np.divmod(lo[order], TWO_PI)
         turns = turns_hi - turns_lo
         out = np.zeros(len(r_lo))
-        for (slo, shi, n, cum) in self._rows:
-            frac = np.clip((shi - r_lo) / (shi - slo), 0.0, 1.0)
-            if not np.any(frac > 0.0):
+        for r0, h, cum in self._blocks:
+            n = cum.shape[1] - 1
+            # the boxes that reach the annulus's last slab reach all others
+            m = int(np.searchsorted(r_lo, (r0 + (self.SLABS - 1) * h) + h))
+            if m == 0:
                 continue
-            x_lo, x_hi = lo * (n / TWO_PI), hi * (n / TWO_PI)
+            x_lo, x_hi = lo[:m] * (n / TWO_PI), hi[:m] * (n / TWO_PI)
             # an angle just below 2 pi can scale to n: it ends cell n - 1
             i_lo = np.minimum(x_lo.astype(np.intp), n - 1)
             i_hi = np.minimum(x_hi.astype(np.intp), n - 1)
-            part_hi = (x_hi - i_hi) * (cum[i_hi + 1] - cum[i_hi])
-            part_lo = (x_lo - i_lo) * (cum[i_lo + 1] - cum[i_lo])
-            seg = (cum[i_hi] - cum[i_lo]) + (part_hi - part_lo)
-            out += frac * (seg + turns * cum[-1])
-        return out
+            f_lo, f_hi = x_lo - i_lo, x_hi - i_hi
+            i_lo1, i_hi1 = i_lo + 1, i_hi + 1
+            for i, row in enumerate(cum):
+                slo = r0 + i * h
+                shi = slo + h
+                k = int(np.searchsorted(r_lo[:m], shi))
+                if k == 0:
+                    continue
+                a, b = row[i_lo[:k]], row[i_hi[:k]]
+                part_hi = f_hi[:k] * (row[i_hi1[:k]] - b)
+                part_lo = f_lo[:k] * (row[i_lo1[:k]] - a)
+                seg = (b - a) + (part_hi - part_lo)
+                frac = np.clip((shi - r_lo[:k]) / (shi - slo), 0.0, 1.0)
+                out[:k] += frac * (seg + turns[:k] * row[-1])
+        result = np.empty_like(out)
+        result[order] = out
+        return result

@@ -3,6 +3,7 @@ families against closed-form values, derivative consistency, and the |f'|^2
 path against the complex derivative."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -244,6 +245,30 @@ def test_deriv_abs2_matches_derivative(fn):
     z = graded_nodes(fn)
     want = np.abs(fn.derivative(z)) ** 2
     assert np.all(np.abs(fn.deriv_abs2(z) - want) <= 1e-13 * want)
+
+
+
+KERNEL_PAIRS = [(0.9, 0.35), (0.5 + 0.3j, 1.0), (-0.99j, 0.5), (1.0, 0.15), (-0.3 + 0.8j, 2.0)]
+
+
+@pytest.mark.parametrize("c,s", KERNEL_PAIRS)
+def test_kernel_deriv_abs2_in_place_equals_plain_expression_bitwise(c, s):
+    # the in-place |f'|^2 of a power kernel has the plain expression's bits,
+    # out to radius 1 - 2^-24, and one call holds no grid-sized array beyond
+    # its complex work array and its result
+    f = make_power_kernel(c, s)
+    n = 20000
+    z = (1.0 - 2.0 ** -RNG.uniform(0.0, 24.0, n)) * np.exp(1j * RNG.uniform(0.0, 2 * np.pi, n))
+    w = 1.0 - np.conj(complex(c)) * z
+    plain = s * s * abs(complex(c)) ** 2 * (w.real ** 2 + w.imag ** 2) ** -(s + 1.0)
+    assert np.array_equal(f.deriv_abs2(z), plain)
+    tracemalloc.start()
+    try:
+        f.deriv_abs2(z)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3.2 * 8 * n  # bytes: three reals a point
 
 
 def test_scaled_deriv_abs2_carries_the_factor():

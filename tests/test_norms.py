@@ -22,6 +22,7 @@ from dirimor.norms import (
     classify_trend,
     dirichlet_norm,
     _box_scan_report,
+    _box_sums,
     _gpcm_nodes,
     _group_rows,
     _growth_for_radius,
@@ -31,6 +32,7 @@ from dirimor.norms import (
     dm_norms_translate,
     derivative_density,
     dm_seminorm_box,
+    effective_depth,
     general_morrey_norm,
     gpcm_quantity,
     grid_for_function,
@@ -44,7 +46,7 @@ from dirimor.norms import (
 from dirimor import norms
 from dirimor.gaps import remark_example
 from dirimor.operators import IG, JG, apply_Jg, apply_operator
-from dirimor.quadrature import Arc, BoxMassTable, integrate_lune, radial_panels
+from dirimor.quadrature import Arc, BoxMassTable, _window_nodes, integrate_lune, radial_panels
 from dirimor.verify import RunConfig, _boundary_suite, build_suite, parse_function_spec
 
 RNG = np.random.default_rng(1234)
@@ -376,6 +378,44 @@ def test_box_pair_inequality_nodewise():
         for arc, q1, q2 in box_quantity_pair(f, p1, p2, grid):
             bound = (2 * arc.length) ** (p2 - p1) * q1
             assert q2 <= bound * (1 + 1e-12)
+
+
+
+def _box_sums_per_node(f, p_arr, arcs, offs, radial_order, max_level):
+    """_box_sums one radial node and one exponent at a time: the reference."""
+    length = arcs[0].length
+    centers = np.array([a.center for a in arcs])
+    half = math.pi * length
+    sums = np.zeros((len(arcs), len(p_arr), TRACE_LEVEL_CAP + 2))
+    for rr, rw, delta, j_abs in radial_panels(length, BOX_REL_DEPTH, radial_order, max_level):
+        th, tw = _window_nodes(-half, half, delta, offs, norms.BOX_BASE_PANELS, BOX_PANEL_ORDER)
+        j_abs = min(j_abs, TRACE_LEVEL_CAP + 1)
+        e = np.exp(1j * (centers[:, None] + th[None, :]))
+        d2 = f.deriv_abs2(rr[:, None, None] * e)
+        for i in range(len(rr)):
+            wrow = (rw[i] * rr[i] / math.pi) * tw
+            one_minus_p = (1.0 - rr[i] ** 2) ** p_arr
+            row = d2[i] @ wrow
+            for q, om in enumerate(one_minus_p):
+                sums[:, q, j_abs] += om * row
+    return sums
+
+
+@pytest.mark.parametrize("n_arcs", [1, 8])
+@pytest.mark.parametrize("p_list", [(0.5,), (0.3, 0.6)])
+@pytest.mark.parametrize(
+    "spec", ["taylor:1,2,0,1", "kernel:c=0.9+0i,s=auto", "log1", "gap:q=0.5,K=20"])
+def test_box_sums_equal_per_node_loop_bitwise(spec, p_list, n_arcs):
+    # one stacked product per radial panel and one accumulation per node
+    # give the per-node, per-exponent loop's bits; p = 0.5 guards the
+    # square-root fast path of an array power
+    f = parse_function_spec(spec, SpaceParams(0.5, 0.4))
+    max_level = effective_depth(f, 10 ** 6) if f.r_max < 1.0 else None
+    p_arr = np.array(p_list)
+    arcs = [Arc(0.1 + m * TWO_PI / 8, 1 / 16) for m in range(n_arcs)]
+    offs = (-0.1,)
+    got = _box_sums(f, p_arr, arcs, offs, 6, max_level)
+    assert np.array_equal(got, _box_sums_per_node(f, p_arr, arcs, offs, 6, max_level))
 
 
 def test_qp_log_trivial_and_interior_max():

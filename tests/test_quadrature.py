@@ -472,6 +472,80 @@ def test_box_masses_batch_equals_single_queries():
     assert table.box_masses(r_lo[::-1], lo[::-1], hi[::-1]).tolist() == singles[::-1]
 
 
+
+def _per_row_masses(density, depth, r_lo, lo, hi):
+    """(box masses, total mass) of a table kept as one cumulative row per
+    slab, each query read row after row: the reference."""
+    rows = []
+    sizes = RadialAnnuliGrid(depth=depth, n_min=64, growth_cap=10).ring_sizes()
+    for j, n in enumerate(sizes):
+        r0 = 1.0 - 2.0 ** -j
+        h = (2.0 ** -j - 2.0 ** -(j + 1)) / BoxMassTable.SLABS
+        e = np.exp(1j * ((np.arange(n) + 0.5) * (TWO_PI / n)))
+        for i in range(BoxMassTable.SLABS):
+            slo = r0 + i * h
+            rc = slo + 0.5 * h
+            cell = np.asarray(density(rc * e), dtype=float) * (rc * h * (TWO_PI / n) / math.pi)
+            rows.append((slo, slo + h, n, np.concatenate([[0.0], np.cumsum(cell)])))
+    turns_hi, hi = np.divmod(hi, TWO_PI)
+    turns_lo, lo = np.divmod(lo, TWO_PI)
+    turns = turns_hi - turns_lo
+    out = np.zeros(len(r_lo))
+    for slo, shi, n, cum in rows:
+        frac = np.clip((shi - r_lo) / (shi - slo), 0.0, 1.0)
+        if not np.any(frac > 0.0):
+            continue
+        x_lo, x_hi = lo * (n / TWO_PI), hi * (n / TWO_PI)
+        i_lo = np.minimum(x_lo.astype(np.intp), n - 1)
+        i_hi = np.minimum(x_hi.astype(np.intp), n - 1)
+        part_hi = (x_hi - i_hi) * (cum[i_hi + 1] - cum[i_hi])
+        part_lo = (x_lo - i_lo) * (cum[i_lo + 1] - cum[i_lo])
+        seg = (cum[i_hi] - cum[i_lo]) + (part_hi - part_lo)
+        out += frac * (seg + turns * cum[-1])
+    return out, sum(cum[-1] for *_, cum in rows)
+
+
+def test_box_masses_equal_per_row_reference_bitwise():
+    # one block per annulus, queries taken in order of r_lo: the bits of
+    # the per-row loop, on unsorted queries of every kind
+    f = make_power_kernel(0.9, 0.35)
+    density = lambda z: f.deriv_abs2(z) * (1 - np.abs(z) ** 2) ** 0.5
+    depth = 8
+    table = BoxMassTable(density, depth=depth)
+    rng = np.random.default_rng(20)
+    r_lo = rng.uniform(0.0, 1.0, 400)
+    lo = rng.uniform(-9.0, 9.0, 400)
+    hi = lo + rng.uniform(0.0, TWO_PI, 400)
+    # at 0 and inside a slab, beyond the table's depth, across angle 0 and
+    # 2 pi, a full turn and gpcm's w = 0 box
+    r_lo[:6] = [0.0, 0.5 + 0.3 * 2.0 ** -4, 1.0 - 2.0 ** -(depth + 1), 0.999, 0.7, 0.0]
+    lo[:6] = [-0.3, TWO_PI - 0.2, 0.1, -1.0, 1.0, -math.pi]
+    hi[:6] = [0.4, TWO_PI + 0.2, 0.5, 1.0, 1.0 + TWO_PI, math.pi]
+    got = table.box_masses(r_lo, lo, hi)
+    want, total = _per_row_masses(density, depth, r_lo, lo, hi)
+    assert np.array_equal(got, want)
+    assert got[2] == got[3] == 0.0
+    assert table.total_mass() == total
+    assert table.box_masses(np.zeros(0), np.zeros(0), np.zeros(0)).shape == (0,)
+    # one float per cell and one leading zero per slab row
+    sizes = RadialAnnuliGrid(depth=depth, n_min=64, growth_cap=10).ring_sizes()
+    assert sum(cum.nbytes for *_, cum in table._blocks) \
+        == 8 * BoxMassTable.SLABS * sum(n + 1 for n in sizes)
+
+
+def test_box_masses_reject_reversed_intervals():
+    table = _kernel_table(depth=4)
+    r_lo = np.full(4, 0.5)
+    with pytest.raises(ValueError, match=r"box 2 needs lo <= hi, got \(lo, hi\) = \(1\.0, 0\.5\)"):
+        table.box_masses(r_lo, np.array([0.0, 1.0, 1.0, 2.0]), np.array([1.0, 1.0, 0.5, 1.0]))
+    with pytest.raises(ValueError, match="box 0"):
+        table.box_masses(r_lo[:1], np.array([np.nan]), np.array([1.0]))
+    # a width of 2 pi plus rounding is a full turn, not an error
+    full = table.box_masses(np.zeros(2), np.array([-math.pi, 0.1]),
+                            np.array([math.pi, 0.1 + TWO_PI + 1e-15]))
+    assert full == pytest.approx(table.total_mass(), rel=1e-12)
+
+
 def test_breakpoints_cached_read_only_and_list_foci_accepted():
     field = lambda z: np.abs(z) ** 2
     as_list = integrate_lune(field, 0.3, 0.25, foci=[0.0]).value
