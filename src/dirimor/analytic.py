@@ -17,7 +17,8 @@ workers.  Each one carries
 * a certified evaluation radius (the open disc unless truncated),
 * an optional boundary trace (``theta -> f(e^{i theta})``),
 * a tuple of singular directions on the circle, used by the quadrature
-  module to grade meshes toward the points where mass concentrates.
+  module to grade meshes toward the points where mass concentrates, and
+  the width of the boundary trace's features there (0.0 when unknown).
 """
 
 from __future__ import annotations
@@ -134,6 +135,10 @@ class AnalyticFunction:
     (or its derivative) concentrates; quadrature grids grade toward them.
     ``angular_hint`` is the minimum angular sampling that resolves the
     function's smooth oscillation (e.g. polynomial degree).
+    ``singular_width`` is the smallest angular scale on which the boundary
+    trace varies near its singular directions (1 - |c| for an interior
+    power kernel); boundary double integrals grade no finer than it.
+    0.0 means unknown: they then grade as deep as their t-panels.
     """
 
     label: str
@@ -148,6 +153,7 @@ class AnalyticFunction:
     #: oscillation integrates exactly by aliasing, not graded Gauss panels.
     oscillatory: bool = False
     deriv_abs2_fn: Optional[Callable] = None
+    singular_width: float = 0.0
 
     def __call__(self, z):
         if self.r_max < 1.0:
@@ -210,6 +216,8 @@ class AnalyticFunction:
             angular_hint=max(self.angular_hint, other.angular_hint),
             r_max=min(self.r_max, other.r_max),
             oscillatory=self.oscillatory or other.oscillatory,
+            # an unknown width (0.0) leaves the sum's width unknown
+            singular_width=min(self.singular_width, other.singular_width),
         )
 
     def scaled(self, alpha: complex) -> "AnalyticFunction":
@@ -311,6 +319,7 @@ def make_power_kernel(c, s: float) -> AnalyticFunction:
         return make_taylor([1.0])
 
     cbar = np.conj(cc)
+    cr, ci = cc.real, cc.imag
     s2c2 = s * s * abs(cc) ** 2
     label = f"kernel:c={_format_complex(cc)},s={s:g}"
 
@@ -335,9 +344,25 @@ def make_power_kernel(c, s: float) -> AnalyticFunction:
 
     bnd = None
     if not on_boundary:
-        def bnd(theta):  # noqa: E731 - simple closure
-            u = np.exp(1j * np.asarray(theta, dtype=float))
-            return np.exp(-s * np.log(1.0 - cbar * u))
+        def bnd(theta):
+            # |w|^(-s) e^(-i s arg w) with w = 1 - conj(c) e^(i theta), in real
+            # arithmetic: no complex log or exp
+            th = np.atleast_1d(np.asarray(theta, dtype=float))  # in-place steps need arrays
+            cos, sin = np.cos(th), np.sin(th)
+            wr = 1.0 - (cr * cos + ci * sin)
+            wi = ci * cos - cr * sin
+            out = np.empty(th.shape, dtype=complex)
+            ang = np.arctan2(wi, wr)
+            ang *= -s
+            np.square(wr, out=wr)
+            np.square(wi, out=wi)
+            wr += wi
+            wr **= -0.5 * s
+            np.cos(ang, out=cos)
+            np.sin(ang, out=sin)
+            np.multiply(wr, cos, out=out.real)
+            np.multiply(wr, sin, out=out.imag)
+            return out if np.ndim(theta) else out[0]
 
     return AnalyticFunction(
         label=label,
@@ -347,6 +372,7 @@ def make_power_kernel(c, s: float) -> AnalyticFunction:
         singular_angles=(float(np.angle(cc)) % TWO_PI,),
         angular_hint=64,
         deriv_abs2_fn=dv_abs2,
+        singular_width=0.0 if on_boundary else 1.0 - abs(cc),
     )
 
 

@@ -771,7 +771,8 @@ def boundary_double_seminorm(
     for j, arc in grid.arcs():
         res = arc_double_integral(
             F, arc, beta=1.0 - p,
-            t_depth=t_depth, v_foci=f.singular_angles, resolution_check=False,
+            t_depth=t_depth, v_foci=f.singular_angles, focus_width=f.singular_width,
+            resolution_check=False,
         )
         entries.append((j, arc, res.value * arc.length ** -params.box_exponent))
         errors.append(res.error)

@@ -390,6 +390,7 @@ def arc_double_integral(
     s_base: int = 8,
     s_order: int = 8,
     v_foci: tuple = (),
+    focus_width: float = 0.0,
     resolution_check: bool = True,
 ) -> QuadratureResult:
     """Integral of F(u, v) over I x I with raw arc-length measure dtheta^2.
@@ -402,8 +403,17 @@ def arc_double_integral(
     u > v, and raises ValueError when F(v, u) differs from F(u, v) beyond
     rtol 1e-12 on one row of nodes.  The difference angle t = u - v is
     resolved on dyadic panels refining toward t=0 (and toward t=2 pi for the
-    full circle), so no node ever lands on the diagonal.  The error estimate
-    combines a coarse re-run with the geometric tail of the t-panels.
+    full circle), so no node ever lands on the diagonal.
+
+    On each t-panel the v-nodes are graded toward ``v_foci`` (the v-side
+    roots) and toward their shifts by the panel's midpoint t (the u-side
+    roots), with finest cells of about a quarter of t: the integrand's
+    diagonal scale.  ``focus_width`` is the angular width of the
+    integrand's features at ``v_foci`` (an interior power kernel's
+    1 - |c|); the grading stops at a floor of a quarter of it, because
+    finer cells resolve nothing the integrand holds.  With the default 0.0
+    the grading follows t alone.  The error estimate is the geometric tail
+    of the t-panels; ``resolution_check`` adds a coarse re-run's distance.
     """
     if beta >= 1.0:
         raise ValueError("diagonal singularity exponent must satisfy beta < 1")
@@ -424,11 +434,11 @@ def arc_double_integral(
             t_mid = 0.5 * (tlo + thi)
             if full:
                 foci = tuple(x for phi in v_foci for x in (phi, phi - t_mid))
-                gap = max(0.25 * min(t_mid, TWO_PI - t_mid), 1e-9)
+                gap = max(0.25 * min(t_mid, TWO_PI - t_mid), 0.25 * focus_width, 1e-9)
                 v, vw = angular_nodes(0.0, TWO_PI, gap, foci, s_base_, s_order_, wrap=True)
                 scale = tw
             else:
-                s, vw = _s_layout(a0, L, t_mid, v_foci, s_base_, s_order_)
+                s, vw = _s_layout(a0, L, t_mid, v_foci, focus_width, s_base_, s_order_)
                 # Gauss t-nodes are interior to (0, L], so every span L - t is positive
                 span = L - tt
                 v = a0 + s[None, :] * span[:, None]
@@ -478,7 +488,10 @@ def _require_symmetric(F, u, v, vals):
         )
 
 
-def _s_layout(a0, L, t_mid, v_foci, s_base, s_order):
+def _s_layout(a0, L, t_mid, v_foci, focus_width, s_base, s_order):
+    """v-nodes of a proper arc's t-panel in s = (v - a0) / (L - t_mid), on
+    [0, 1]: graded toward the v- and u-side roots of ``v_foci`` down to a
+    quarter of t_mid, but no finer than a quarter of ``focus_width``."""
     span = max(L - t_mid, 1e-300)
     foci_s = []
     for phi in v_foci:
@@ -487,7 +500,7 @@ def _s_layout(a0, L, t_mid, v_foci, s_base, s_order):
                 s = (target - a0) / span
                 if -0.25 < s < 1.25:
                     foci_s.append(s)
-    delta_s = max(t_mid / span * 0.25, 1e-9)
+    delta_s = max(t_mid / span * 0.25, focus_width / span * 0.25, 1e-9)
     return angular_nodes(0.0, 1.0, delta_s, tuple(foci_s), s_base, s_order)
 
 

@@ -141,6 +141,39 @@ def test_interior_kernel_has_boundary_trace():
     assert np.allclose(vals, (1 - 0.9 * np.exp(1j * theta)) ** (-0.35 + 0j), rtol=1e-12)
 
 
+@pytest.mark.parametrize("c", [0.9, 0.99, 0.3 + 0.4j, -0.6 + 0.7j, -0.5 - 0.5j, 0.2 - 0.9j])
+@pytest.mark.parametrize("s", [0.15, 0.35])
+def test_kernel_trace_in_real_arithmetic_matches_complex_log(c, s):
+    # the trace |w|^(-s) e^(-i s arg w) against exp(-s log w), w = 1 - conj(c) e^(i theta),
+    # over four turns either side of 0, for c in every quadrant
+    f = make_power_kernel(c, s)
+    theta = np.concatenate([RNG.uniform(-8 * np.pi, 8 * np.pi, 20000),
+                            np.linspace(-8 * np.pi, 8 * np.pi, 4000)])
+    plain = np.exp(-s * np.log(1.0 - np.conj(c) * np.exp(1j * theta)))
+    got = f.boundary(theta)
+    assert np.max(np.abs(got - plain) / np.abs(plain)) < 1e-15
+    # any shape, a scalar angle included, gives the same values
+    assert np.array_equal(f.boundary(theta.reshape(5, -1)).ravel(), got)
+    assert f.boundary(float(theta[0])) == pytest.approx(got[0], rel=1e-15)
+
+
+def test_singular_width_propagation():
+    k9, k5 = make_power_kernel(0.9, 0.35), make_power_kernel(0.5j, 0.35)
+    assert k9.singular_width == pytest.approx(0.1, rel=1e-12)
+    assert k5.singular_width == 0.5
+    # unknown (0.0) for a boundary kernel and every family without a kernel's width
+    for f in (make_power_kernel(BoundaryPoint(0.0), 0.15), make_taylor([1, 2]),
+              make_gap_series(remark_rule(0.5), 20), log_kernel()):
+        assert f.singular_width == 0.0
+    assert k9.scaled(2j).singular_width == k9.singular_width
+    assert (k9 + k5).singular_width == k9.singular_width
+    assert (k5 + k9).singular_width == k9.singular_width
+    assert (k9 + make_taylor([0, 1])).singular_width == 0.0
+    assert mobius_translate(k9, 0.5).singular_width == 0.0
+    for kind in (IG, JG, MG):
+        assert apply_operator(kind, k9, k5).singular_width == 0.0
+
+
 # -- gap series --------------------------------------------------------------
 
 

@@ -46,7 +46,15 @@ from dirimor.norms import (
 from dirimor import norms
 from dirimor.gaps import remark_example
 from dirimor.operators import IG, JG, apply_Jg, apply_operator
-from dirimor.quadrature import Arc, BoxMassTable, _window_nodes, integrate_lune, radial_panels
+from dirimor.quadrature import (
+    Arc,
+    BoxMassTable,
+    _window_nodes,
+    arc_double_integral,
+    chord_gap,
+    integrate_lune,
+    radial_panels,
+)
 from dirimor.verify import RunConfig, _boundary_suite, build_suite, parse_function_spec
 
 RNG = np.random.default_rng(1234)
@@ -492,6 +500,118 @@ def test_boundary_double_converges_in_t_depth():
         deep = boundary_double_seminorm(f, params, grid, t_depth=44)
         for (lv, a), (_, b) in zip(base.levels, deep.levels):
             assert b == pytest.approx(a, rel=1e-8, abs=1e-12), (name, lv)
+
+
+def _douglas_weights(n_max, p):
+    """W(n) = integral over (0, 2 pi) of |1 - e^(int)|^2 |1 - e^(it)|^(p-2) dt for
+    n = 0..n_max, in closed form: 4 pi g (1 - (-a)_n / (1 + a)_n) with
+    a = p/2 - 1 and g = Gamma(2a + 1) / Gamma(a + 1)^2."""
+    a = 0.5 * p - 1.0
+    g = math.gamma(2.0 * a + 1.0) / math.gamma(a + 1.0) ** 2
+    n = np.arange(n_max, dtype=float)
+    ratio = np.concatenate([[1.0], np.cumprod((n - a) / (n + 1.0 + a))])
+    return 4.0 * math.pi * g * (1.0 - ratio)
+
+
+def _douglas_full_circle(terms, p):
+    """Douglas's formula: the full-circle double integral of
+    |f(u) - f(v)|^2 / |e^(iu) - e^(iv)|^(2-p) is 2 pi sum |a_n|^2 W(n)."""
+    n = np.array([k for k, _ in terms])
+    a = np.array([c for _, c in terms])
+    return 2.0 * math.pi * float(np.sum(np.abs(a) ** 2 * _douglas_weights(int(n.max()), p)[n]))
+
+
+def _kernel_terms(c, s):
+    """(n, (s)_n conj(c)^n / n!) while |c|^(2n) > 1e-20; the tail of the
+    Douglas sum then sits far below the tolerances tested."""
+    n_max = int(math.ceil(math.log(1e-20) / math.log(abs(c) ** 2)))
+    terms, a = [], 1.0 + 0.0j
+    for n in range(n_max + 1):
+        terms.append((n, a))
+        a *= (s + n) / (n + 1.0) * np.conj(c)
+    return terms
+
+
+def test_douglas_weights_match_the_moments_they_reduce_to():
+    # W(1) = M(p) and W(2) = 4 M(p) - M(p + 2), where
+    # M(q) = integral of (2 sin(t/2))^q = 2 pi Gamma(q + 1) / Gamma(q/2 + 1)^2
+    M = lambda q: 2.0 * math.pi * math.gamma(q + 1.0) / math.gamma(0.5 * q + 1.0) ** 2
+    for p in (0.25, 0.5, 0.75):
+        W = _douglas_weights(2, p)
+        assert W[0] == 0.0
+        assert W[1] == pytest.approx(M(p), rel=1e-14)
+        assert W[2] == pytest.approx(4.0 * M(p) - M(p + 2.0), rel=1e-14)
+
+
+def _open_item_1(why):
+    return pytest.mark.xfail(strict=True, reason=f"ROADMAP item 1 (open): {why}")
+
+
+@pytest.mark.parametrize("spec,terms,rel", [
+    pytest.param("taylor:1,2,0,1", lambda: [(1, 2.0), (3, 1.0)], 5e-14,  # measured 9.7e-15
+                 id="taylor:1,2,0,1"),
+    pytest.param("kernel:c=0.5+0i,s=auto", lambda: _kernel_terms(0.5, 0.15), 5e-14,  # 6.0e-15
+                 id="kernel:c=0.5"),
+    pytest.param("kernel:c=0.9+0i,s=auto", lambda: _kernel_terms(0.9, 0.15), 5e-8,  # -2.23e-8
+                 id="kernel:c=0.9"),
+    pytest.param("kernel:c=0.99+0i,s=auto", lambda: _kernel_terms(0.99, 0.15), 1e-12,  # +2.02e-4
+                 id="kernel:c=0.99", marks=_open_item_1(
+                     "the t-panels sweep wider than the kernel's width 1 - |c|")),
+    pytest.param("gap:q=0.5,K=20", lambda: [(2 ** k, 2.0 ** (-0.25 * k)) for k in range(1, 21)],
+                 1e-9, id="gap:q=0.5,K=20", marks=_open_item_1(  # +2.24e-2
+                     "8 Gauss nodes per t-panel cannot resolve z^(2^k)")),
+])
+def test_boundary_double_full_circle_matches_douglas_formula(spec, terms, rel):
+    # s=auto is p (1 - lam) / 2 = 0.15; gap:q=0.5 has a_k = 2^(-k/4) on z^(2^k)
+    params = SpaceParams(0.5, 0.4)
+    f = parse_function_spec(spec, params)
+    want = _douglas_full_circle(terms(), params.p)
+    # the full circle has |I| = 1, so level 0 of the trace is its plain integral
+    got = dict(boundary_double_seminorm(f, params, ParamGrid(k_arc=0, n_centers=1)).levels)[0]
+    assert got == pytest.approx(want, rel=rel)
+
+
+def _boundary_integrand(f, p):
+    return lambda u, v: np.abs(f.boundary(u) - f.boundary(v)) ** 2 / chord_gap(u, v) ** (2.0 - p)
+
+
+@pytest.mark.parametrize("c,least_fall", [(0.5, 2.0), (0.9, 2.0), (0.99, 1.8)])
+def test_boundary_grading_floor_at_the_kernel_width(c, least_fall):
+    # grading the v-nodes no finer than a quarter of the kernel's width 1 - |c|
+    # moves no arc's value beyond rounding, and cuts the scan's nodes (measured
+    # falls: 2.63x, 2.30x and 1.86x; the 0.99 kernel's narrow width keeps more)
+    params = SpaceParams(0.5, 0.4)
+    f = parse_function_spec(f"kernel:c={c}+0i,s=auto", params)
+    assert f.singular_width == pytest.approx(1.0 - c, rel=1e-12)
+    F = _boundary_integrand(f, params.p)
+    nodes = {True: 0, False: 0}
+    for _, arc in ParamGrid(k_arc=3, n_centers=8).arcs():
+        res = {}
+        for floored, g in ((True, f), (False, dataclasses.replace(f, singular_width=0.0))):
+            res[floored] = arc_double_integral(
+                F, arc, beta=1.0 - params.p, t_depth=36, v_foci=g.singular_angles,
+                focus_width=g.singular_width, resolution_check=False)
+            nodes[floored] += res[floored].nodes_used
+        assert res[True].value == pytest.approx(res[False].value, rel=1e-12), arc
+    assert nodes[False] >= least_fall * nodes[True]
+
+
+@pytest.mark.parametrize("spec", ["taylor:1,2,0,1", "gap:q=0.5,K=20"])
+def test_boundary_scan_without_width_keeps_the_t_grading(spec):
+    # a function of unknown width (0.0) scans on exactly the grading it had
+    # before widths existed: the default of arc_double_integral
+    params = SpaceParams(0.5, 0.4)
+    f = parse_function_spec(spec, params)
+    assert f.singular_width == 0.0
+    grid = ParamGrid(k_arc=3, n_centers=8)
+    F = _boundary_integrand(f, params.p)
+    per_level = {}
+    for j, arc in grid.arcs():
+        v = arc_double_integral(F, arc, beta=1.0 - params.p, t_depth=36, v_foci=f.singular_angles,
+                                resolution_check=False).value
+        per_level[j] = max(per_level.get(j, 0.0), v * arc.length ** -params.box_exponent)
+    running = list(np.maximum.accumulate([per_level[j] for j in sorted(per_level)]))
+    assert [v for _, v in boundary_double_seminorm(f, params, grid).levels] == running
 
 
 # -- growth envelope / hinf -------------------------------------------------------
