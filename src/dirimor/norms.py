@@ -29,7 +29,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, replace
-from typing import Callable, Optional, Sequence
+from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -39,11 +39,11 @@ from .quadrature import (
     BoxMassTable,
     RadialAnnuliGrid,
     TWO_PI,
-    _window_nodes,
     arc_double_integral,
     chord_gap,
     integrate_disc,
     radial_panels,
+    window_nodes,
 )
 
 TREND_SLOPE_THRESHOLD = 0.1
@@ -239,6 +239,13 @@ def grid_for_function(
             depth=depth, foci=foci, panel_order=panel_order, base_panels=base_panels
         )
     return RadialAnnuliGrid(depth=depth, n_min=f.angular_hint, growth_cap=growth_cap)
+
+
+def _require_weight_exponent(name: str, value: float) -> None:
+    """The weight (1-|z|^2)^p is integrable on the disc exactly for p > -1;
+    any other or non-finite exponent raises ValueError naming ``name``."""
+    if not (math.isfinite(value) and value > -1.0):
+        raise ValueError(f"{name} must be a finite weight exponent above -1, got {value!r}")
 
 
 def derivative_density(g: AnalyticFunction, p: float) -> Callable:
@@ -594,6 +601,8 @@ def _box_level_sums(f: AnalyticFunction, p_list: Sequence[float], grid: ParamGri
     Each box is integrated on its own window about the arc's centre, graded
     toward the offsets of the foci within 2.5 half-widths of it and their
     periodic images; arcs of one level with equal offsets form one batch.
+    The radial plan (:func:`_box_radial_plan`) is made once per level and
+    shared by all its batches.
     """
     max_level = None
     if f.r_max < 1.0:
@@ -609,41 +618,70 @@ def _box_level_sums(f: AnalyticFunction, p_list: Sequence[float], grid: ParamGri
             if min((ph - arc.center) % TWO_PI, (arc.center - ph) % TWO_PI) < 2.5 * half
         )
         batches.setdefault((j, offs), []).append(i)
+    lengths = {j: arc.length for j, arc in arcs}
+    plans = {j: _box_radial_plan(length, p_arr, radial_order, max_level)
+             for j, length in lengths.items()}
     out = [None] * len(arcs)
-    for (_, offs), members in batches.items():
-        batch = _box_sums(f, p_arr, [arcs[i][1] for i in members], offs, radial_order, max_level)
+    for (j, offs), members in batches.items():
+        batch = _box_sums(f, [arcs[i][1] for i in members], offs, plans[j])
         for i, sums in zip(members, batch):
             out[i] = (*arcs[i], sums)
     return out
 
 
-def _box_sums(f, p_arr, arcs, offs, radial_order, max_level):
-    """Level sums of the boxes of ``arcs``, all of one length: each radial
-    panel carries one angular window (-half, half) about every arc's centre,
-    graded toward the focus offsets ``offs``, one |f'|^2 evaluation on the
-    (radial node, arc, angle) block and one stacked product with the nodes'
-    weight rows.  The nodes then enter their level's sums one after another,
-    in node order."""
-    length = arcs[0].length
-    centers = np.array([a.center for a in arcs])
-    half = math.pi * length
-    sums = np.zeros((len(arcs), len(p_arr), TRACE_LEVEL_CAP + 2))
+class _BoxRadialPlan(NamedTuple):
+    """The radial side of every box of one length (:func:`_box_radial_plan`)."""
+
+    n_exponents: int
+    deltas: tuple  # each panel's outer distance 1 - r_hi to the circle
+    panels: tuple  # (rr, rw rr / pi, (1 - rr^2)^p rows, level slot) per panel
+
+
+def _box_radial_plan(length, p_arr, radial_order, max_level) -> _BoxRadialPlan:
+    """The radial panels below a box of ``length`` (``BOX_REL_DEPTH`` of them,
+    cut at ``max_level``): per panel its nodes rr, their dm-weights
+    rw rr / pi, each node's row (1 - r^2)^p over the exponents ``p_arr`` and
+    the slot of its level in the sums."""
+    deltas, panels = [], []
     for rr, rw, delta, j_abs in radial_panels(length, BOX_REL_DEPTH, radial_order, max_level):
-        th, tw = _window_nodes(-half, half, delta, offs, BOX_BASE_PANELS, BOX_PANEL_ORDER)
-        e = np.exp(1j * (centers[:, None] + th[None, :]))
-        d2 = f.deriv_abs2(rr[:, None, None] * e)
-        wrows = (rw * rr / math.pi)[:, None] * tw
-        # per-node, per-arc sums of |f'|^2 * angular weights; each node's
-        # slice takes the kernel d2[i] @ wrows[i] takes (matrix-vector, or
-        # a dot product for one arc)
-        rows = np.matmul(d2, wrows[:, :, None])[..., 0]
         # each node's weights on a scalar base: an array base takes other
         # numpy power loops (a square-root fast path at p = 0.5, a SIMD
         # loop), whose last bits differ
         oms = np.array([(1.0 - r ** 2) ** p_arr for r in rr])
-        acc = sums[:, :, min(j_abs, TRACE_LEVEL_CAP + 1)]
-        for c in rows[:, :, None] * oms[:, None, :]:
-            acc += c  # node by node: a reduction over nodes may sum pairwise
+        deltas.append(delta)
+        panels.append((rr, rw * rr / math.pi, oms, min(j_abs, TRACE_LEVEL_CAP + 1)))
+    return _BoxRadialPlan(len(p_arr), tuple(deltas), tuple(panels))
+
+
+def _box_sums(f, arcs, offs, plan: _BoxRadialPlan):
+    """Level sums, shaped (len(arcs), plan.n_exponents, TRACE_LEVEL_CAP + 2),
+    of the boxes of ``arcs``, all of the plan's length.
+
+    Every radial panel carries one angular window (-half, half) about each
+    arc's centre, graded toward the focus offsets ``offs``; the windows of
+    all panels come from one :func:`quadrature.window_nodes` pass, and their
+    angles e^{i(centre + th)} from one exponential.  Per panel there is one
+    |f'|^2 evaluation on the (radial node, arc, angle) block and one stacked
+    product with the nodes' weight rows; the panel's nodes then enter their
+    level's sums in node order, through one accumulation along the nodes
+    with the running sums stacked in front."""
+    half = math.pi * arcs[0].length
+    centers = np.array([a.center for a in arcs])
+    th, tw, bounds = window_nodes(-half, half, plan.deltas, offs, BOX_BASE_PANELS,
+                                  BOX_PANEL_ORDER)
+    e = np.exp(1j * (centers[:, None] + th[None, :]))
+    sums = np.zeros((len(arcs), plan.n_exponents, TRACE_LEVEL_CAP + 2))
+    for (rr, wr, oms, slot), lo, hi in zip(plan.panels, bounds[:-1], bounds[1:]):
+        d2 = f.deriv_abs2(rr[:, None, None] * e[:, lo:hi])
+        wrows = wr[:, None] * tw[lo:hi]
+        # per-node, per-arc sums of |f'|^2 * angular weights; each node's
+        # slice takes the kernel d2[i] @ wrows[i] takes (matrix-vector, or
+        # a dot product for one arc)
+        rows = np.matmul(d2, wrows[:, :, None])[..., 0]
+        stack = np.concatenate([sums[None, :, :, slot], rows[:, :, None] * oms[:, None, :]])
+        # an accumulation adds row after row whatever the shape; a reduction
+        # of a (n, 1, 1) stack would sum its nodes pairwise first
+        sums[:, :, slot] = np.add.accumulate(stack, axis=0)[-1]
     return sums
 
 
@@ -730,7 +768,10 @@ def box_quantity_pair(
     """Box integrals of the derivative measure at two weight exponents on the
     same nodes: list of (arc, value_p1, value_p2), one per arc in
     ``grid.arcs()`` order.  Sharing nodes preserves nodewise integrand
-    domination in the computed values."""
+    domination in the computed values.  An exponent that is not finite or
+    not above -1 raises ValueError."""
+    _require_weight_exponent("p1", p1)
+    _require_weight_exponent("p2", p2)
     grid = grid or ParamGrid()
     sums = _box_level_sums(f, [p1, p2], grid, radial_order)
     return [
@@ -879,10 +920,12 @@ def _gpcm_nodes(w: complex, singular_angles, table_depth: int):
     if w != 0:
         offs.add(0.0)
     offs = tuple(sorted(offs))
+    panels = list(radial_panels(1.0 - abs(w), GPCM_REL_DEPTH, GPCM_RADIAL_ORDER, table_depth))
+    th_all, tw_all, bounds = window_nodes(-h, h, [delta for _, _, delta, _ in panels], offs,
+                                          GPCM_BASE_PANELS, GPCM_PANEL_ORDER)
     rs, ths, wts = [], [], []
-    for rr, rw, delta, _ in radial_panels(1.0 - abs(w), GPCM_REL_DEPTH, GPCM_RADIAL_ORDER,
-                                          table_depth):
-        th, tw = _window_nodes(-h, h, delta, offs, GPCM_BASE_PANELS, GPCM_PANEL_ORDER)
+    for (rr, rw, _, _), lo, hi in zip(panels, bounds[:-1], bounds[1:]):
+        th, tw = th_all[lo:hi], tw_all[lo:hi]
         rs.append(np.repeat(rr, th.size))
         ths.append(np.tile(th, rr.size))
         wts.append(((rw * rr)[:, None] * tw[None, :] / math.pi).ravel())
@@ -912,7 +955,9 @@ def gpcm_quantity(
     is one angular interval read off the node's window coordinates.  Points
     with vanishing mu(S(w)) are skipped and recorded: these include every w
     with no radial panel above the table's depth.  A scan with no positive
-    value reports 0 with a "degenerate" flag."""
+    value reports 0 with a "degenerate" flag.  An exponent p that is not
+    finite or not above -1 raises ValueError."""
+    _require_weight_exponent("p", p)
     table_depth = min(GPCM_TABLE_DEPTH, effective_depth(g, GPCM_TABLE_DEPTH))
     table = BoxMassTable(derivative_density(g, p), depth=table_depth)
     total = table.total_mass()

@@ -144,10 +144,39 @@ def angular_nodes(lo, hi, delta, foci, base_panels, order, *, wrap=False):
     return _panel_nodes(breaks, order)
 
 
+def window_nodes(wlo, whi, deltas, foci, base_panels, order):
+    """Gauss nodes of the window (wlo, whi) at each grading scale of ``deltas``,
+    built in one pass.
+
+    Window k is graded toward ``foci`` and their periodic images down to
+    ``deltas[k]`` (:func:`graded_breakpoints`) over at most ``base_panels``
+    background cells, fewer on a narrow window.  Returns (th, tw, bounds):
+    the windows' nodes and weights end to end, window k at
+    ``th[bounds[k]:bounds[k + 1]]``, each bitwise what :func:`angular_nodes`
+    gives on it.  An empty ``deltas`` gives empty arrays.
+    """
+    nb = max(4, min(base_panels, int(math.ceil((whi - wlo) / (TWO_PI / 64))) + 3))
+    foci = tuple(foci)
+    breaks = [graded_breakpoints(wlo, whi, d, foci, nb, wrap=True) for d in deltas]
+    bounds = [0]
+    for b in breaks:
+        bounds.append(bounds[-1] + (b.size - 1) * order)
+    if len(breaks) < 2:
+        th, tw = _panel_nodes(breaks[0], order) if breaks else (np.empty(0), np.empty(0))
+        return th, tw, bounds
+    th, tw = _panel_nodes(np.concatenate(breaks), order)
+    # the step from one window's last breakpoint to the next one's first is
+    # no cell
+    keep = np.ones(len(th) // order, dtype=bool)
+    keep[np.cumsum([b.size for b in breaks[:-1]]) - 1] = False
+    keep = np.repeat(keep, order)
+    return th[keep], tw[keep], bounds
+
+
 def _window_nodes(wlo, whi, delta, foci, base_panels, order):
-    width = whi - wlo
-    nb = max(4, min(base_panels, int(math.ceil(width / (TWO_PI / 64))) + 3))
-    return angular_nodes(wlo, whi, delta, foci, nb, order, wrap=True)
+    """The one-window case of :func:`window_nodes`: (th, tw)."""
+    th, tw, _ = window_nodes(wlo, whi, (delta,), foci, base_panels, order)
+    return th, tw
 
 
 def radial_panels(d: float, depth: int, order: int, max_level: Optional[int] = None):

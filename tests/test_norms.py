@@ -21,6 +21,7 @@ from dirimor.norms import (
     box_quantity_pair,
     classify_trend,
     dirichlet_norm,
+    _box_radial_plan,
     _box_scan_report,
     _box_sums,
     _gpcm_nodes,
@@ -409,21 +410,51 @@ def _box_sums_per_node(f, p_arr, arcs, offs, radial_order, max_level):
     return sums
 
 
-@pytest.mark.parametrize("n_arcs", [1, 8])
+@pytest.mark.parametrize("n_arcs", [1, 8, 16, "full"])
 @pytest.mark.parametrize("p_list", [(0.5,), (0.3, 0.6)])
 @pytest.mark.parametrize(
     "spec", ["taylor:1,2,0,1", "kernel:c=0.9+0i,s=auto", "log1", "gap:q=0.5,K=20"])
 def test_box_sums_equal_per_node_loop_bitwise(spec, p_list, n_arcs):
-    # one stacked product per radial panel and one accumulation per node
-    # give the per-node, per-exponent loop's bits; p = 0.5 guards the
-    # square-root fast path of an array power
+    # one window pass, one exponential and one stacked product per batch
+    # and panel, and one ordered accumulation of the nodes give the
+    # per-node, per-exponent loop's bits; p = 0.5 guards the square-root
+    # fast path of an array power.  16 arcs are a level of qp's grid.
     f = parse_function_spec(spec, SpaceParams(0.5, 0.4))
     max_level = effective_depth(f, 10 ** 6) if f.r_max < 1.0 else None
     p_arr = np.array(p_list)
-    arcs = [Arc(0.1 + m * TWO_PI / 8, 1 / 16) for m in range(n_arcs)]
+    if n_arcs == "full":
+        arcs = [Arc(0.0, 1.0)]
+    elif n_arcs == 16:
+        arcs = [Arc(m * TWO_PI / 16, 1 / 16) for m in range(16)]
+    else:
+        arcs = [Arc(0.1 + m * TWO_PI / 8, 1 / 16) for m in range(n_arcs)]
     offs = (-0.1,)
-    got = _box_sums(f, p_arr, arcs, offs, 6, max_level)
+    got = _box_sums(f, arcs, offs, _box_radial_plan(arcs[0].length, p_arr, 6, max_level))
     assert np.array_equal(got, _box_sums_per_node(f, p_arr, arcs, offs, 6, max_level))
+
+
+@pytest.mark.parametrize("radial_order", [7, 8, 12])
+def test_box_sums_keep_node_order_on_one_column(radial_order):
+    # one arc and one exponent stack a panel's nodes as a single column,
+    # which a reduction would sum pairwise once it holds 8 or more rows
+    f = make_power_kernel(0.9, 0.35)
+    p_arr = np.array([0.5])
+    arcs = [Arc(0.0, 1.0)]
+    plan = _box_radial_plan(1.0, p_arr, radial_order, None)
+    got = _box_sums(f, arcs, (0.0,), plan)
+    assert np.array_equal(got, _box_sums_per_node(f, p_arr, arcs, (0.0,), radial_order, None))
+
+
+def test_box_sums_of_a_level_below_the_certified_depth_stay_zero():
+    # the gap series is certified to 1 - 2^-12: boxes of length 2^-12 hold
+    # no radial panel above that depth, and their sums stay zero
+    f = parse_function_spec("gap:q=0.5,K=20", SpaceParams(0.5, 0.4))
+    assert effective_depth(f, 10 ** 6) == 12
+    plan = _box_radial_plan(2.0 ** -12, np.array([0.3, 0.6]), 6, 12)
+    assert plan.panels == () and plan.deltas == ()
+    rows = box_quantity_pair(f, 0.3, 0.6, ParamGrid(k_arc=12, n_centers=4))
+    assert all(q1 == 0.0 and q2 == 0.0 for arc, q1, q2 in rows if arc.length == 2.0 ** -12)
+    assert all(q1 > 0.0 and q2 > 0.0 for arc, q1, q2 in rows if arc.length == 2.0 ** -11)
 
 
 def test_qp_log_trivial_and_interior_max():
@@ -750,6 +781,23 @@ def test_gpcm_node_boxes_match_region_geometry():
         got = table.box_masses(r, lo, hi)
         assert np.all(np.abs(got - ring * width / TWO_PI) <= ring * (step / n_fine + 1e-12) / TWO_PI)
     assert straddles > 0
+
+
+@pytest.mark.parametrize("p1,p2,bad", [(0.3, float("nan"), "p2"), (-2.0, 0.6, "p1"),
+                                       (float("inf"), 0.6, "p1"), (0.3, -1.0, "p2")])
+def test_box_pair_rejects_bad_exponents(p1, p2, bad):
+    # (1 - |z|^2)^p is integrable exactly for p > -1; a NaN exponent gave
+    # NaN rows and p1 = -2 read 32767.25 on the full circle
+    value = p1 if bad == "p1" else p2
+    with pytest.raises(ValueError, match=rf"^{bad} must .* got {value!r}"):
+        box_quantity_pair(make_taylor([0, 1]), p1, p2, ParamGrid(k_arc=2, n_centers=2))
+
+
+@pytest.mark.parametrize("p", [float("nan"), -1.5, -1.0, float("-inf")])
+def test_gpcm_rejects_bad_exponents(p):
+    # a NaN exponent failed inside BoxMassTable, and p = -1.5 returned 16.8
+    with pytest.raises(ValueError, match=rf"^p must .* got {p!r}"):
+        gpcm_quantity(make_taylor([0, 1]), p, k_w=2, w_angle_cap=2)
 
 
 @pytest.mark.parametrize("spec,k_w,skipped", [("taylor:0,1", 13, 2), ("gap:q=0.5,K=20", 12, 1)])

@@ -10,9 +10,13 @@ import pytest
 from dirimor.analytic import SpaceParams, make_power_kernel, make_taylor
 from dirimor.norms import (
     BOX_REL_DEPTH,
+    GPCM_BASE_PANELS,
+    GPCM_PANEL_ORDER,
+    GPCM_RADIAL_ORDER,
     GPCM_REL_DEPTH,
     GPCM_TABLE_DEPTH,
     ParamGrid,
+    _box_radial_plan,
     _box_sums,
     _gpcm_nodes,
     box_quantity_pair,
@@ -24,12 +28,14 @@ from dirimor.quadrature import (
     QuadratureError,
     RadialAnnuliGrid,
     _window_nodes,
+    angular_nodes,
     arc_double_integral,
     chord_gap,
     graded_breakpoints,
     integrate_disc,
     integrate_lune,
     radial_panels,
+    window_nodes,
 )
 from dirimor.verify import parse_function_spec
 
@@ -188,6 +194,58 @@ def test_point_box_geometry():
         assert float(np.sum(wt)) == pytest.approx(area, rel=1e-12), w
 
 
+def _one_window(wlo, whi, delta, foci, base_panels, order):
+    """A window's nodes straight from angular_nodes, with the window's
+    background cells: one per 2 pi / 64 of its width plus 3, at least 4 and
+    at most base_panels."""
+    nb = max(4, min(base_panels, math.ceil((whi - wlo) / (TWO_PI / 64)) + 3))
+    return angular_nodes(wlo, whi, delta, foci, nb, order, wrap=True)
+
+
+@pytest.mark.parametrize("wlo,whi,foci", [
+    (-math.pi / 16, math.pi / 16, (-0.1,)),  # graded
+    (-math.pi / 16, math.pi / 16, ()),  # uniform
+    (-math.pi, math.pi, (0.0, 3.0)),  # the full turn, graded across the seam
+    (-math.pi, math.pi, ()),
+])
+def test_window_builder_equals_angular_nodes_bitwise(wlo, whi, foci):
+    deltas = [(whi - wlo) / 2 * 2.0 ** -l for l in range(1, 17)]
+    th, tw, bounds = window_nodes(wlo, whi, deltas, foci, 6, 6)
+    assert len(bounds) == len(deltas) + 1 and bounds[-1] == th.size == tw.size
+    for k, delta in enumerate(deltas):
+        want_th, want_tw = _one_window(wlo, whi, delta, foci, 6, 6)
+        assert np.array_equal(th[bounds[k]:bounds[k + 1]], want_th), k
+        assert np.array_equal(tw[bounds[k]:bounds[k + 1]], want_tw), k
+    one_th, one_tw = _window_nodes(wlo, whi, deltas[3], foci, 6, 6)
+    assert np.array_equal(one_th, th[bounds[3]:bounds[4]])
+    assert np.array_equal(one_tw, tw[bounds[3]:bounds[4]])
+    empty = window_nodes(wlo, whi, (), foci, 6, 6)
+    assert empty[0].size == empty[1].size == 0 and list(empty[2]) == [0]
+
+
+@pytest.mark.parametrize("w", [0.0, 0.5 * np.exp(0.3j), 0.9 * np.exp(-2.0j), 0.995])
+def test_gpcm_nodes_equal_per_panel_windows_bitwise(w):
+    # the windows of all radial panels of S(w) come from one builder pass;
+    # each panel's nodes are those of its own window
+    w = complex(w)
+    foci = (0.0, 2.5)
+    c, h = math.atan2(w.imag, w.real), math.pi * (1 - abs(w))
+    offs = {(ph - c + math.pi) % TWO_PI - math.pi for ph in foci} | ({0.0} if w != 0 else set())
+    rs, ths, wts = [], [], []
+    for rr, rw, delta, _ in radial_panels(1 - abs(w), GPCM_REL_DEPTH, GPCM_RADIAL_ORDER,
+                                          GPCM_TABLE_DEPTH):
+        th, tw = _one_window(-h, h, delta, tuple(sorted(offs)), GPCM_BASE_PANELS,
+                             GPCM_PANEL_ORDER)
+        for r, wr in zip(rr, rw):
+            rs.append(np.full(th.size, r))
+            ths.append(th)
+            wts.append(wr * r * tw / math.pi)
+    r, th, wt, _, _ = _gpcm_nodes(w, foci, GPCM_TABLE_DEPTH)
+    assert np.array_equal(r, np.concatenate(rs))
+    assert np.array_equal(th, np.concatenate(ths))
+    assert np.array_equal(wt, np.concatenate(wts))
+
+
 def _window_integral(field, centre, wlo, whi, r_lo, foci=()):
     """integral of a field over [r_lo, 1) x (centre + wlo, centre + whi) on
     the window rule of the box scans."""
@@ -220,7 +278,7 @@ def test_refinement_convergence_polynomial():
 def test_box_monotonicity():
     # nested boxes about one centre, under |f'|^2 (1-|z|^2)^(1/2) > 0
     f = make_taylor([0, 1, 0.5])
-    vals = [float(np.sum(_box_sums(f, np.array([0.5]), [Arc(0.2, ln)], (), 6, None)))
+    vals = [float(np.sum(_box_sums(f, [Arc(0.2, ln)], (), _box_radial_plan(ln, np.array([0.5]), 6, None))))
             for ln in [1 / 16, 1 / 8, 1 / 4, 1 / 2, 1.0]]
     assert all(vals[i] <= vals[i + 1] * (1 + 1e-9) for i in range(len(vals) - 1))
 
