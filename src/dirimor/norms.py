@@ -41,6 +41,7 @@ from .quadrature import (
     TWO_PI,
     arc_double_integral,
     chord_gap,
+    fitted_panels,
     integrate_disc,
     radial_panels,
     window_nodes,
@@ -667,8 +668,8 @@ def _box_sums(f, arcs, offs, plan: _BoxRadialPlan):
     with the running sums stacked in front."""
     half = math.pi * arcs[0].length
     centers = np.array([a.center for a in arcs])
-    th, tw, bounds = window_nodes(-half, half, plan.deltas, offs, BOX_BASE_PANELS,
-                                  BOX_PANEL_ORDER)
+    th, tw, bounds = window_nodes(-half, half, plan.deltas, offs,
+                                  fitted_panels(-half, half, BOX_BASE_PANELS), BOX_PANEL_ORDER)
     e = np.exp(1j * (centers[:, None] + th[None, :]))
     sums = np.zeros((len(arcs), plan.n_exponents, TRACE_LEVEL_CAP + 2))
     for (rr, wr, oms, slot), lo, hi in zip(plan.panels, bounds[:-1], bounds[1:]):
@@ -813,7 +814,6 @@ def boundary_double_seminorm(
         res = arc_double_integral(
             F, arc, beta=1.0 - p,
             t_depth=t_depth, v_foci=f.singular_angles, focus_width=f.singular_width,
-            resolution_check=False,
         )
         entries.append((j, arc, res.value * arc.length ** -params.box_exponent))
         errors.append(res.error)
@@ -922,7 +922,7 @@ def _gpcm_nodes(w: complex, singular_angles, table_depth: int):
     offs = tuple(sorted(offs))
     panels = list(radial_panels(1.0 - abs(w), GPCM_REL_DEPTH, GPCM_RADIAL_ORDER, table_depth))
     th_all, tw_all, bounds = window_nodes(-h, h, [delta for _, _, delta, _ in panels], offs,
-                                          GPCM_BASE_PANELS, GPCM_PANEL_ORDER)
+                                          fitted_panels(-h, h, GPCM_BASE_PANELS), GPCM_PANEL_ORDER)
     rs, ths, wts = [], [], []
     for (rr, rw, _, _), lo, hi in zip(panels, bounds[:-1], bounds[1:]):
         th, tw = th_all[lo:hi], tw_all[lo:hi]
@@ -956,8 +956,12 @@ def gpcm_quantity(
     with vanishing mu(S(w)) are skipped and recorded: these include every w
     with no radial panel above the table's depth.  A scan with no positive
     value reports 0 with a "degenerate" flag.  An exponent p that is not
-    finite or not above -1 raises ValueError."""
+    finite or not above -1 raises ValueError, and so do a ``k_w`` below 0
+    and a ``w_angle_cap`` below 1."""
     _require_weight_exponent("p", p)
+    for name, value, least in (("k_w", k_w, 0), ("w_angle_cap", w_angle_cap, 1)):
+        if value < least:
+            raise ValueError(f"{name} must be at least {least}, got {value}")
     table_depth = min(GPCM_TABLE_DEPTH, effective_depth(g, GPCM_TABLE_DEPTH))
     table = BoxMassTable(derivative_density(g, p), depth=table_depth)
     total = table.total_mass()

@@ -50,9 +50,11 @@ from dirimor.operators import IG, JG, apply_Jg, apply_operator
 from dirimor.quadrature import (
     Arc,
     BoxMassTable,
-    _window_nodes,
+    _panel_nodes,
     arc_double_integral,
     chord_gap,
+    fitted_panels,
+    graded_breakpoints,
     integrate_lune,
     radial_panels,
 )
@@ -397,7 +399,8 @@ def _box_sums_per_node(f, p_arr, arcs, offs, radial_order, max_level):
     half = math.pi * length
     sums = np.zeros((len(arcs), len(p_arr), TRACE_LEVEL_CAP + 2))
     for rr, rw, delta, j_abs in radial_panels(length, BOX_REL_DEPTH, radial_order, max_level):
-        th, tw = _window_nodes(-half, half, delta, offs, norms.BOX_BASE_PANELS, BOX_PANEL_ORDER)
+        nb = fitted_panels(-half, half, norms.BOX_BASE_PANELS)
+        th, tw = _panel_nodes(graded_breakpoints(-half, half, delta, offs, nb), BOX_PANEL_ORDER)
         j_abs = min(j_abs, TRACE_LEVEL_CAP + 1)
         e = np.exp(1j * (centers[:, None] + th[None, :]))
         d2 = f.deriv_abs2(rr[:, None, None] * e)
@@ -486,6 +489,14 @@ def test_qp_depth_trace_grows_for_critical_gap():
 def test_boundary_double_requires_trace():
     with pytest.raises(UnsupportedFunctionError):
         boundary_double_seminorm(log_kernel(), SpaceParams(0.5, 0.4))
+
+
+@pytest.mark.parametrize("t_depth", [0, -3])
+def test_boundary_double_rejects_t_depth_below_one(t_depth):
+    # with no t-panel the scan read 0.0 and "bounded-trend"
+    with pytest.raises(ValueError, match=rf"^t_depth must be at least 1, got {t_depth}"):
+        boundary_double_seminorm(make_taylor([0, 1]), SpaceParams(0.5, 0.4),
+                                 ParamGrid(k_arc=1, n_centers=2), t_depth=t_depth)
 
 
 def test_boundary_double_constant_zero():
@@ -621,7 +632,7 @@ def test_boundary_grading_floor_at_the_kernel_width(c, least_fall):
         for floored, g in ((True, f), (False, dataclasses.replace(f, singular_width=0.0))):
             res[floored] = arc_double_integral(
                 F, arc, beta=1.0 - params.p, t_depth=36, v_foci=g.singular_angles,
-                focus_width=g.singular_width, resolution_check=False)
+                focus_width=g.singular_width)
             nodes[floored] += res[floored].nodes_used
         assert res[True].value == pytest.approx(res[False].value, rel=1e-12), arc
     assert nodes[False] >= least_fall * nodes[True]
@@ -638,8 +649,8 @@ def test_boundary_scan_without_width_keeps_the_t_grading(spec):
     F = _boundary_integrand(f, params.p)
     per_level = {}
     for j, arc in grid.arcs():
-        v = arc_double_integral(F, arc, beta=1.0 - params.p, t_depth=36, v_foci=f.singular_angles,
-                                resolution_check=False).value
+        v = arc_double_integral(F, arc, beta=1.0 - params.p, t_depth=36,
+                                v_foci=f.singular_angles).value
         per_level[j] = max(per_level.get(j, 0.0), v * arc.length ** -params.box_exponent)
     running = list(np.maximum.accumulate([per_level[j] for j in sorted(per_level)]))
     assert [v for _, v in boundary_double_seminorm(f, params, grid).levels] == running
@@ -798,6 +809,14 @@ def test_gpcm_rejects_bad_exponents(p):
     # a NaN exponent failed inside BoxMassTable, and p = -1.5 returned 16.8
     with pytest.raises(ValueError, match=rf"^p must .* got {p!r}"):
         gpcm_quantity(make_taylor([0, 1]), p, k_w=2, w_angle_cap=2)
+
+
+@pytest.mark.parametrize("kw,message", [({"k_w": -1}, "k_w must be at least 0, got -1"),
+                                        ({"w_angle_cap": 0}, "w_angle_cap must be at least 1, got 0")])
+def test_gpcm_rejects_an_empty_w_grid_by_argument_name(kw, message):
+    # these failed inside ParamGrid, naming its fields k_a and a_angle_cap
+    with pytest.raises(ValueError, match=rf"^{message}$"):
+        gpcm_quantity(make_taylor([0, 1]), 0.5, **kw)
 
 
 @pytest.mark.parametrize("spec,k_w,skipped", [("taylor:0,1", 13, 2), ("gap:q=0.5,K=20", 12, 1)])

@@ -3,6 +3,7 @@ areas, additivity, refinement convergence, diagonal-avoiding double
 integrals."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -27,10 +28,10 @@ from dirimor.quadrature import (
     BoxMassTable,
     QuadratureError,
     RadialAnnuliGrid,
-    _window_nodes,
-    angular_nodes,
+    _panel_nodes,
     arc_double_integral,
     chord_gap,
+    fitted_panels,
     graded_breakpoints,
     integrate_disc,
     integrate_lune,
@@ -195,11 +196,21 @@ def test_point_box_geometry():
 
 
 def _one_window(wlo, whi, delta, foci, base_panels, order):
-    """A window's nodes straight from angular_nodes, with the window's
-    background cells: one per 2 pi / 64 of its width plus 3, at least 4 and
-    at most base_panels."""
-    nb = max(4, min(base_panels, math.ceil((whi - wlo) / (TWO_PI / 64)) + 3))
-    return angular_nodes(wlo, whi, delta, foci, nb, order, wrap=True)
+    """A fitted window's nodes straight from its breakpoints, with the
+    window's background cells (fitted_panels)."""
+    breaks = graded_breakpoints(wlo, whi, delta, tuple(foci), fitted_panels(wlo, whi, base_panels))
+    return _panel_nodes(breaks, order)
+
+
+def test_fitted_panels_count_the_window_width():
+    # one cell per 2 pi / 64 plus 3, between 4 and the base count; a width
+    # a hair above a multiple of 2 pi / 64 takes one more
+    assert fitted_panels(-1e-3, 1e-3, 6) == 4
+    assert fitted_panels(-math.pi / 16, math.pi / 16, 6) == 6
+    assert fitted_panels(-math.pi / 16, math.pi / 16, 80) == 7
+    assert fitted_panels(-math.pi, math.pi, 80) == 67
+    assert fitted_panels(-math.pi, math.pi, 3) == 4
+    assert fitted_panels(0.0, 0.09817477042468115, 80) == 5  # 1.000000000000001 cells
 
 
 @pytest.mark.parametrize("wlo,whi,foci", [
@@ -208,19 +219,36 @@ def _one_window(wlo, whi, delta, foci, base_panels, order):
     (-math.pi, math.pi, (0.0, 3.0)),  # the full turn, graded across the seam
     (-math.pi, math.pi, ()),
 ])
-def test_window_builder_equals_angular_nodes_bitwise(wlo, whi, foci):
+def test_window_builder_equals_per_window_rules_bitwise(wlo, whi, foci):
     deltas = [(whi - wlo) / 2 * 2.0 ** -l for l in range(1, 17)]
-    th, tw, bounds = window_nodes(wlo, whi, deltas, foci, 6, 6)
+    th, tw, bounds = window_nodes(wlo, whi, deltas, foci, fitted_panels(wlo, whi, 6), 6)
     assert len(bounds) == len(deltas) + 1 and bounds[-1] == th.size == tw.size
     for k, delta in enumerate(deltas):
         want_th, want_tw = _one_window(wlo, whi, delta, foci, 6, 6)
         assert np.array_equal(th[bounds[k]:bounds[k + 1]], want_th), k
         assert np.array_equal(tw[bounds[k]:bounds[k + 1]], want_tw), k
-    one_th, one_tw = _window_nodes(wlo, whi, deltas[3], foci, 6, 6)
+    one_th, one_tw, _ = window_nodes(wlo, whi, deltas[3:4], foci, fitted_panels(wlo, whi, 6), 6)
     assert np.array_equal(one_th, th[bounds[3]:bounds[4]])
     assert np.array_equal(one_tw, tw[bounds[3]:bounds[4]])
     empty = window_nodes(wlo, whi, (), foci, 6, 6)
     assert empty[0].size == empty[1].size == 0 and list(empty[2]) == [0]
+
+
+@pytest.mark.parametrize("base_panels", [1, 3, 16, 80])
+@pytest.mark.parametrize("foci", [(0.7,), (0.3, 2.0), (math.pi, 0.0)])
+def test_graded_disc_grid_equals_per_annulus_build_bitwise(foci, base_panels):
+    # the one-pass grid (every annulus's window in one builder pass, one
+    # exponential) against each annulus built on its own breakpoints
+    g = RadialAnnuliGrid(depth=14, foci=foci, panel_order=4, base_panels=base_panels)
+    zs, ws, lv = [], [], []
+    for j, (rr, rw, delta, _) in enumerate(radial_panels(1.0, g.depth, g.RADIAL_ORDER)):
+        breaks = graded_breakpoints(foci[0], foci[0] + TWO_PI, delta, foci, base_panels)
+        th, tw = _panel_nodes(breaks, g.panel_order)
+        zs.append((rr[:, None] * np.exp(1j * th[None, :])).ravel())
+        ws.append(((rw * rr)[:, None] * tw[None, :] / math.pi).ravel())
+        lv.append(np.full(zs[-1].size, j, dtype=np.int32))
+    for got, want in zip(g.nodes(), (zs, ws, lv)):
+        assert np.array_equal(got, np.concatenate(want))
 
 
 @pytest.mark.parametrize("w", [0.0, 0.5 * np.exp(0.3j), 0.9 * np.exp(-2.0j), 0.995])
@@ -251,7 +279,7 @@ def _window_integral(field, centre, wlo, whi, r_lo, foci=()):
     the window rule of the box scans."""
     total = 0.0
     for rr, rw, delta, _ in radial_panels(1.0 - r_lo, 28, 8):
-        th, tw = _window_nodes(wlo, whi, delta, foci, 8, 8)
+        th, tw = _one_window(wlo, whi, delta, foci, 8, 8)
         z = rr[:, None] * np.exp(1j * (centre + th[None, :]))
         total += float(np.sum(field(z) * ((rw * rr)[:, None] * tw[None, :]))) / math.pi
     return total
@@ -347,7 +375,7 @@ def test_double_integral_never_touches_diagonal():
         seen.append(np.min(gap))
         return np.ones(np.shape(u))
 
-    arc_double_integral(F, Arc(0.0, 0.5), resolution_check=False)
+    arc_double_integral(F, Arc(0.0, 0.5))
     assert min(seen) > 0.0
 
 
@@ -369,8 +397,8 @@ def test_double_integral_t_panels_stay_above_the_float_floor(arc):
 
 def test_double_integral_rotation_invariance():
     F = lambda u, v: chord_gap(u, v) ** 0.5
-    a = arc_double_integral(F, Arc(0.0, 1.0), resolution_check=False).value
-    b = arc_double_integral(F, Arc(2.0, 1.0), resolution_check=False).value
+    a = arc_double_integral(F, Arc(0.0, 1.0)).value
+    b = arc_double_integral(F, Arc(2.0, 1.0)).value
     assert a == pytest.approx(b, rel=1e-12)
 
 
@@ -381,7 +409,7 @@ def _integrand_calls(arc, t_depth):
         calls.append(np.shape(u))
         return chord_gap(u, v) ** 0.5
 
-    arc_double_integral(F, arc, t_depth=t_depth, resolution_check=False)
+    arc_double_integral(F, arc, t_depth=t_depth)
     return len(calls)
 
 
@@ -390,17 +418,33 @@ def test_double_integral_one_call_per_t_panel():
     assert _integrand_calls(Arc(0.7, 1.0), 36) <= 2 * 36
 
 
+@pytest.mark.parametrize("kw,message", [
+    ({"t_depth": 0}, "t_depth must be at least 1, got 0"),
+    ({"t_depth": -3}, "t_depth must be at least 1, got -3"),
+    ({"s_order": 0}, "s_order must be at least 1, got 0"),
+    ({"s_base": 0}, "s_base must be at least 1, got 0"),
+    ({"resolution_check": True}, "resolution_check=True: arc_double_integral runs no"),
+])
+@pytest.mark.parametrize("arc", [Arc(0.3, 0.25), Arc(0.3, 1.0)])
+def test_double_integral_rejects_bad_rule_arguments_by_name(arc, kw, message):
+    # t_depth 0 or below read value 0.0 with error 0.0, s_order 0 failed in
+    # numpy's Gauss rule, s_base 0 ran on one background cell, and the coarse
+    # re-run is gone
+    with pytest.raises(ValueError, match=rf"^{re.escape(message)}"):
+        arc_double_integral(lambda u, v: np.ones(np.broadcast(u, v).shape), arc, **kw)
+
+
 def test_double_integral_rejects_asymmetric_integrand():
     F = lambda u, v: 1.0 + 0.5 * np.sin(u - v)
     with pytest.raises(ValueError, match="symmetric"):
-        arc_double_integral(F, Arc(0.7, 0.25), resolution_check=False)
+        arc_double_integral(F, Arc(0.7, 0.25))
 
 
 @pytest.mark.parametrize("arc", [Arc(1.0, 0.25), Arc(1.0, 1.0)])
 def test_double_integral_nan_near_diagonal_names_node(arc):
     F = lambda u, v: np.where(chord_gap(u, v) < 1e-6, np.nan, 1.0)
     with pytest.raises(QuadratureError) as exc:
-        arc_double_integral(F, arc, resolution_check=False)
+        arc_double_integral(F, arc)
     loc = exc.value.location
     assert loc.imag == 0.0
     offset = (loc.real - arc.center + math.pi) % TWO_PI - math.pi
@@ -608,7 +652,7 @@ def test_breakpoints_cached_read_only_and_list_foci_accepted():
     field = lambda z: np.abs(z) ** 2
     as_list = integrate_lune(field, 0.3, 0.25, foci=[0.0]).value
     assert as_list == integrate_lune(field, 0.3, 0.25, foci=(0.0,)).value
-    b = graded_breakpoints(0.0, TWO_PI, 2.0 ** -6, (1.0,), 16, wrap=True)
-    assert b is graded_breakpoints(0.0, TWO_PI, 2.0 ** -6, (1.0,), 16, wrap=True)
+    b = graded_breakpoints(0.0, TWO_PI, 2.0 ** -6, (1.0,), 16)
+    assert b is graded_breakpoints(0.0, TWO_PI, 2.0 ** -6, (1.0,), 16)
     with pytest.raises(ValueError):
         b[0] = 1.0

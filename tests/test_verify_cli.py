@@ -448,6 +448,15 @@ def test_cli_rejects_empty_scan_sizes(quantity, flag, value, field, tmp_path, ca
     ParamGrid(k_a=0, k_arc=0, a_angle_cap=1, n_centers=1)
 
 
+def test_cli_boundary_rejects_t_depth_below_one(tmp_path, capsys):
+    # a boundary scan without t-panels read 0.0 and "bounded-trend"
+    cfg = tmp_path / "t.json"
+    cfg.write_text(json.dumps({"boundary_t_depth": 0}))
+    assert main(["norm", "--quantity", "boundary", "--function", "taylor:0,1",
+                 "--config", str(cfg)]) == 2
+    assert "t_depth must be at least 1, got 0" in _one_error_line(capsys.readouterr().err)
+
+
 @pytest.mark.parametrize(
     "quantity,flag,value,token",
     [
