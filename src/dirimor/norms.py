@@ -26,6 +26,7 @@ polynomials; tests hold these pairs together.
 
 from __future__ import annotations
 
+import cmath
 import itertools
 import math
 from dataclasses import dataclass, replace
@@ -313,9 +314,13 @@ def translate_seminorm(
     route="weight" integrates |f'(z)|^2 (1-|phi_a(z)|^2)^p by the change of
     variables; route="translate" builds the translate and integrates
     |(f o phi_a)'|^2 (1-|z|^2)^p directly.  The two must agree within
-    quadrature tolerance.
+    quadrature tolerance.  A p outside (-1, inf) or a non-finite a raises
+    ValueError naming it.
     """
+    _require_weight_exponent("p", p)
     a = complex(a)
+    if not cmath.isfinite(a):
+        raise ValueError(f"a must be a finite translate point, got {a!r}")
     if abs(a) >= 1.0:
         raise ValueError("translate point must satisfy |a| < 1")
     if route == "translate":
@@ -378,8 +383,9 @@ def _translate_scan(
 
     Functions whose grids for a direction (or whose uniform grids) are equal
     form one group, scanned on one build of the grid by ``_group_rows``: the
-    radial weight and each symbol factor are evaluated once per grid, and
-    each Mobius weight once per point and block of MEMBER_BLOCK members.
+    radial weight and each symbol factor are evaluated once per grid, each
+    ray frame once per direction and block of MEMBER_BLOCK members, and
+    each Mobius weight once per point and block.
     Each function's entries come in the order of its own scan: direction by
     direction, or ``grid.a_points()`` order on a uniform grid; the first
     maximum wins.  Each report is named ``desc["scan"]``, and its grid is
@@ -428,7 +434,9 @@ def _group_rows(fs, p, disc, run) -> list:
     The radial weight and each symbol factor (keyed on the symbol) are
     evaluated once per grid, after the first |f'|^2 that needs them, and
     dropped before the last block is scanned; a block's bases are freed
-    before the next block's are built."""
+    before the next block's are built.  run allocates its own work arrays
+    (a ray frame and a weight, 24 bytes per node, and a row when a block
+    holds more than one base) after the block's bases are built."""
     z, w, _ = disc.nodes()
     shared: dict = {}
 
@@ -456,15 +464,39 @@ def _group_rows(fs, p, disc, run) -> list:
     return rows
 
 
-def _mobius_weight(a, z, p, zw, q):
-    """q <- ((1-|a|^2)/|1-conj(a) z|^2)^p, built in the work arrays zw and q
-    in the operation order of the plain expression, so values match it bit
-    for bit; ``**=`` keeps numpy's scalar-power fast paths."""
-    np.multiply(np.conj(a), z, out=zw)
-    np.subtract(1.0, zw, out=zw)
-    np.absolute(zw, out=q)
-    q **= 2
-    np.divide(1.0 - abs(a) ** 2, q, out=q)
+# Below this |a| the Mobius weight is 1 in double precision, and a point
+# reads as a = 0 (the ray frame's 1/|a| would overflow near |a| = 1e-154)
+TINY_A = 2.0 ** -54
+# Points whose unit vectors a/|a| differ by at most this share a ray frame
+FRAME_TOL = 4e-16
+# Nodes per block of a ray frame's build: the complex buffer stays in cache
+FRAME_BLOCK = 16384
+
+
+def _ray_frame(u, z, x, y2):
+    """x <- Re(conj(u) z) and y2 <- Im(conj(u) z)^2, the frame of the ray
+    through the unit vector u: built in node blocks through one small complex
+    buffer, so every grid-sized pass is contiguous."""
+    cu = np.conj(u)
+    buf = np.empty(min(FRAME_BLOCK, z.size), dtype=complex)
+    for lo in range(0, z.size, FRAME_BLOCK):
+        blk = slice(lo, lo + buf.size)
+        zb = z[blk]
+        b = buf[:zb.size]
+        np.multiply(cu, zb, out=b)
+        x[blk] = b.real
+        np.square(b.imag, out=y2[blk])
+
+
+def _mobius_weight(rho, x, y2, p, q):
+    """q <- ((1-|a|^2)/|1-conj(a) z|^2)^p at a = rho u, read in the frame
+    (x, y2) of the ray through u: |1-conj(a) z|^2 = rho^2 ((1/rho - x)^2 + y^2),
+    in five real passes; ``**=`` keeps numpy's scalar-power fast paths.
+    Needs rho >= TINY_A."""
+    np.subtract(1.0 / rho, x, out=q)
+    q *= q
+    q += y2
+    np.divide((1.0 - rho * rho) / (rho * rho), q, out=q)
     q **= p
     return q
 
@@ -474,17 +506,27 @@ def _point_rows(bases, z, p, weight_of_a, pts) -> list:
     in pts: one Mobius weight q per point, shared by the bases, each of
     which takes np.sum(base * q) in a work row; the last base's product
     overwrites q, which that point needs no more, so a single base needs no
-    row.  The work arrays are allocated after the bases are built."""
-    zw = np.empty_like(z)
-    q = np.empty(z.shape)
-    row = np.empty(z.shape) if len(bases) > 1 else None
+    row.  The weight is read in the frame of the point's ray
+    (:func:`_ray_frame`), built once for consecutive points whose unit
+    vectors agree within FRAME_TOL (so once for a scan direction).  The frame
+    (x, y2), q and the row are allocated at the first point with
+    |a| >= TINY_A; a point below that takes the a = 0 sum, bit for bit."""
     out = [[] for _ in bases]
+    u0 = None
     for level, a in pts:
-        if a != 0:
-            _mobius_weight(a, z, p, zw, q)
-        wa = weight_of_a(abs(a))
+        rho = abs(a)
+        if rho >= TINY_A:
+            u = complex(a) / rho  # each part rounded once, whatever a's type
+            if u0 is None:
+                x, y2, q = np.empty(z.shape), np.empty(z.shape), np.empty(z.shape)
+                row = np.empty(z.shape) if len(bases) > 1 else None
+            if u0 is None or abs(u - u0) > FRAME_TOL:
+                _ray_frame(u, z, x, y2)
+                u0 = u
+            _mobius_weight(rho, x, y2, p, q)
+        wa = weight_of_a(rho)
         for i, (b, es) in enumerate(zip(bases, out)):
-            if a == 0:
+            if rho < TINY_A:
                 sem2 = float(np.sum(b))
             else:
                 sem2 = float(np.sum(np.multiply(b, q, out=q if i == len(bases) - 1 else row)))
@@ -503,9 +545,11 @@ def _uniform_rows(bases, z, p, weight_of_a, grid, disc) -> list:
     ring's angles cut into n blocks and G[b, d] the sum of base on block b
     times W0 on block d, the seminorm^2 of direction m is
     sum_b G[b, (b - m) mod n]: one weight pass per level, shared by the
-    bases, in place of n per base.  This drifts from the per-point loop by
-    rounding only (about 3e-14 relative); a = 0 and every other level take
-    that loop, bit for bit.
+    bases, in place of n per base.  W0 is read in the frame of the real
+    axis and overwrites the frame's x, so it holds 16 bytes per node.  This
+    drifts from the per-point loop by rounding only (about 3e-14 relative);
+    a = 0 and every other level take that loop, bit for bit, with one ray
+    frame per point.
     """
     rings = disc.ring_sizes()
     order = disc.RADIAL_ORDER
@@ -518,7 +562,11 @@ def _uniform_rows(bases, z, p, weight_of_a, grid, disc) -> list:
             for es, rows in zip(out, _point_rows(bases, z, p, weight_of_a, pts)):
                 es.extend(rows)
             continue
-        w0 = _mobius_weight(pts[0][1], z, p, np.empty_like(z), np.empty(z.shape))
+        rho = abs(pts[0][1])
+        w0, y2 = np.empty(z.shape), np.empty(z.shape)
+        _ray_frame(complex(pts[0][1]) / rho, z, w0, y2)
+        _mobius_weight(rho, w0, y2, p, w0)  # the weight overwrites the frame's x
+        del y2
         m = np.arange(n)
         for b, es in zip(bases, out):
             gram = np.zeros((n, n))
@@ -566,10 +614,12 @@ def general_morrey_norm(
 
     The power weight here uses (1-|a|); it differs from the (1-|a|^2)
     convention of the translate norm by a factor bounded in [1, 2^s].
-    s = 0 gives the Mobius-invariant scan.
+    s = 0 gives the Mobius-invariant scan.  A p outside (-1, inf) or an s
+    outside [0, inf) raises ValueError naming it.
     """
-    if s < 0:
-        raise ValueError("power-weight exponent must be >= 0")
+    _require_weight_exponent("p", p)
+    if not (math.isfinite(s) and s >= 0):
+        raise ValueError(f"s must be a finite power-weight exponent >= 0, got {s!r}")
     weight = lambda r: (1.0 - r) ** s
     return _translate_scan([f], p, weight, grid or ParamGrid(), {"scan": "morrey", "s": s})[0]
 

@@ -208,7 +208,8 @@ class RadialAnnuliGrid:
     panels graded toward each focus with finest width ~2^-j, over
     ``base_panels`` background cells, anchored at the first focus, all
     annuli in one :func:`window_nodes` pass.  Each annulus carries a Gauss
-    rule of RADIAL_ORDER radial nodes.
+    rule of RADIAL_ORDER radial nodes.  A ``panel_order`` or ``base_panels``
+    below 1 raises ValueError naming it.
     """
 
     RADIAL_ORDER = 8
@@ -223,6 +224,9 @@ class RadialAnnuliGrid:
     def __post_init__(self):
         if self.depth < 2:
             raise ValueError("grid depth must be at least 2")
+        for name in ("panel_order", "base_panels"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be at least 1, got {getattr(self, name)}")
 
     def ring_sizes(self) -> tuple:
         """Uniform mode: the angle count N_j of each annulus j; annulus j holds
@@ -382,7 +386,10 @@ def integrate_lune(
     panel_order: int = 8,
 ) -> QuadratureResult:
     """Integral of a field against dm over the lune {z : |e^{ib} - z| < h},
-    on the nodes of :func:`region_node_arrays`."""
+    on the nodes of :func:`region_node_arrays`.  A ``panel_order`` below 1
+    raises ValueError."""
+    if panel_order < 1:
+        raise ValueError(f"panel_order must be at least 1, got {panel_order}")
     z, w, lv = region_node_arrays(b, h, rel_depth=rel_depth, radial_order=radial_order,
                                   foci=foci, panel_order=panel_order)
     vals = np.asarray(field(z), dtype=float)

@@ -131,10 +131,16 @@ def test_translate_two_routes_agree(f, a):
     assert abs(v1 - v2) / v1 < 1e-5
 
 
-def _plain_seminorm(f, p, a, grid):
+def _plain_seminorm(f, p, a, grid, u=None):
+    # the Mobius weight in the frame of the ray through u (default a/|a|,
+    # in Python's complex arithmetic):
+    # with zeta = conj(u) z = x + iy and rho = |a|,
+    # |1 - conj(a) z|^2 = rho^2 ((1/rho - x)^2 + y^2)
     z, w, _ = grid.nodes()
     base = f.deriv_abs2(z) * (1.0 - np.abs(z) ** 2) ** p * w
-    q = (1.0 - abs(a) ** 2) / np.abs(1.0 - np.conj(a) * z) ** 2
+    rho = abs(a)
+    zeta = np.conj(complex(a) / rho if u is None else u) * z
+    q = (1.0 - rho * rho) / (rho * rho) / ((1.0 / rho - zeta.real) ** 2 + zeta.imag ** 2)
     return math.sqrt(max(float(np.sum(base * q ** p)), 0.0))
 
 
@@ -150,9 +156,11 @@ def _plain_seminorm(f, p, a, grid):
 )
 def test_scan_group_equals_plain_weight_bitwise(f, scan_grid, p):
     # the work-array reduction must reproduce the plain expression bit for
-    # bit, for a group of one and for a group of more than MEMBER_BLOCK
+    # bit, for a group of one and for a group of more than MEMBER_BLOCK; the
+    # points of one ray share the frame of the first
     disc = grid_for_function(f, 24, **scan_grid)
     pts = [(k, (1.0 - 2.0 ** -k) * np.exp(1j * math.pi / 4)) for k in range(1, 11)]
+    u = complex(pts[0][1]) / abs(pts[0][1])
     group = [f, f.scaled(0.5 + 2j), make_taylor([1, 2, 0, 1]), f]
     assert len(group) > norms.MEMBER_BLOCK
     for fs in ([f], group):
@@ -162,7 +170,7 @@ def test_scan_group_equals_plain_weight_bitwise(f, scan_grid, p):
         for g, got in zip(fs, rows):
             for (level, a), (lv, ga, val) in zip(pts, got):
                 assert (lv, ga) == (level, a)
-                assert val == _plain_seminorm(g, p, a, disc)
+                assert val == _plain_seminorm(g, p, a, disc, u)
     for level, a in pts:
         # the grid translate_seminorm builds for a
         own = grid_for_function(f, 24, extra_foci=(float(np.angle(a)) % (2 * math.pi),),
@@ -229,6 +237,62 @@ def test_shift_route_falls_back_bitwise(monkeypatch, degree, cap, looped_levels)
             assert abs(got - want) <= 1e-13 * want
 
 
+
+def _complex_weight(a, z, p):
+    # the Mobius weight as the complex expression it was first computed by
+    return ((1.0 - abs(a) ** 2) / np.abs(1.0 - np.conj(a) * z) ** 2) ** p
+
+
+@pytest.mark.parametrize("p", [0.5, 0.3])
+@pytest.mark.parametrize(
+    "f, scan_grid",
+    [
+        (make_power_kernel(0.9, 0.15),
+         dict(extra_foci=(math.pi / 4,), panel_order=4)),  # graded
+        (gap(0.5), dict(growth_cap=11)),  # uniform
+    ],
+    ids=["graded", "uniform"],
+)
+def test_ray_frame_weight_matches_complex_expression(f, scan_grid, p):
+    # the ray frame moves weights and seminorms at rounding only, out to
+    # |a| = 1 - 2^-11, on and off the grid's focus direction
+    disc = grid_for_function(f, 28, **scan_grid)
+    z, w, _ = disc.nodes()
+    base = f.deriv_abs2(z) * (1.0 - np.abs(z) ** 2) ** p * w
+    x, y2, q = np.empty(z.shape), np.empty(z.shape), np.empty(z.shape)
+    for theta in (math.pi / 4, 2.0):
+        pts = [(k, (1.0 - 2.0 ** -k) * np.exp(1j * theta)) for k in range(1, 12)]
+        rows = _group_rows([f], p, disc,
+                           lambda bases, z: _point_rows(bases, z, p, lambda r: 1.0, pts))[0]
+        for (_, a), (_, _, val) in zip(pts, rows):
+            rho = abs(a)
+            norms._ray_frame(complex(a) / rho, z, x, y2)
+            norms._mobius_weight(rho, x, y2, p, q)
+            want = _complex_weight(a, z, p)
+            assert np.max(np.abs(q - want) / want) <= 1e-12
+            plain = math.sqrt(float(np.sum(base * want)))
+            assert abs(val - plain) <= 1e-14 * plain
+
+
+@pytest.mark.parametrize("u", [1.0, 1j, np.exp(1j * math.pi / 4), -1.0])
+def test_tiny_translate_points_read_the_a0_value(u):
+    # 1/|a| overflows near |a| = 1e-154; below 2^-54 the weight is 1 in
+    # double precision, so such points must read as a = 0, not overflow
+    f, p = make_taylor([0, 1]), 0.5
+    disc = grid_for_function(f, 24, extra_foci=(math.pi / 4,), panel_order=4)
+    tiny = [1e-8, 1e-160, 1e-300, 5e-324]
+    pts = [(0, 0j)] + [(1, t * u) for t in tiny]
+    assert all(0.0 < abs(a) < 1e-7 for _, a in pts[1:])
+    rows = _group_rows([f], p, disc,
+                       lambda bases, z: _point_rows(bases, z, p, lambda r: 1.0, pts))[0]
+    v0 = rows[0][2]
+    for _, _, val in rows[1:]:
+        assert abs(val - v0) <= 1e-15 * v0
+    t0 = translate_seminorm(f, p, 0.0)
+    for t in tiny:
+        assert abs(translate_seminorm(f, p, t * u) - t0) <= 1e-15 * t0
+
+
 # -- dm norms -------------------------------------------------------------------
 
 
@@ -267,6 +331,32 @@ def test_morrey_norm_conventions():
         for _, a in ParamGrid(k_a=5).a_points()
     )
     assert rep0.value == pytest.approx(abs(f.at_zero()) + direct, rel=1e-6)
+
+
+
+NAN = float("nan")
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda f: general_morrey_norm(f, NAN, 0.1, ParamGrid(k_a=2)), r"^p must .* got nan$"),
+        (lambda f: translate_seminorm(f, NAN, 0.5), r"^p must .* got nan$"),
+        (lambda f: general_morrey_norm(f, -1.5, 0.1, ParamGrid(k_a=2)), r"^p must .* got -1\.5$"),
+        (lambda f: translate_seminorm(f, -1.5, 0.5), r"^p must .* got -1\.5$"),
+        (lambda f: general_morrey_norm(f, 0.5, NAN, ParamGrid(k_a=2)), r"^s must .* got nan$"),
+        (lambda f: translate_seminorm(f, 0.5, NAN), r"^a must .* got \(nan\+0j\)$"),
+    ],
+    ids=["morrey-p-nan", "seminorm-p-nan", "morrey-p-below-1", "seminorm-p-below-1",
+         "morrey-s-nan", "seminorm-a-nan"],
+)
+def test_translate_path_rejects_bad_input_by_name(call, message):
+    # each was accepted: morrey at p = nan read 0.0 and at s = nan dropped its
+    # NaN entries (0.816), the seminorm at p = nan read nan, p = -1.5 gave
+    # finite values though the weight is not integrable there, and a = nan
+    # failed converting NaN to an integer
+    with pytest.raises(ValueError, match=message):
+        call(make_taylor([0, 1]))
 
 
 # -- box quantities ---------------------------------------------------------------

@@ -227,8 +227,9 @@ def test_family_builds_one_grid_per_distinct_key(monkeypatch):
 
 def test_ratio_scan_shares_symbol_factor_and_mobius_weights(monkeypatch):
     # the I_g images of one family share each direction's disc grid: log1's
-    # |g|^2 is evaluated once per grid built (not once per image), and each
-    # Mobius weight once per (point, grid) and block of MEMBER_BLOCK images
+    # |g|^2 is evaluated once per grid built (not once per image), each ray
+    # frame once per (direction, grid) and block of MEMBER_BLOCK images, and
+    # each Mobius weight once per (point, grid) and block
     import dataclasses
     from collections import Counter
     from functools import cached_property
@@ -253,13 +254,21 @@ def test_ratio_scan_shares_symbol_factor_and_mobius_weights(monkeypatch):
     prop = cached_property(counted)
     prop.__set_name__(RadialAnnuliGrid, "_nodes")
     monkeypatch.setattr(RadialAnnuliGrid, "_nodes", prop)
-    weights = Counter()
-    mobius = norms._mobius_weight
+    frames, weights = Counter(), Counter()
+    frame_of = {}  # id of a frame's x -> (unit vector, grid nodes) it was last built for
+    ray_frame, mobius = norms._ray_frame, norms._mobius_weight
 
-    def counted_weight(a, z, p, zw, q):
-        weights[a, id(z)] += 1
-        return mobius(a, z, p, zw, q)
+    def counted_frame(u, z, x, y2):
+        frames[round(float(np.angle(u)) % (2 * math.pi), 12), id(z)] += 1
+        frame_of[id(x)] = (u, z)
+        return ray_frame(u, z, x, y2)
 
+    def counted_weight(rho, x, y2, p, q):
+        u, z = frame_of[id(x)]
+        weights[rho * u, id(z)] += 1
+        return mobius(rho, x, y2, p, q)
+
+    monkeypatch.setattr(norms, "_ray_frame", counted_frame)
     monkeypatch.setattr(norms, "_mobius_weight", counted_weight)
     ratio_scan(IG, g, fam)
 
@@ -270,6 +279,10 @@ def test_ratio_scan_shares_symbol_factor_and_mobius_weights(monkeypatch):
     assert len(weights) == len(SMALL_GRID.a_points()) - 1  # a = 0 needs no weight
     assert max(weights.values()) == math.ceil(len(fam.entries) / norms.MEMBER_BLOCK)
     assert norms.MEMBER_BLOCK < len(fam.entries)
+    # one frame per direction (a = 0 has none), on that direction's grid
+    assert {z for _, z in frames} <= {id(z) for z in built}
+    assert len(frames) == len(SMALL_GRID.a_points_by_direction()) - 1
+    assert set(frames.values()) == {math.ceil(len(fam.entries) / norms.MEMBER_BLOCK)}
 
 
 def test_family_norms_reproduced_by_its_own_grid():

@@ -177,6 +177,21 @@ def test_lune_area_against_chord_geometry():
             assert got == pytest.approx(lune_area(h), rel=2e-4), (b, h)
 
 
+@pytest.mark.parametrize("kw", [{"base_panels": 0}, {"base_panels": -2},
+                                {"panel_order": 0}, {"panel_order": -1}])
+def test_disc_grid_rejects_rule_sizes_below_one_by_name(kw):
+    # base_panels 0 ran on one background cell while describe() reported 0,
+    # and panel_order 0 failed in numpy's Gauss rule, naming no argument
+    (name, value), = kw.items()
+    with pytest.raises(ValueError, match=rf"^{name} must be at least 1, got {value}$"):
+        RadialAnnuliGrid(depth=4, foci=(0.0,), **kw)
+
+
+def test_lune_rejects_panel_order_below_one_by_name():
+    with pytest.raises(ValueError, match=r"^panel_order must be at least 1, got 0$"):
+        integrate_lune(lambda z: np.ones(z.shape), 0.0, 0.5, panel_order=0)
+
+
 @pytest.mark.parametrize("h", [0.0, -0.5, float("nan")])
 def test_lune_rejects_nonpositive_h(h):
     with pytest.raises(ValueError, match="h must be positive"):
