@@ -27,6 +27,7 @@ polynomials; tests hold these pairs together.
 from __future__ import annotations
 
 import cmath
+import functools
 import itertools
 import math
 from dataclasses import dataclass, replace
@@ -277,7 +278,9 @@ def dirichlet_norm_coeff(coeffs: Sequence[complex], p: float) -> float:
 
 def dirichlet_norm(f: AnalyticFunction, p: float) -> NormReport:
     """sqrt(|f(0)|^2 + integral of |f'|^2 (1-|z|^2)^p dm), on the function's
-    own disc grid of depth 40."""
+    own disc grid of depth 40.  An exponent p that is not finite or not
+    above -1 raises ValueError."""
+    _require_weight_exponent("p", p)
     grid = grid_for_function(f, 40, panel_order=8, base_panels=24)
     res = integrate_disc(derivative_density(f, p), grid)
     f0 = abs(f.at_zero())
@@ -692,15 +695,33 @@ def _box_radial_plan(length, p_arr, radial_order, max_level) -> _BoxRadialPlan:
     """The radial panels below a box of ``length`` (``BOX_REL_DEPTH`` of them,
     cut at ``max_level``): per panel its nodes rr, their dm-weights
     rw rr / pi, each node's row (1 - r^2)^p over the exponents ``p_arr`` and
-    the slot of its level in the sums."""
+    the slot of its level in the sums.
+
+    Plans are memoized on their arguments (:func:`_memo_box_radial_plan`),
+    since every scan of a box length asks for the same plan again."""
+    exponents = tuple(np.asarray(p_arr, dtype=float).tolist())
+    return _memo_box_radial_plan(float(length), exponents, radial_order, max_level)
+
+
+# A round of the box benchmark asks for 43 distinct plans in 223 calls; one
+# dm_seminorm_box scan at the default ParamGrid() asks for 13.
+@functools.lru_cache(maxsize=128)
+def _memo_box_radial_plan(length, exponents, radial_order, max_level) -> _BoxRadialPlan:
+    """:func:`_box_radial_plan` on a tuple of exponents; its arrays are
+    read-only, since one plan is shared by every caller and thread that asks
+    for it."""
+    p_arr = np.array(exponents, dtype=float)
     deltas, panels = [], []
     for rr, rw, delta, j_abs in radial_panels(length, BOX_REL_DEPTH, radial_order, max_level):
         # each node's weights on a scalar base: an array base takes other
         # numpy power loops (a square-root fast path at p = 0.5, a SIMD
         # loop), whose last bits differ
         oms = np.array([(1.0 - r ** 2) ** p_arr for r in rr])
+        wr = rw * rr / math.pi
+        for a in (rr, wr, oms):
+            a.flags.writeable = False
         deltas.append(delta)
-        panels.append((rr, rw * rr / math.pi, oms, min(j_abs, TRACE_LEVEL_CAP + 1)))
+        panels.append((rr, wr, oms, min(j_abs, TRACE_LEVEL_CAP + 1)))
     return _BoxRadialPlan(len(p_arr), tuple(deltas), tuple(panels))
 
 

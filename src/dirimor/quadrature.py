@@ -17,7 +17,7 @@ the window of its half-length about its centre, and the lune
 ``{|e^{ib} - z| < h}`` at radius r the window of its chord half-angle about
 ``b``.  A region across angle 0 is then laid out exactly as its rotations
 are, and :meth:`BoxMassTable.box_masses` reads any one interval of the line
-periodically.
+periodically, each annulus a box reaches whole from one summed row.
 
 Mesh design
 -----------
@@ -545,13 +545,16 @@ class BoxMassTable:
 
     Each dyadic annulus ``[1 - 2^-j, 1 - 2^-(j+1))`` is cut into ``SLABS``
     midpoint slabs of uniform angular cells, and is stored as one
-    ``(SLABS, n + 1)`` block of per-slab cumulative cell sums (one float per
-    cell plus a leading zero per slab).  A query reads each slab it reaches
-    periodically: whole turns as multiples of the slab total, whole cells as
+    ``(SLABS + 1, n + 1)`` block of cumulative cell sums (one float per cell
+    plus a leading zero per row): a row per slab, and last the whole
+    annulus's row, the sum of the slab rows.  A query reads a row
+    periodically: whole turns as multiples of the row total, whole cells as
     a difference of cumulative sums and the two end cells by their covered
-    fractions; a slab straddling r0 enters with its overlap fraction.
-    Accuracy is grid-limited; intended for scan quantities where the same
-    measure is queried against thousands of boxes.
+    fractions.  A box that reaches the whole annulus reads its last row
+    once; a box whose r0 falls inside the annulus reads the slabs it
+    reaches, each with its overlap fraction.  Accuracy is grid-limited;
+    intended for scan quantities where the same measure is queried against
+    thousands of boxes.
     """
 
     SLABS = 8  # midpoint slabs per dyadic annulus
@@ -565,41 +568,51 @@ class BoxMassTable:
             h = (2.0 ** -j - 2.0 ** -(j + 1)) / self.SLABS
             th = (np.arange(n) + 0.5) * (TWO_PI / n)
             e = np.exp(1j * th)
-            cum = np.zeros((self.SLABS, n + 1))
+            cum = np.zeros((self.SLABS + 1, n + 1))
             for i in range(self.SLABS):
                 rc = (r0 + i * h) + 0.5 * h
                 dens = np.asarray(density(rc * e), dtype=float)
                 _check_finite(dens, rc * e, "BoxMassTable")
                 np.cumsum(dens * (rc * h * (TWO_PI / n) / math.pi), out=cum[i, 1:])
+                cum[-1] += cum[i]  # the whole annulus: slab rows added in order
             blocks.append((r0, h, cum))
         self._blocks = blocks
         self.depth = depth
 
     def total_mass(self) -> float:
-        return float(sum(s for (_, _, cum) in self._blocks for s in cum[:, -1]))
+        return float(sum(s for (_, _, cum) in self._blocks for s in cum[:-1, -1]))
 
     def box_masses(self, r_lo: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
         """Masses of the boxes [r_lo[i], 1) x (lo[i], hi[i]), one angular
         interval per box with lo[i] <= hi[i]; the interval may lie anywhere
-        on the real line and may span whole turns.  A box with hi < lo (or
-        a NaN end) raises ValueError.
+        on the real line and may span whole turns.  The three arguments are
+        1-d arrays of one length; other shapes raise ValueError, and so does
+        a box with a non-finite r_lo, lo or hi or with hi < lo, naming the
+        first such box by its index.
 
-        Each slab is read periodically: the whole turns between the two ends
-        enter as an exact multiple of the slab total, the whole cells between
+        Each row is read periodically: the whole turns between the two ends
+        enter as an exact multiple of the row total, the whole cells between
         them as a difference of cumulative sums, and the two end cells by
         their covered fractions.  Moving an end inside its cell then moves
         the mass by a share of that cell alone; reading each end as an
-        interpolated cumulative sum would round it to the slab total.
+        interpolated cumulative sum would round it to the row total.
 
-        The boxes are taken in order of r_lo, so that a slab adds its share
-        to the prefix of boxes that reach it; the cells and end fractions of
-        an annulus are located once for all its slabs."""
-        r_lo = np.asarray(r_lo, dtype=float)
-        lo = np.asarray(lo, dtype=float)
-        hi = np.asarray(hi, dtype=float)
-        bad = np.flatnonzero(~(hi >= lo))
+        The boxes are taken in order of r_lo.  The cells and end fractions
+        of an annulus are located once for all the boxes that reach it; the
+        prefix of boxes with r_lo <= r0 reads the annulus's summed row, and
+        each slab adds its share to the boxes that start inside the annulus
+        and reach it."""
+        r_lo, lo, hi = (np.asarray(a, dtype=float) for a in (r_lo, lo, hi))
+        if r_lo.ndim != 1 or lo.shape != r_lo.shape or hi.shape != r_lo.shape:
+            raise ValueError("box_masses needs r_lo, lo and hi as 1-d arrays of one length, "
+                             f"got shapes {r_lo.shape}, {lo.shape} and {hi.shape}")
+        finite = np.isfinite(r_lo) & np.isfinite(lo) & np.isfinite(hi)
+        bad = np.flatnonzero(~(finite & (hi >= lo)))
         if bad.size:
             i = int(bad[0])
+            if not finite[i]:
+                raise ValueError(f"box {i} needs a finite r_lo, lo and hi, got (r_lo, lo, hi) = "
+                                 f"({float(r_lo[i])!r}, {float(lo[i])!r}, {float(hi[i])!r})")
             raise ValueError(f"box {i} needs lo <= hi, got (lo, hi) = "
                              f"({float(lo[i])!r}, {float(hi[i])!r})")
         order = np.argsort(r_lo, kind="stable")
@@ -619,19 +632,28 @@ class BoxMassTable:
             i_lo = np.minimum(x_lo.astype(np.intp), n - 1)
             i_hi = np.minimum(x_hi.astype(np.intp), n - 1)
             f_lo, f_hi = x_lo - i_lo, x_hi - i_hi
-            i_lo1, i_hi1 = i_lo + 1, i_hi + 1
-            for i, row in enumerate(cum):
+            # boxes from r0 or below take every slab whole
+            w = int(np.searchsorted(r_lo[:m], r0, side="right"))
+            out[:w] += _read_row(cum[-1], i_lo[:w], i_hi[:w], f_lo[:w], f_hi[:w], turns[:w])
+            for i, row in enumerate(cum[:-1]):
                 slo = r0 + i * h
                 shi = slo + h
                 k = int(np.searchsorted(r_lo[:m], shi))
-                if k == 0:
+                if k <= w:
                     continue
-                a, b = row[i_lo[:k]], row[i_hi[:k]]
-                part_hi = f_hi[:k] * (row[i_hi1[:k]] - b)
-                part_lo = f_lo[:k] * (row[i_lo1[:k]] - a)
-                seg = (b - a) + (part_hi - part_lo)
-                frac = np.clip((shi - r_lo[:k]) / (shi - slo), 0.0, 1.0)
-                out[:k] += frac * (seg + turns[:k] * row[-1])
+                part = slice(w, k)
+                frac = np.clip((shi - r_lo[part]) / (shi - slo), 0.0, 1.0)
+                out[part] += frac * _read_row(row, i_lo[part], i_hi[part], f_lo[part],
+                                              f_hi[part], turns[part])
         result = np.empty_like(out)
         result[order] = out
         return result
+
+
+def _read_row(row, i_lo, i_hi, f_lo, f_hi, turns):
+    """The mass of cumulative row ``row`` between two ends, each given as its
+    cell and covered fraction, plus ``turns`` whole turns."""
+    a, b = row[i_lo], row[i_hi]
+    part_hi = f_hi * (row[i_hi + 1] - b)
+    part_lo = f_lo * (row[i_lo + 1] - a)
+    return (b - a) + (part_hi - part_lo) + turns * row[-1]

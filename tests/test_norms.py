@@ -82,6 +82,13 @@ def test_dirichlet_examples():
     assert dirichlet_norm(sq, 0.5).value == pytest.approx(math.sqrt(4 / 3.75), rel=1e-9)
 
 
+@pytest.mark.parametrize("p", [-1.5, float("nan"), float("inf")])
+def test_dirichlet_norm_rejects_bad_exponents(p):
+    # p = -1.5 returned 1217.7 for f = z, and p = nan failed naming a node
+    with pytest.raises(ValueError, match=rf"^p must .* got {p!r}"):
+        dirichlet_norm(make_taylor([0, 1]), p)
+
+
 def test_coeff_oracle_values():
     assert dirichlet_norm_coeff([1], 0.7) == 1.0
     assert dirichlet_norm_coeff([0, 1], 1.0) == pytest.approx(math.sqrt(0.5), rel=1e-14)
@@ -536,6 +543,26 @@ def test_box_sums_keep_node_order_on_one_column(radial_order):
     plan = _box_radial_plan(1.0, p_arr, radial_order, None)
     got = _box_sums(f, arcs, (0.0,), plan)
     assert np.array_equal(got, _box_sums_per_node(f, p_arr, arcs, (0.0,), radial_order, None))
+
+
+@pytest.mark.parametrize("length,p_list,max_level", [
+    (1.0, [0.5], None), (2.0 ** -3, [0.3, 0.6], None), (2.0 ** -10, [0.3, 0.6], 12),
+], ids=["one-exponent", "two-exponents", "cut-at-max-level"])
+def test_box_radial_plans_are_memoized_read_only(length, p_list, max_level):
+    plan = _box_radial_plan(length, np.array(p_list), 6, max_level)
+    assert _box_radial_plan(length, np.array(p_list), 6, max_level) is plan
+    fresh = norms._memo_box_radial_plan.__wrapped__(length, tuple(p_list), 6, max_level)
+    assert fresh is not plan
+    assert (plan.n_exponents, plan.deltas) == (fresh.n_exponents, fresh.deltas) == \
+        (len(p_list), tuple(d for *_, d, _ in radial_panels(length, BOX_REL_DEPTH, 6, max_level)))
+    assert len(plan.panels) == len(fresh.panels) > 0
+    for panel, want in zip(plan.panels, fresh.panels):
+        assert panel[3] == want[3]
+        for got_a, want_a in zip(panel[:3], want[:3]):
+            assert np.array_equal(got_a, want_a) and not got_a.flags.writeable
+    if max_level is not None:  # the last panel is cut at 1 - 2^-max_level
+        assert plan.deltas[-1] == 2.0 ** -max_level
+        assert len(plan.panels) < BOX_REL_DEPTH
 
 
 def test_box_sums_of_a_level_below_the_certified_depth_stay_zero():
