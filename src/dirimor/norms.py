@@ -30,7 +30,7 @@ import cmath
 import functools
 import itertools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
@@ -65,7 +65,11 @@ class UnsupportedFunctionError(ValueError):
 @dataclass(frozen=True)
 class NormReport:
     """A scanned quantity: its value, where the scan attained it, and how it
-    moved under the last refinement step."""
+    moved under the last refinement step.
+
+    A scan's report also keeps the entries it reduced, each led by its grid
+    level, and the reducer that made it of them, so :meth:`upto` can read
+    the scan on a coarser grid; neither enters equality or :meth:`as_dict`."""
 
     quantity: str
     value: float
@@ -75,6 +79,21 @@ class NormReport:
     error: float = 0.0
     flags: tuple = ()
     levels: tuple = ()  # (level, running value) trace along the scan axis
+    entries: tuple = field(default=(), compare=False, repr=False)
+    reducer: Optional[Callable] = field(default=None, compare=False, repr=False)
+
+    def upto(self, level: int) -> "NormReport":
+        """The report of this scan cut to grid levels <= ``level`` (a-level,
+        arc level or ray level): the scan's reducer run again on the entries
+        of those levels, with the grid's level field lowered to match.  It
+        equals the report of a scan on the cut grid wherever an entry's value
+        does not depend on the grid's depth; the flags the scan passed in
+        (gpcm's "degenerate") and the grid's other fields stay the scan's."""
+        if self.reducer is None:
+            raise ValueError(f"the {self.quantity} report keeps no scan entries")
+        if level < 0:
+            raise ValueError(f"level must be at least 0, got {level}")
+        return self.reducer(tuple(e for e in self.entries if e[0] <= level), level)
 
     def as_dict(self) -> dict:
         maximizer = self.maximizer
@@ -169,10 +188,12 @@ def classify_trend(slope: float) -> str:
     return "unbounded-trend" if slope > TREND_SLOPE_THRESHOLD else "bounded-trend"
 
 
-def _trace_report(quantity, value, maximizer, grid, trace, *, error=0.0, flags=()) -> NormReport:
-    """A scanned quantity's report.  Its refinement delta (the relative
-    change over the last step), trend flag and levels all come from the
-    (level, running value) ``trace``, which holds at least one level."""
+def _trace_report(quantity, value, maximizer, grid, trace, entries, reducer, *,
+                  error=0.0, flags=()) -> NormReport:
+    """A scanned quantity's report, keeping the scan's ``entries`` and its
+    ``reducer``.  Its refinement delta (the relative change over the last
+    step), trend flag and levels all come from the (level, running value)
+    ``trace``, which holds at least one level."""
     delta = 0.0
     if len(trace) >= 2 and trace[-1][1] != 0.0:
         delta = abs(trace[-1][1] - trace[-2][1]) / abs(trace[-1][1])
@@ -180,21 +201,22 @@ def _trace_report(quantity, value, maximizer, grid, trace, *, error=0.0, flags=(
     flags = tuple(flags) + (classify_trend(slope),)
     return NormReport(quantity=quantity, value=value, maximizer=maximizer, grid=grid,
                       refinement_delta=delta, error=error, flags=tuple(flags),
-                      levels=tuple(trace))
+                      levels=tuple(trace), entries=tuple(entries), reducer=reducer)
 
 
-def _scan_report(quantity, entries, grid, *, offset=0.0, errors=None, flags=()) -> NormReport:
-    """The report of a supremum scanned over (level, point, value) entries.
+def _scan_report(quantity, entries, grid, axis, *, offset=0.0, flags=()) -> NormReport:
+    """The report of a supremum scanned over (level, point, value) entries,
+    each with an optional fourth element, its error; ``axis`` names the
+    field of the ``grid`` dict that holds the deepest level.
 
     Its value is ``offset`` plus the first strict maximum of the values,
     attained at that entry's point (``None`` when no value is positive) with
-    that entry's error from ``errors`` (parallel to entries; 0.0 without).
-    Its levels trace is the running maximum of the per-level maxima, each
-    plus ``offset``, in increasing level order; a scan without entries
-    traces the single level (0, offset)."""
+    that entry's error (0.0 without).  Its levels trace is the running
+    maximum of the per-level maxima, each plus ``offset``, in increasing
+    level order; a scan without entries traces the single level (0, offset)."""
     best, chosen = 0.0, None
     per_level: dict = {0: 0.0} if not entries else {}
-    for i, (level, _, v) in enumerate(entries):
+    for i, (level, _, v, *_) in enumerate(entries):
         per_level[level] = max(per_level.get(level, 0.0), v)
         if v > best:
             best, chosen = v, i
@@ -203,8 +225,14 @@ def _scan_report(quantity, entries, grid, *, offset=0.0, errors=None, flags=()) 
         running = max(running, per_level[level])
         trace.append((level, offset + running))
     maximizer = None if chosen is None else entries[chosen][1]
-    error = 0.0 if chosen is None or errors is None else errors[chosen]
-    return _trace_report(quantity, offset + best, maximizer, grid, trace, error=error, flags=flags)
+    error = 0.0 if chosen is None or len(entries[chosen]) < 4 else entries[chosen][3]
+
+    def cut(kept, level):
+        return _scan_report(quantity, kept, {**grid, axis: min(level, grid[axis])}, axis,
+                            offset=offset, flags=flags)
+
+    return _trace_report(quantity, offset + best, maximizer, grid, trace, entries, cut,
+                         error=error, flags=flags)
 
 
 # ---------------------------------------------------------------------------
@@ -424,7 +452,7 @@ def _translate_scan(
          lambda bases, z, disc: _uniform_rows(bases, z, p, weight_of_a, grid, disc))
     desc = {**desc, "k_a": grid.k_a, "a_angle_cap": grid.a_angle_cap,
             "depth": grid.depth, "base_panels": grid.base_panels}
-    return [_scan_report(desc["scan"], es, desc, offset=abs(f.at_zero()))
+    return [_scan_report(desc["scan"], es, desc, "k_a", offset=abs(f.at_zero()))
             for f, es in zip(fs, entries)]
 
 
@@ -762,7 +790,8 @@ def _box_scan_report(name, weighted, grid, extra_desc=None) -> NormReport:
 
     ``weighted``: list of (level_j, arc, weight, sums_row) with sums_row the
     dyadic-level contributions of the measure over S(arc).  The scan trace
-    runs over the radial depth truncation.
+    runs over the radial depth truncation; the report keeps ``weighted`` as
+    its entries, and its ``upto`` cuts them by arc level.
     """
     wgt = np.array([w for _, _, w, _ in weighted])
     rows = np.array([row for _, _, _, row in weighted])
@@ -779,7 +808,12 @@ def _box_scan_report(name, weighted, grid, extra_desc=None) -> NormReport:
     # drop leading empty levels
     trace = [(l, v) for l, v in trace if v > 0.0] or [(0, 0.0)]
     desc = {"scan": name, "k_arc": grid.k_arc, "n_centers": grid.n_centers, **(extra_desc or {})}
-    return _trace_report(name, best_val, best_arc, desc, trace)
+
+    def cut(kept, level):
+        cut_grid = replace(grid, k_arc=min(level, grid.k_arc))
+        return _box_scan_report(name, kept, cut_grid, extra_desc)
+
+    return _trace_report(name, best_val, best_arc, desc, trace, weighted, cut)
 
 
 def dm_seminorm_box(
@@ -880,17 +914,16 @@ def boundary_double_seminorm(
     def F(u, v):
         return np.abs(f.boundary(u) - f.boundary(v)) ** 2 / chord_gap(u, v) ** (2.0 - p)
 
-    entries, errors = [], []
+    entries = []
     for j, arc in grid.arcs():
         res = arc_double_integral(
             F, arc, beta=1.0 - p,
             t_depth=t_depth, v_foci=f.singular_angles, focus_width=f.singular_width,
         )
-        entries.append((j, arc, res.value * arc.length ** -params.box_exponent))
-        errors.append(res.error)
+        entries.append((j, arc, res.value * arc.length ** -params.box_exponent, res.error))
     desc = {"scan": "boundary-double", "k_arc": grid.k_arc, "n_centers": grid.n_centers,
             "t_depth": t_depth}
-    return _scan_report("boundary-double", entries, desc, errors=errors)
+    return _scan_report("boundary-double", entries, desc, "k_arc")
 
 
 # ---------------------------------------------------------------------------
@@ -919,7 +952,7 @@ def _ray_scan(quantity, f, k_max, angles_at, weight_at, grid) -> NormReport:
         vals = np.abs(f(z)) * weight_at(r)
         i = int(np.argmax(vals))
         entries.append((k, complex(z[i]), float(vals[i])))
-    return _scan_report(quantity, entries, grid)
+    return _scan_report(quantity, entries, grid, "k_levels")
 
 
 def growth_envelope(
@@ -1056,4 +1089,4 @@ def gpcm_quantity(
     grid = {"scan": "gpcm", "k_w": k_w, "w_angle_cap": w_angle_cap,
             "table_depth": table_depth, "skipped": skipped}
     degenerate = not any(v > 0.0 for *_, v in entries)
-    return _scan_report("gpcm", entries, grid, flags=("degenerate",) if degenerate else ())
+    return _scan_report("gpcm", entries, grid, "k_w", flags=("degenerate",) if degenerate else ())

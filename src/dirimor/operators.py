@@ -77,7 +77,7 @@ def path_integral(integrand: Callable, z):
     sw = np.concatenate(s_wts)
     vals = integrand(s[:, None] * flat[None, :])
     out = flat * (sw @ vals)
-    return out.reshape(z.shape) if z.shape else complex(out[()] if out.shape == () else out.reshape(()))
+    return out.reshape(z.shape) if z.shape else complex(out[0])
 
 
 def _op_common(f: AnalyticFunction, g: AnalyticFunction):

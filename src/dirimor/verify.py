@@ -122,17 +122,41 @@ class RunConfig:
         return d
 
     def with_overrides(self, data: dict) -> "RunConfig":
-        known = {f.name for f in dataclasses.fields(RunConfig)}
-        unknown = set(data) - known
+        """This config with the fields of ``data`` replaced; a None value
+        leaves its field alone.  An unknown key, or a value whose type does
+        not fit its field, raises ValueError naming the key: int fields take
+        integers (not bools), float fields numbers, ``out`` a string, and
+        ``suite`` and ``tasks`` lists of strings."""
+        types = {f.name: f.type for f in dataclasses.fields(RunConfig)}
+        unknown = set(data) - set(types)
         if unknown:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")
         clean = {}
         for k, v in data.items():
-            if k in ("suite", "tasks") and v is not None:
-                v = tuple(v)
-            if v is not None:
-                clean[k] = v
+            if v is None:
+                continue
+            if not _fits(types[k], v):
+                raise ValueError(f"config key {k!r} takes {_TYPE_NAMES[types[k]]}, got {v!r}")
+            clean[k] = tuple(v) if types[k] == "tuple" else v
         return dataclasses.replace(self, **clean)
+
+
+# RunConfig field annotations (strings, under postponed evaluation) and what
+# each takes, for the messages of with_overrides
+_TYPE_NAMES = {"int": "an integer", "float": "a number", "str": "a string",
+               "tuple": "a list of strings"}
+
+
+def _fits(kind: str, v) -> bool:
+    if isinstance(v, bool):
+        return False
+    if kind == "int":
+        return isinstance(v, int)
+    if kind == "float":
+        return isinstance(v, (int, float))
+    if kind == "str":
+        return isinstance(v, str)
+    return isinstance(v, (list, tuple)) and all(isinstance(x, str) for x in v)
 
 
 def resolve_config(path: Optional[str] = None, overrides: Optional[dict] = None) -> RunConfig:
@@ -250,6 +274,10 @@ def _boundary_suite(suite):
 
 @dataclass(frozen=True)
 class TaskResult:
+    """One task's report.  ``runtime_ms`` is the task's wall time; a scan or
+    test family its run shares with other tasks counts toward the task that
+    builds it, and a task that waits for one counts the wait."""
+
     task_id: str
     statement: str
     inputs: dict
@@ -274,8 +302,8 @@ class TaskResult:
 
 @dataclass(frozen=True)
 class VerificationTask:
-    """``runner(config, fixed, family_of)`` returns (measured, passed), where
-    ``family_of(params)`` is the run's operator test family of ``params``."""
+    """``runner(config, fixed, memo)`` returns (measured, passed), where
+    ``memo`` is the :class:`_RunMemo` of the run the task belongs to."""
 
     task_id: str
     statement: str
@@ -283,31 +311,65 @@ class VerificationTask:
     fixed: dict = field(default_factory=dict)
 
 
-def _trace_at(report, level: int) -> float:
-    """The value of ``report``'s levels trace at its last level <= ``level``."""
-    return next(v for lv, v in reversed(report.levels) if lv <= level)
+class _RunMemo:
+    """The scans and test families one verification run shares among its
+    tasks, each made once.
+
+    ``get(key, make)`` returns the value of ``key``, calling ``make()`` for
+    it the first time.  One lock per key makes each value once whatever the
+    worker count, and a task that asks for a value under construction waits
+    for it.  No ``make`` asks the memo for another key, so a task never
+    waits for a key while holding another key's lock."""
+
+    def __init__(self):
+        self._lock = threading.Lock()
+        self._slots: dict = {}
+
+    def get(self, key, make: Callable):
+        with self._lock:
+            slot = self._slots.setdefault(key, [threading.Lock(), None])
+        with slot[0]:
+            if slot[1] is None:
+                slot[1] = make()
+            return slot[1]
 
 
-def _v1(config: RunConfig, fixed: dict, family_of: Callable):
+def _refined_translates(config: RunConfig, memo: _RunMemo) -> list:
+    """The run's translate scan of the suite on the refined param grid."""
+    params, grid = config.space_params(), config.param_grid().refined()
+    return memo.get(("translate", config.suite, params, grid), lambda: dm_norms_translate(
+        [f for _, f in build_suite(config, params)], params, grid))
+
+
+def _refined_box(config: RunConfig, name: str, f: AnalyticFunction, memo: _RunMemo):
+    """The run's box scan of the suite function ``name`` (built as ``f``) on
+    the refined param grid."""
+    params, grid = config.space_params(), config.param_grid().refined()
+    return memo.get(("box", name, params, grid, config.box_radial_order), lambda: dm_seminorm_box(
+        f, params, grid, radial_order=config.box_radial_order))
+
+
+def _v1(config: RunConfig, fixed: dict, memo: _RunMemo):
     """Box quantity vs squared translate quantity across the suite, on the base
-    grid and its refinement; the base norm is the refined scan's trace at k_a."""
+    grid and its refinement; the base-grid quantities are the refined scans
+    read up to k_a and k_arc."""
     params = config.space_params()
     suite = build_suite(config, params)
     lo, hi = fixed["ratio_band"]
     dlo, dhi = fixed["drift_band"]
     grid = config.param_grid()
-    refined = dm_norms_translate([f for _, f in suite], params, grid.refined())
     measured, ok = [], True
-    for (name, f), t in zip(suite, refined):
+    for (name, f), t in zip(suite, _refined_translates(config, memo)):
         row = {"function": name}
+        box = _refined_box(config, name, f, memo)
         ratios = []
-        for g, norm in ((grid, _trace_at(t, grid.k_a)), (grid.refined(), t.value)):
-            b = dm_seminorm_box(f, params, g, radial_order=config.box_radial_order)
+        for norm, b in ((t.upto(grid.k_a).value, box.upto(grid.k_arc).value),
+                        (t.value, box.value)):
             tq = (norm - abs(f.at_zero())) ** 2
-            if tq <= 1e-18 or b.value <= 1e-18:
+            if tq <= 1e-18 or b <= 1e-18:
                 row["skipped"] = "degenerate"
                 break
-            ratios.append(tq / b.value)
+            ratios.append(tq / b)
         else:
             drift = ratios[1] / ratios[0]
             row.update(ratio=ratios[0], refined_ratio=ratios[1], drift=drift)
@@ -318,20 +380,23 @@ def _v1(config: RunConfig, fixed: dict, family_of: Callable):
     return measured, ok
 
 
-def _v2(config: RunConfig, fixed: dict, family_of: Callable):
+def _v2(config: RunConfig, fixed: dict, memo: _RunMemo):
     """Growth envelope controlled by the translate norm, drift-stable; the base
-    norm and the 12-level envelope are traces of the refined and 14-level scans."""
+    norm and the 12-level envelope are the refined and 14-level scans read up
+    to k_a and 12."""
     params = config.space_params()
     suite = build_suite(config, params)
     drift_cap = fixed["drift_cap"]
     grid = config.param_grid()
-    refined = dm_norms_translate([f for _, f in suite], params, grid.refined())
     measured, ok = [], True
     c_est = 0.0
-    for (name, f), t in zip(suite, refined):
+    for (name, f), t in zip(suite, _refined_translates(config, memo)):
+        n1, n2 = t.upto(grid.k_a).value, t.value
+        if n1 <= 1e-18:  # n2 >= n1: the refined scan holds the base points
+            measured.append({"function": name, "skipped": "degenerate"})
+            continue
         env = growth_envelope(f, params, k_levels=14)
-        n1, n2 = _trace_at(t, grid.k_a), t.value
-        e1, e2 = _trace_at(env, 12), env.value
+        e1, e2 = env.upto(12).value, env.value
         r1, r2 = e1 / n1, e2 / n2
         drift = r2 / r1 if r1 > 0 else 1.0
         good = (1.0 / drift_cap) < drift < drift_cap
@@ -345,7 +410,7 @@ def _v2(config: RunConfig, fixed: dict, family_of: Callable):
     return measured, ok
 
 
-def _v3(config: RunConfig, fixed: dict, family_of: Callable):
+def _v3(config: RunConfig, fixed: dict, memo: _RunMemo):
     """Lune quantity of the boundary power kernel across dyadic chords."""
     p, lam = fixed["p"], fixed["lam"]
     params = SpaceParams(p, lam)
@@ -367,7 +432,7 @@ def _v3(config: RunConfig, fixed: dict, family_of: Callable):
     return vals, ok
 
 
-def _v4(config: RunConfig, fixed: dict, family_of: Callable):
+def _v4(config: RunConfig, fixed: dict, memo: _RunMemo):
     """Weight-exponent box inequality with the (2|I|)^(p2-p1) factor."""
     p1, p2 = fixed["p1"], fixed["p2"]
     params = config.space_params()
@@ -388,22 +453,21 @@ def _v4(config: RunConfig, fixed: dict, family_of: Callable):
     return measured, violations == 0
 
 
-def _v5(config: RunConfig, fixed: dict, family_of: Callable):
+def _v5(config: RunConfig, fixed: dict, memo: _RunMemo):
     """Boundary double-integral quantity vs box quantity, drift-stable; the
-    base-grid quantity is the refined scan's trace at k_arc."""
+    base-grid quantities are the refined scans read up to their k_arc."""
     params = config.space_params()
     suite = _boundary_suite(build_suite(config, params))
     drift_cap = fixed["drift_cap"]
     bgrid = config.boundary_grid()
     measured, ok = [], True
     for name, f in suite:
-        bx = dm_seminorm_box(f, params, config.param_grid(),
-                             radial_order=config.box_radial_order).value
+        bx = _refined_box(config, name, f, memo).upto(config.k_arc).value
         if bx <= 1e-18:
             measured.append({"function": name, "skipped": "degenerate"})
             continue
         rep = boundary_double_seminorm(f, params, bgrid.refined(), t_depth=config.boundary_t_depth)
-        d1, d2 = _trace_at(rep, bgrid.k_arc), rep.value
+        d1, d2 = rep.upto(bgrid.k_arc).value, rep.value
         r1, r2 = d1 / bx, d2 / bx
         drift = r2 / r1 if r1 > 0 else 1.0
         good = (1.0 / drift_cap) < drift < drift_cap
@@ -421,31 +485,17 @@ def _test_family(config: RunConfig, params: SpaceParams):
                             norm_grid=config.scan_grid())
 
 
-class _FamilyMemo:
-    """The test families of one verification run, each built once.
-
-    Keyed on every input of ``_test_family``; one lock per key makes each
-    family build once whatever the worker count, and a task that asks for a
-    family under construction waits for it."""
-
-    def __init__(self):
-        self._lock = threading.Lock()
-        self._slots: dict = {}
-
-    def family(self, config: RunConfig, params: SpaceParams):
-        key = (params, config.k_c, config.c_directions, config.scan_grid())
-        with self._lock:
-            slot = self._slots.setdefault(key, [threading.Lock(), None])
-        with slot[0]:
-            if slot[1] is None:
-                slot[1] = _test_family(config, params)
-            return slot[1]
+def _run_family(config: RunConfig, params: SpaceParams, memo: _RunMemo):
+    """The run's test family of ``params``, keyed on every input of
+    ``_test_family``."""
+    key = ("family", params, config.k_c, config.c_directions, config.scan_grid())
+    return memo.get(key, lambda: _test_family(config, params))
 
 
-def _v6(config: RunConfig, fixed: dict, family_of: Callable):
+def _v6(config: RunConfig, fixed: dict, memo: _RunMemo):
     """Test-family norm uniformity up to |c| = 1 - 2^-k_c."""
     params = config.space_params()
-    family = family_of(params)
+    family = _run_family(config, params, memo)
     per_level: dict = {}
     for e in family.entries:
         per_level.setdefault(e.level, []).append(e.norm)
@@ -462,10 +512,10 @@ def _v6(config: RunConfig, fixed: dict, family_of: Callable):
     return measured, ok
 
 
-def _v7(config: RunConfig, fixed: dict, family_of: Callable):
+def _v7(config: RunConfig, fixed: dict, memo: _RunMemo):
     """I_g dichotomy: bounded symbol bounded-trend, log symbol unbounded."""
     params = config.space_params()
-    family = family_of(params)
+    family = _run_family(config, params, memo)
     bounded = ratio_scan(IG, parse_function_spec(fixed["bounded_symbol"], params), family)
     unbounded = ratio_scan(IG, parse_function_spec(fixed["unbounded_symbol"], params), family)
     ok = (
@@ -482,13 +532,13 @@ def _v7(config: RunConfig, fixed: dict, family_of: Callable):
     return measured, ok
 
 
-def _v8(config: RunConfig, fixed: dict, family_of: Callable):
+def _v8(config: RunConfig, fixed: dict, memo: _RunMemo):
     """J_g bounded for the critical lacunary symbol, whose critical-exponent
     box scan nevertheless grows linearly with radial depth."""
     q = fixed["q"]
     params = SpaceParams(fixed["p"], q / fixed["p"])
     g = remark_example(q)
-    family = family_of(params)
+    family = _run_family(config, params, memo)
     scan = ratio_scan(JG, g, family)
     qp = qp_quantity(g, q, ParamGrid(k_arc=6, n_centers=16), radial_order=config.box_radial_order)
     lv = dict(qp.levels)
@@ -505,7 +555,7 @@ def _v8(config: RunConfig, fixed: dict, family_of: Callable):
     return measured, ok
 
 
-def _v9(config: RunConfig, fixed: dict, family_of: Callable):
+def _v9(config: RunConfig, fixed: dict, memo: _RunMemo):
     """Block-sum separation and the geometric limit above the critical exponent."""
     q, p = fixed["q"], fixed["p"]
     coeffs = GapCoefficients(remark_coefficient_rule(q), fixed["K"])
@@ -526,7 +576,7 @@ def _v9(config: RunConfig, fixed: dict, family_of: Callable):
     return measured, ok
 
 
-def _v10(config: RunConfig, fixed: dict, family_of: Callable):
+def _v10(config: RunConfig, fixed: dict, memo: _RunMemo):
     """Integration-by-parts identity residual at quadrature tolerance."""
     params = config.space_params()
     samples = interior_samples(fixed["n_samples"], seed=config.seed)
@@ -622,19 +672,19 @@ TASKS: dict = {
 
 
 def run_verification(
-    task_id: str, config: RunConfig, families: Optional[_FamilyMemo] = None
+    task_id: str, config: RunConfig, memo: Optional[_RunMemo] = None
 ) -> TaskResult:
-    """Run one task.  Operator test families come from ``families``, the
-    memo of the run this task belongs to; without one the task builds its
-    own, so its runtime includes every family it uses."""
+    """Run one task.  Shared scans and test families come from ``memo``, the
+    memo of the run this task belongs to, and count toward the runtime of
+    the task that builds them; without a memo the task builds its own, so
+    its runtime includes every scan and family it uses."""
     task = TASKS.get(task_id)
     if task is None:
         raise KeyError(f"unknown verification task {task_id!r}")
-    if families is None:
-        families = _FamilyMemo()
+    if memo is None:
+        memo = _RunMemo()
     start = time.perf_counter()
-    family_of = lambda params: families.family(config, params)
-    measured, passed = task.runner(config, task.fixed, family_of)
+    measured, passed = task.runner(config, task.fixed, memo)
     elapsed_ms = int(round((time.perf_counter() - start) * 1000.0))
     inputs = {
         "p": config.p, "lam": config.lam, "suite": list(config.suite),
@@ -675,16 +725,19 @@ def select_tasks(selection: Sequence[str]) -> list:
 
 
 def run_tasks(task_ids: Sequence[str], config: RunConfig):
-    """Run the selected tasks, sharing one memo of test families among them
-    (V6 and V7 use the same family).  Each task's runtime_ms stays its own
-    wall time, including any wait for a family another task is building."""
+    """Run the selected tasks, sharing one :class:`_RunMemo` among them: V1
+    and V2 read one translate scan of the suite, V1 and V5 one box scan per
+    suite function, and V6, V7 and V8 their test families.  Each task's
+    runtime_ms stays its own wall time, so a shared scan's seconds land on
+    the task that builds it, and a task waiting for a scan another task is
+    building counts the wait."""
     ids = select_tasks(task_ids)
-    families = _FamilyMemo()
+    memo = _RunMemo()
     if config.workers > 1:
         with ThreadPoolExecutor(max_workers=config.workers) as pool:
-            futures = {tid: pool.submit(run_verification, tid, config, families) for tid in ids}
+            futures = {tid: pool.submit(run_verification, tid, config, memo) for tid in ids}
             return [futures[tid].result() for tid in ids]
-    return [run_verification(tid, config, families) for tid in ids]
+    return [run_verification(tid, config, memo) for tid in ids]
 
 
 # ---------------------------------------------------------------------------

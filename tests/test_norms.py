@@ -1154,6 +1154,52 @@ def test_refined_scan_traces_the_base_scan_bitwise():
         assert dict(refined.levels)[2] == base.value
 
 
+UPTO_SPECS = ["taylor:0,1", "taylor:1,2,0,1", "kernel:c=0.9+0i,s=auto",
+              "kernel:c=1+0i,s=auto", "log1"]
+
+
+def _upto_scans(quantity, fs, params, depth):
+    """The reports of ``quantity`` for fs on grids ``depth`` levels deep."""
+    if quantity == "dm-translate":
+        grid = ParamGrid(k_a=depth, a_angle_cap=32, depth=10, base_panels=8)
+        return dm_norms_translate(fs, params, grid)
+    arcs = ParamGrid(k_arc=depth, n_centers=4)
+    if quantity == "dm-box":
+        return [dm_seminorm_box(f, params, arcs, radial_order=4) for f in fs]
+    if quantity == "qp":
+        return [qp_quantity(f, 0.3, arcs, radial_order=4) for f in fs]
+    if quantity == "boundary-double":
+        return [boundary_double_seminorm(f, params, arcs, t_depth=12) for f in fs]
+    return [growth_envelope(f, params, k_levels=2 * depth) for f in fs]
+
+
+@pytest.mark.parametrize("quantity", ["dm-translate", "dm-box", "qp", "boundary-double",
+                                      "growth"])
+def test_upto_equals_a_scan_on_the_cut_grid(quantity):
+    # each entry of these scans is computed on its own, whatever the grid's
+    # depth, so the report read up to a level is the cut grid's report bit
+    # for bit; a_angle_cap 32 adds directions at a-level 2
+    params = SpaceParams(0.5, 0.4)
+    specs = UPTO_SPECS + (["gap:q=0.5,K=20"] if quantity != "dm-translate" else [])
+    fs = [parse_function_spec(spec, params) for spec in specs]
+    if quantity == "boundary-double":
+        fs = [f for f in fs if f.has_boundary_values]
+    deep = _upto_scans(quantity, fs, params, 3)
+    for level in (0, 1, 2):
+        cut = _upto_scans(quantity, fs, params, level)
+        for d, c in zip(deep, cut):
+            view = d.upto(2 * level if quantity == "growth" else level)
+            assert view == c and view.as_dict() == c.as_dict()
+    assert [d.upto(99) for d in deep] == deep
+    with pytest.raises(ValueError, match="level"):
+        deep[0].upto(-1)
+
+
+def test_upto_needs_the_scan_entries():
+    with pytest.raises(ValueError, match="keeps no scan entries"):
+        NormReport("q", 0.0, None, {}, 0.0).upto(1)
+
+
 # -- one reducer for every point and arc supremum ------------------------------
 
 REDUCED_SPECS = ["kernel:c=0.9+0i,s=auto", "taylor:1,2,0,1", "taylor:1", "taylor:0"]

@@ -86,6 +86,9 @@ def test_default_suite_builds():
 def test_config_overrides_and_validation(tmp_path):
     cfg = RunConfig().with_overrides({"k_a": 4, "suite": ["taylor:0,1"]})
     assert cfg.k_a == 4 and cfg.suite == ("taylor:0,1",)
+    # a float field takes an integer, and None leaves a field alone
+    cfg = RunConfig().with_overrides({"p": 1, "out": "x.json", "tasks": ("V9",), "seed": None})
+    assert (cfg.p, cfg.out, cfg.tasks, cfg.seed) == (1, "x.json", ("V9",), RunConfig().seed)
     with pytest.raises(ValueError):
         RunConfig().with_overrides({"bogus_key": 1})
 
@@ -584,21 +587,22 @@ def test_family_memo_builds_each_key_once_under_contention(monkeypatch):
         return ("family", params)
 
     monkeypatch.setattr(verify, "make_test_family", slow_build)
-    memo = verify._FamilyMemo()
+    memo = verify._RunMemo()
     cfg = RunConfig()
     keys = [SpaceParams(0.5, 0.4), SpaceParams(0.6, 0.5)] * 8
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
         with ThreadPoolExecutor(max_workers=16) as pool:
-            futures = [pool.submit(memo.family, cfg, params) for params in keys]
+            futures = [pool.submit(verify._run_family, cfg, params, memo) for params in keys]
             got = [f.result(timeout=30) for f in futures]
     finally:
         sys.setswitchinterval(interval)
     assert got == [("family", params) for params in keys]
     assert sorted(built, key=lambda q: q.p) == [SpaceParams(0.5, 0.4), SpaceParams(0.6, 0.5)]
     # the scan grid carries the family's whole translate scan, depth included
-    assert set(memo._slots) == {(q, cfg.k_c, cfg.c_directions, cfg.scan_grid()) for q in keys}
+    assert set(memo._slots) == {("family", q, cfg.k_c, cfg.c_directions, cfg.scan_grid())
+                                for q in keys}
     assert cfg.scan_grid() != cfg.with_overrides({"scan_depth": 12}).scan_grid()
 
 
@@ -607,9 +611,10 @@ TINY_REFINEMENT = {"suite": ["taylor:0,1", "kernel:c=0.9+0i,s=auto", "log1"],
 
 
 def test_v1_v2_read_base_norms_off_one_refined_scan(monkeypatch):
-    # V1 and V2 scan the suite's translates once, on the refined grid, and
-    # V2 runs one envelope per function; their base-grid figures must equal,
-    # bit for bit, those of explicit base-grid scans
+    # V1 and V2 scan the suite's translates once, on the refined grid, V1
+    # scans each function's boxes once, on the refined grid, and V2 runs one
+    # envelope per function; their base-grid figures must equal, bit for
+    # bit, those of explicit base-grid scans
     from dirimor import verify
     from dirimor.norms import dm_seminorm_box
 
@@ -622,7 +627,7 @@ def test_v1_v2_read_base_norms_off_one_refined_scan(monkeypatch):
     boxes = [dm_seminorm_box(f, params, grid, radial_order=cfg.box_radial_order).value
              for f in fs]
 
-    calls = {"dm_norms_translate": 0, "growth_envelope": 0}
+    calls = {"dm_norms_translate": 0, "growth_envelope": 0, "dm_seminorm_box": 0}
 
     def spy(name):
         run = getattr(verify, name)
@@ -636,14 +641,14 @@ def test_v1_v2_read_base_norms_off_one_refined_scan(monkeypatch):
     for name in calls:
         spy(name)
 
-    v1, _ = verify._v1(cfg, verify.TASKS["V1"].fixed, None)
-    assert calls == {"dm_norms_translate": 1, "growth_envelope": 0}
+    v1, _ = verify._v1(cfg, verify.TASKS["V1"].fixed, verify._RunMemo())
+    assert calls == {"dm_norms_translate": 1, "growth_envelope": 0, "dm_seminorm_box": len(fs)}
     assert [row["ratio"] for row in v1] == [
         (n - abs(f.at_zero())) ** 2 / b for f, n, b in zip(fs, norms, boxes)]
 
-    calls.update(dm_norms_translate=0)
-    v2, _ = verify._v2(cfg, verify.TASKS["V2"].fixed, None)
-    assert calls == {"dm_norms_translate": 1, "growth_envelope": len(fs)}
+    calls.update(dm_norms_translate=0, dm_seminorm_box=0)
+    v2, _ = verify._v2(cfg, verify.TASKS["V2"].fixed, verify._RunMemo())
+    assert calls == {"dm_norms_translate": 1, "growth_envelope": len(fs), "dm_seminorm_box": 0}
     assert [row["norm"] for row in v2[:-1]] == norms
     assert [row["envelope"] for row in v2[:-1]] == envelopes
 
@@ -671,10 +676,75 @@ def test_v5_reads_base_boundary_off_one_refined_scan(monkeypatch):
         return run(f, *args, **kwargs)
 
     monkeypatch.setattr(verify, "boundary_double_seminorm", counted)
-    v5, _ = verify._v5(cfg, verify.TASKS["V5"].fixed, None)
+    v5, _ = verify._v5(cfg, verify.TASKS["V5"].fixed, verify._RunMemo())
     assert len(fs) >= 2 and [f.label for f in scanned] == [f.label for f in fs]
     assert [row["boundary"] for row in v5] == base
     assert [row["ratio"] for row in v5] == [d / b for d, b in zip(base, boxes)]
+
+
+TINY_SHARED = {**TINY_REFINEMENT, "boundary_k_arc": 1, "boundary_n_centers": 2,
+               "boundary_t_depth": 12}
+
+
+def test_run_tasks_shares_the_refined_scans(monkeypatch):
+    # one run makes one translate scan of the suite (V1, V2) and one box
+    # scan per suite function (V1, V5), at any worker count
+    import threading
+
+    from dirimor import verify
+
+    calls = []
+    lock = threading.Lock()
+
+    def spy(name):
+        run = getattr(verify, name)
+
+        def counted(*args, **kwargs):
+            with lock:
+                calls.append(name)
+            return run(*args, **kwargs)
+
+        monkeypatch.setattr(verify, name, counted)
+
+    spy("dm_norms_translate")
+    spy("dm_seminorm_box")
+    docs = []
+    for workers in (1, 2):
+        cfg = RunConfig().with_overrides({**TINY_SHARED, "workers": workers})
+        calls.clear()
+        docs.append([r.as_dict() for r in run_tasks(["V1", "V2", "V5"], cfg)])
+        assert sorted(calls) == ["dm_norms_translate"] + ["dm_seminorm_box"] * len(cfg.suite)
+    for doc in docs:
+        for task in doc:
+            task["runtime_ms"] = 0
+    assert docs[0] == docs[1]
+
+
+def test_v2_skips_a_zero_norm_member(tmp_path):
+    cfg = tmp_path / "zero.json"
+    cfg.write_text(json.dumps({"suite": ["taylor:0", "taylor:0,1"], "k_a": 2,
+                               "a_angle_cap": 8, "depth": 8}))
+    out = tmp_path / "rep.json"
+    assert main(["verify", "--task", "V2", "--config", str(cfg), "--out", str(out)]) == 0
+    rows = json.loads(out.read_text())["tasks"][0]["measured"]
+    assert rows[0] == {"function": "taylor:0", "skipped": "degenerate"}
+    assert rows[1]["function"] == "taylor:0,1" and rows[1]["pass"]
+    assert rows[2] == {"C_est": max(rows[1]["ratio"], rows[1]["refined_ratio"])}
+
+
+@pytest.mark.parametrize("key,value", [
+    ("k_a", "3"), ("k_a", True), ("k_a", 3.0), ("p", "0.5"), ("p", False), ("out", 3),
+    ("suite", "taylor:0,1"), ("suite", [1]), ("tasks", "V9"),
+])
+def test_mistyped_config_values_are_rejected_by_key(key, value, tmp_path, capsys):
+    with pytest.raises(ValueError, match=f"'{key}'"):
+        RunConfig().with_overrides({key: value})
+    cfg = tmp_path / "typed.json"
+    cfg.write_text(json.dumps({key: value}))
+    for argv in (["verify", "--task", "V2"], ["norm", "--quantity", "dm-translate",
+                                             "--function", "taylor:0,1"]):
+        assert main(argv + ["--config", str(cfg)]) == 2
+        assert f"'{key}'" in _one_error_line(capsys.readouterr().err)
 
 
 # -- --out is checked before any computation ---------------------------------------
