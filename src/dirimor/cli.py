@@ -47,6 +47,7 @@ from .verify import (
     parse_function_spec,
     resolve_config,
     run_tasks,
+    spec_fields,
     summarize,
 )
 
@@ -145,36 +146,30 @@ def cmd_operator(args) -> int:
     return 0
 
 
+# coefficient rule -> (its required keys, its optional keys with their
+# defaults, the rule made from the numbers of those keys in that order)
+COEFF_RULES = {
+    "remark": (("q",), {}, remark_coefficient_rule),
+    "geometric": (("r",), {}, lambda r: lambda k: r ** k),
+    "constant": ((), {"v": "1"}, lambda v: lambda k: v),
+    "zero": ((), {}, lambda: lambda k: 0.0),
+}
+
+
 def _parse_coeff_rule(text: str):
-    head, sep, rest = text.strip().partition(":")
-    fields = {}
-    if sep:
-        for item in rest.split(","):
-            k, eq, v = item.partition("=")
-            if not eq:
-                raise FunctionSpecError(f"coefficient rule: expected key=value, got {item!r}")
-            fields[k.strip()] = v.strip()
-
-    def num(key, default=None):
-        val = fields.get(key, default)
-        if val is None:
-            raise FunctionSpecError(f"coefficient rule {head}: missing {key}")
+    head, _, rest = text.strip().partition(":")
+    if head not in COEFF_RULES:
+        raise FunctionSpecError(f"unknown coefficient rule {head!r}")
+    required, defaults, rule = COEFF_RULES[head]
+    fields = {**defaults, **spec_fields(rest, f"coefficient rule {head}", required, defaults)}
+    numbers = []
+    for key in (*required, *defaults):
         try:
-            return float(val)
+            numbers.append(float(fields[key]))
         except ValueError:
-            raise FunctionSpecError(f"coefficient rule {head}: bad number {key}={val!r}") from None
-
-    if head == "remark":
-        return remark_coefficient_rule(num("q"))
-    if head == "geometric":
-        r = num("r")
-        return lambda k: r ** k
-    if head == "constant":
-        v = num("v", "1")
-        return lambda k: v
-    if head == "zero":
-        return lambda k: 0.0
-    raise FunctionSpecError(f"unknown coefficient rule {head!r}")
+            raise FunctionSpecError(
+                f"coefficient rule {head}: bad number {key}={fields[key]!r}") from None
+    return rule(*numbers)
 
 
 def cmd_membership(args) -> int:

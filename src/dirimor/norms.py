@@ -374,9 +374,7 @@ def translate_seminorm(
         f, depth, extra_foci=extra, panel_order=panel_order,
         base_panels=base_panels, growth_cap=_growth_for_radius(abs(a)),
     )
-    rows = _group_rows([f], p, grid,
-                       lambda bases, z: _point_rows(bases, z, p, lambda r: 1.0, [(0, a)]))
-    return rows[0][0][2]
+    return float(_group_rows([f], p, grid, lambda bases, z: _point_rows(bases, z, p, [a]))[0, 0])
 
 
 def _growth_for_radius(r: float) -> int:
@@ -416,27 +414,29 @@ def _translate_scan(
     form one group, scanned on one build of the grid by ``_group_rows``: the
     radial weight and each symbol factor are evaluated once per grid, each
     ray frame once per direction and block of MEMBER_BLOCK members, and
-    each Mobius weight once per point and block.
-    Each function's entries come in the order of its own scan: direction by
-    direction, or ``grid.a_points()`` order on a uniform grid; the first
-    maximum wins.  Each report is named ``desc["scan"]``, and its grid is
-    ``desc`` plus the settings the scan read.
+    each Mobius weight once per point and block.  The kernels return
+    seminorm tables; this scan alone weights each seminorm s into the entry
+    (level, a, weight_of_a(|a|) s).  Each function's entries come in the
+    order of its own scan: direction by direction, or ``grid.a_points()``
+    order on a uniform grid; the first maximum wins.  Each report is named
+    ``desc["scan"]``, and its grid is ``desc`` plus the settings the scan read.
     """
     entries = [[] for _ in fs]
 
-    def scan(discs, run):
-        """Extend function i's entries by its rows of run(bases, z, disc) for
-        each (i, grid) of discs; equal grids are built once, one at a time
-        (popped, so a grid's nodes are freed before the next grid is built)."""
+    def scan(discs, pts, run):
+        """Extend function i's entries by its weighted row of run(bases, z,
+        disc) at pts, for each (i, grid) of discs; equal grids are built once,
+        one at a time (popped, so a grid's nodes are freed before the next)."""
+        weights = np.array([weight_of_a(abs(a)) for _, a in pts])
         groups: dict = {}
         for i, disc in discs:
             groups.setdefault(disc, []).append(i)
         while groups:
             disc, members = groups.popitem()
-            rows = _group_rows([fs[i] for i in members], p, disc,
-                               lambda bases, z: run(bases, z, disc))
-            for i, es in zip(members, rows):
-                entries[i].extend(es)
+            table = _group_rows([fs[i] for i in members], p, disc,
+                                lambda bases, z: run(bases, z, disc)) * weights
+            for i, row in zip(members, table.tolist()):
+                entries[i].extend((level, a, v) for (level, a), v in zip(pts, row))
 
     focal = [i for i, f in enumerate(fs) if not f.oscillatory]
     for _, pts in grid.a_points_by_direction():
@@ -445,20 +445,21 @@ def _translate_scan(
         scan([(i, grid_for_function(fs[i], grid.depth, extra_foci=extra,
                                     panel_order=TRANSLATE_PANEL_ORDER,
                                     base_panels=grid.base_panels)) for i in focal],
-             lambda bases, z, disc: _point_rows(bases, z, p, weight_of_a, pts))
+             pts, lambda bases, z, disc: _point_rows(bases, z, p, [a for _, a in pts]))
     cap = min(grid.k_a + 1, 11)
+    pts = grid.a_points()
     scan([(i, grid_for_function(f, grid.depth, growth_cap=cap))
           for i, f in enumerate(fs) if f.oscillatory],
-         lambda bases, z, disc: _uniform_rows(bases, z, p, weight_of_a, grid, disc))
+         pts, lambda bases, z, disc: _uniform_rows(bases, z, p, pts, disc))
     desc = {**desc, "k_a": grid.k_a, "a_angle_cap": grid.a_angle_cap,
             "depth": grid.depth, "base_panels": grid.base_panels}
     return [_scan_report(desc["scan"], es, desc, "k_a", offset=abs(f.at_zero()))
             for f, es in zip(fs, entries)]
 
 
-def _group_rows(fs, p, disc, run) -> list:
-    """The rows of each function of fs from run(bases, z) on the disc grid
-    ``disc``, in blocks of MEMBER_BLOCK functions.
+def _group_rows(fs, p, disc, run) -> np.ndarray:
+    """The seminorm table of fs on the disc grid ``disc``, a row per function:
+    the tables of run(bases, z) for blocks of MEMBER_BLOCK members, stacked.
 
     A base is |f'|^2 (1-|z|^2)^p w, built in place in the operation order of
     ``derivative_density(f, p)(z) * w``, so it matches that bit for bit.
@@ -485,14 +486,14 @@ def _group_rows(fs, p, disc, run) -> list:
         d2 *= w
         return d2
 
-    rows = []
+    tables = []
     for lo in range(0, len(fs), MEMBER_BLOCK):
         bases = [base(f) for f in fs[lo:lo + MEMBER_BLOCK]]
         if lo + MEMBER_BLOCK >= len(fs):
             shared.clear()
-        rows.extend(run(bases, z))
+        tables.append(run(bases, z))
         del bases
-    return rows
+    return np.concatenate(tables)
 
 
 # Below this |a| the Mobius weight is 1 in double precision, and a point
@@ -532,19 +533,19 @@ def _mobius_weight(rho, x, y2, p, q):
     return q
 
 
-def _point_rows(bases, z, p, weight_of_a, pts) -> list:
-    """Per base, (level, a, weight_of_a(|a|) * seminorm) for each (level, a)
-    in pts: one Mobius weight q per point, shared by the bases, each of
-    which takes np.sum(base * q) in a work row; the last base's product
-    overwrites q, which that point needs no more, so a single base needs no
-    row.  The weight is read in the frame of the point's ray
-    (:func:`_ray_frame`), built once for consecutive points whose unit
-    vectors agree within FRAME_TOL (so once for a scan direction).  The frame
-    (x, y2), q and the row are allocated at the first point with
+def _point_rows(bases, z, p, points) -> np.ndarray:
+    """The seminorm table of the bases at the translate ``points``: cell
+    [i, j] is sqrt(max(np.sum(base_i * q_j), 0)), with one Mobius weight q_j
+    per point shared by the bases, each taking its product in a work row;
+    the last base's product overwrites q, which that point needs no more,
+    so a single base needs no row.  The weight is read in the frame of the
+    point's ray (:func:`_ray_frame`), built once for consecutive points whose
+    unit vectors agree within FRAME_TOL (so once for a scan direction).  The
+    frame (x, y2), q and the row are allocated at the first point with
     |a| >= TINY_A; a point below that takes the a = 0 sum, bit for bit."""
-    out = [[] for _ in bases]
+    sem2 = np.empty((len(bases), len(points)))
     u0 = None
-    for level, a in pts:
+    for j, a in enumerate(points):
         rho = abs(a)
         if rho >= TINY_A:
             u = complex(a) / rho  # each part rounded once, whatever a's type
@@ -555,19 +556,15 @@ def _point_rows(bases, z, p, weight_of_a, pts) -> list:
                 _ray_frame(u, z, x, y2)
                 u0 = u
             _mobius_weight(rho, x, y2, p, q)
-        wa = weight_of_a(rho)
-        for i, (b, es) in enumerate(zip(bases, out)):
-            if rho < TINY_A:
-                sem2 = float(np.sum(b))
-            else:
-                sem2 = float(np.sum(np.multiply(b, q, out=q if i == len(bases) - 1 else row)))
-            es.append((level, a, wa * math.sqrt(max(sem2, 0.0))))
-    return out
+        for i, b in enumerate(bases):
+            sem2[i, j] = np.sum(b if rho < TINY_A else
+                                np.multiply(b, q, out=q if i == len(bases) - 1 else row))
+    return np.sqrt(np.maximum(sem2, 0.0))
 
 
-def _uniform_rows(bases, z, p, weight_of_a, grid, disc) -> list:
-    """The rows of ``_point_rows`` over ``grid.a_points()`` on a uniform
-    disc grid, in that order.
+def _uniform_rows(bases, z, p, pts, disc) -> np.ndarray:
+    """The seminorm table of ``_point_rows`` at the points of the (level, a)
+    list ``pts`` (a ParamGrid's ``a_points()``), on a uniform disc grid.
 
     Level k of the a-grid is the orbit r_k e^{2 pi i m/n}, m = 0..n-1, and
     ring j of the grid has N_j angles (i + 1/2) 2 pi/N_j.  When n divides
@@ -585,21 +582,21 @@ def _uniform_rows(bases, z, p, weight_of_a, grid, disc) -> list:
     rings = disc.ring_sizes()
     order = disc.RADIAL_ORDER
     assert order * sum(rings) == z.size, "uniform disc grid expected"
-    out = [[] for _ in bases]
-    for level, group in itertools.groupby(grid.a_points(), key=lambda pt: pt[0]):
-        pts = list(group)
-        n = len(pts)
+    blocks = []
+    for level, group in itertools.groupby(pts, key=lambda pt: pt[0]):
+        orbit = [a for _, a in group]
+        n = len(orbit)
         if level == 0 or any(size % n for size in rings):
-            for es, rows in zip(out, _point_rows(bases, z, p, weight_of_a, pts)):
-                es.extend(rows)
+            blocks.append(_point_rows(bases, z, p, orbit))
             continue
-        rho = abs(pts[0][1])
+        rho = abs(orbit[0])
         w0, y2 = np.empty(z.shape), np.empty(z.shape)
-        _ray_frame(complex(pts[0][1]) / rho, z, w0, y2)
+        _ray_frame(complex(orbit[0]) / rho, z, w0, y2)
         _mobius_weight(rho, w0, y2, p, w0)  # the weight overwrites the frame's x
         del y2
         m = np.arange(n)
-        for b, es in zip(bases, out):
+        sem2 = []
+        for b in bases:
             gram = np.zeros((n, n))
             start = 0
             for size in rings:
@@ -608,10 +605,9 @@ def _uniform_rows(bases, z, p, weight_of_a, grid, disc) -> list:
                 v = w0[start:stop].reshape(order, n, size // n)
                 gram += np.matmul(bb, v.transpose(0, 2, 1)).sum(axis=0)
                 start = stop
-            sem2 = gram[m[None, :], (m[None, :] - m[:, None]) % n].sum(axis=1)
-            es.extend((lv, a, weight_of_a(abs(a)) * math.sqrt(max(float(s2), 0.0)))
-                      for (lv, a), s2 in zip(pts, sem2))
-    return out
+            sem2.append(gram[m[None, :], (m[None, :] - m[:, None]) % n].sum(axis=1))
+        blocks.append(np.sqrt(np.maximum(sem2, 0.0)))
+    return np.concatenate(blocks, axis=1)
 
 
 def dm_norms_translate(
@@ -689,7 +685,7 @@ def _box_level_sums(f: AnalyticFunction, p_list: Sequence[float], grid: ParamGri
     max_level = None
     if f.r_max < 1.0:
         max_level = effective_depth(f, 10 ** 6)
-    p_arr = np.asarray(list(p_list), dtype=float)
+    exponents = tuple(map(float, p_list))
     arcs = grid.arcs()
     batches: dict = {}
     for i, (j, arc) in enumerate(arcs):
@@ -701,7 +697,7 @@ def _box_level_sums(f: AnalyticFunction, p_list: Sequence[float], grid: ParamGri
         )
         batches.setdefault((j, offs), []).append(i)
     lengths = {j: arc.length for j, arc in arcs}
-    plans = {j: _box_radial_plan(length, p_arr, radial_order, max_level)
+    plans = {j: _box_radial_plan(length, exponents, radial_order, max_level)
              for j, length in lengths.items()}
     out = [None] * len(arcs)
     for (j, offs), members in batches.items():
@@ -719,25 +715,18 @@ class _BoxRadialPlan(NamedTuple):
     panels: tuple  # (rr, rw rr / pi, (1 - rr^2)^p rows, level slot) per panel
 
 
-def _box_radial_plan(length, p_arr, radial_order, max_level) -> _BoxRadialPlan:
-    """The radial panels below a box of ``length`` (``BOX_REL_DEPTH`` of them,
-    cut at ``max_level``): per panel its nodes rr, their dm-weights
-    rw rr / pi, each node's row (1 - r^2)^p over the exponents ``p_arr`` and
-    the slot of its level in the sums.
-
-    Plans are memoized on their arguments (:func:`_memo_box_radial_plan`),
-    since every scan of a box length asks for the same plan again."""
-    exponents = tuple(np.asarray(p_arr, dtype=float).tolist())
-    return _memo_box_radial_plan(float(length), exponents, radial_order, max_level)
-
-
 # A round of the box benchmark asks for 43 distinct plans in 223 calls; one
 # dm_seminorm_box scan at the default ParamGrid() asks for 13.
 @functools.lru_cache(maxsize=128)
-def _memo_box_radial_plan(length, exponents, radial_order, max_level) -> _BoxRadialPlan:
-    """:func:`_box_radial_plan` on a tuple of exponents; its arrays are
-    read-only, since one plan is shared by every caller and thread that asks
-    for it."""
+def _box_radial_plan(length, exponents, radial_order, max_level) -> _BoxRadialPlan:
+    """The radial panels below a box of ``length`` (``BOX_REL_DEPTH`` of them,
+    cut at ``max_level``): per panel its nodes rr, their dm-weights
+    rw rr / pi, each node's row (1 - r^2)^p over the tuple ``exponents``
+    and the slot of its level in the sums.
+
+    Plans are memoized on their arguments, since every scan of a box length
+    asks for the same plan again; their arrays are read-only, since one plan
+    is shared by every caller and thread that asks for it."""
     p_arr = np.array(exponents, dtype=float)
     deltas, panels = [], []
     for rr, rw, delta, j_abs in radial_panels(length, BOX_REL_DEPTH, radial_order, max_level):

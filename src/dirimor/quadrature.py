@@ -135,8 +135,6 @@ def graded_breakpoints(lo, hi, delta, foci, base_panels):
     b = b[keep]
     if b[-1] != hi:
         b = np.append(b[:-1] if hi - b[-1] < delta * 2.0 ** -10 else b, hi)
-    if b[0] != lo:
-        b = np.insert(b, 0, lo)
     b.flags.writeable = False
     return b
 

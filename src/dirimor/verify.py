@@ -101,6 +101,11 @@ class RunConfig:
     suite: tuple = DEFAULT_SUITE
     tasks: tuple = ("all",)
 
+    def __post_init__(self):
+        for name, least in (("k_c", 1), ("c_directions", 1), ("workers", 1), ("seed", 0)):
+            if getattr(self, name) < least:
+                raise ValueError(f"{name} must be at least {least}, got {getattr(self, name)}")
+
     def space_params(self) -> SpaceParams:
         return SpaceParams(self.p, self.lam)
 
@@ -161,8 +166,8 @@ def _fits(kind: str, v) -> bool:
 
 def resolve_config(path: Optional[str] = None, overrides: Optional[dict] = None) -> RunConfig:
     """defaults < one config file < overrides.  The file is ``path`` when
-    given, else the one the DIRIMOR_CONFIG environment variable names; a
-    named file that does not exist raises OSError."""
+    given, else the one DIRIMOR_CONFIG names; a named file that does not
+    exist raises OSError, and one that holds no JSON object ValueError."""
     cfg = RunConfig()
     env_path = os.environ.get("DIRIMOR_CONFIG")
     if path is None and env_path:
@@ -170,7 +175,10 @@ def resolve_config(path: Optional[str] = None, overrides: Optional[dict] = None)
             raise FileNotFoundError(f"DIRIMOR_CONFIG={env_path}: no such file")
         path = env_path
     if path is not None:
-        cfg = cfg.with_overrides(json.loads(Path(path).read_text()))
+        data = json.loads(Path(path).read_text())
+        if not isinstance(data, dict):
+            raise ValueError(f"config file {path}: expected a JSON object, got {data!r}")
+        cfg = cfg.with_overrides(data)
     if overrides:
         cfg = cfg.with_overrides(overrides)
     return cfg
@@ -207,16 +215,8 @@ def parse_function_spec(text: str, params: Optional[SpaceParams] = None) -> Anal
             except ValueError:
                 raise FunctionSpecError(f"taylor spec: bad coefficient {tok!r}") from None
         return make_taylor(coeffs)
-    fields = {}
-    for item in rest.split(","):
-        key, eq, val = item.partition("=")
-        if not eq:
-            raise FunctionSpecError(f"{head} spec: expected key=value, got {item!r}")
-        fields[key.strip()] = val.strip()
     if head == "kernel":
-        missing = {"c", "s"} - set(fields)
-        if missing:
-            raise FunctionSpecError(f"kernel spec: missing {sorted(missing)}")
+        fields = spec_fields(rest, "kernel spec", ("c", "s"))
         try:
             c = _parse_complex(fields["c"])
         except ValueError:
@@ -237,19 +237,34 @@ def parse_function_spec(text: str, params: Optional[SpaceParams] = None) -> Anal
         except ValueError as exc:
             raise FunctionSpecError(f"kernel spec: {exc}") from None
     if head == "gap":
-        missing = {"q"} - set(fields)
-        if missing:
-            raise FunctionSpecError("gap spec: missing q")
+        fields = spec_fields(rest, "gap spec", ("q",), ("K",))
         try:
-            q = float(fields["q"])
-            K = int(fields.get("K", "20"))
-        except ValueError as exc:
-            raise FunctionSpecError(f"gap spec: {exc}") from None
-        try:
-            return remark_example(q, K)
-        except ValueError as exc:  # covers insufficient truncation depth
+            return remark_example(float(fields["q"]), int(fields.get("K", "20")))
+        except ValueError as exc:  # a bad number, or too shallow a truncation
             raise FunctionSpecError(f"gap spec: {exc}") from None
     raise FunctionSpecError(f"unknown function family {head!r}")
+
+
+def spec_fields(text: str, what: str, required=(), optional=()) -> dict:
+    """The key=value fields of the comma-separated ``text`` of a ``what``
+    (as "gap spec").  Raises FunctionSpecError naming a field without "=" or
+    a repeated key, then the missing keys of ``required``, then a key
+    neither required nor ``optional``."""
+    fields = {}
+    for item in text.split(",") if text else ():
+        key, eq, val = (part.strip() for part in item.partition("="))
+        if not eq:
+            raise FunctionSpecError(f"{what}: expected key=value, got {item!r}")
+        if key in fields:
+            raise FunctionSpecError(f"{what}: repeated key {key!r}")
+        fields[key] = val
+    missing = [k for k in required if k not in fields]
+    if missing:
+        raise FunctionSpecError(f"{what}: missing {', '.join(missing)}")
+    unknown = sorted(set(fields) - set(required) - set(optional))
+    if unknown:
+        raise FunctionSpecError(f"{what}: unknown key {', '.join(map(repr, unknown))}")
+    return fields
 
 
 def _parse_complex(tok: str) -> complex:

@@ -166,19 +166,17 @@ def test_scan_group_equals_plain_weight_bitwise(f, scan_grid, p):
     # bit, for a group of one and for a group of more than MEMBER_BLOCK; the
     # points of one ray share the frame of the first
     disc = grid_for_function(f, 24, **scan_grid)
-    pts = [(k, (1.0 - 2.0 ** -k) * np.exp(1j * math.pi / 4)) for k in range(1, 11)]
-    u = complex(pts[0][1]) / abs(pts[0][1])
+    pts = [(1.0 - 2.0 ** -k) * np.exp(1j * math.pi / 4) for k in range(1, 11)]
+    u = complex(pts[0]) / abs(pts[0])
     group = [f, f.scaled(0.5 + 2j), make_taylor([1, 2, 0, 1]), f]
     assert len(group) > norms.MEMBER_BLOCK
     for fs in ([f], group):
-        rows = _group_rows(fs, p, disc,
-                           lambda bases, z: _point_rows(bases, z, p, lambda r: 1.0, pts))
-        assert len(rows) == len(fs)
-        for g, got in zip(fs, rows):
-            for (level, a), (lv, ga, val) in zip(pts, got):
-                assert (lv, ga) == (level, a)
+        table = _group_rows(fs, p, disc, lambda bases, z: _point_rows(bases, z, p, pts))
+        assert table.shape == (len(fs), len(pts))
+        for g, got in zip(fs, table):
+            for a, val in zip(pts, got):
                 assert val == _plain_seminorm(g, p, a, disc, u)
-    for level, a in pts:
+    for a in pts:
         # the grid translate_seminorm builds for a
         own = grid_for_function(f, 24, extra_foci=(float(np.angle(a)) % (2 * math.pi),),
                                 panel_order=4, growth_cap=_growth_for_radius(abs(a)))
@@ -187,22 +185,23 @@ def test_scan_group_equals_plain_weight_bitwise(f, scan_grid, p):
 
 
 def _shift_and_loop(monkeypatch, f, grid, p=0.5):
-    """(rows of _uniform_rows, rows of the per-point loop over the same
+    """(row of _uniform_rows, row of the per-point loop over the same
     a-points and grid, levels _uniform_rows left to the per-point loop)."""
     disc = grid_for_function(f, grid.depth, growth_cap=min(grid.k_a + 1, 11))
-    weight = lambda r: (1.0 - r * r) ** 0.3
+    pts = grid.a_points()
+    level_of = {a: level for level, a in pts}
     loop = _group_rows([f], p, disc,
-                       lambda bases, z: _point_rows(bases, z, p, weight, grid.a_points()))[0]
+                       lambda bases, z: _point_rows(bases, z, p, [a for _, a in pts]))[0]
     looped = set()
 
-    def spy(bases, z, p, weight_of_a, pts):
-        looped.update(level for level, _ in pts)
-        return _point_rows(bases, z, p, weight_of_a, pts)
+    def spy(bases, z, p, points):
+        looped.update(level_of[a] for a in points)
+        return _point_rows(bases, z, p, points)
 
     monkeypatch.setattr(norms, "_point_rows", spy)
     shift = _group_rows([f], p, disc,
-                        lambda bases, z: norms._uniform_rows(bases, z, p, weight, grid, disc))[0]
-    assert [e[:2] for e in shift] == [e[:2] for e in loop]
+                        lambda bases, z: norms._uniform_rows(bases, z, p, pts, disc))[0]
+    assert shift.shape == loop.shape == (len(pts),)
     return shift, loop, looped
 
 
@@ -219,7 +218,7 @@ def test_shift_route_matches_point_loop(monkeypatch, f, cap):
     shift, loop, looped = _shift_and_loop(monkeypatch, f, grid)
     assert looped == {0}
     assert shift[0] == loop[0]
-    for (_, _, got), (_, _, want) in zip(shift, loop):
+    for got, want in zip(shift, loop):
         assert abs(got - want) <= 1e-13 * want
 
 
@@ -237,7 +236,7 @@ def test_shift_route_falls_back_bitwise(monkeypatch, degree, cap, looped_levels)
     grid = ParamGrid(k_a=6, a_angle_cap=cap, depth=12, base_panels=8)
     shift, loop, looped = _shift_and_loop(monkeypatch, make_taylor(coeffs), grid)
     assert looped == looped_levels
-    for (level, _, got), (_, _, want) in zip(shift, loop):
+    for (level, _), got, want in zip(grid.a_points(), shift, loop):
         if level in looped_levels:
             assert got == want
         else:
@@ -268,10 +267,9 @@ def test_ray_frame_weight_matches_complex_expression(f, scan_grid, p):
     base = f.deriv_abs2(z) * (1.0 - np.abs(z) ** 2) ** p * w
     x, y2, q = np.empty(z.shape), np.empty(z.shape), np.empty(z.shape)
     for theta in (math.pi / 4, 2.0):
-        pts = [(k, (1.0 - 2.0 ** -k) * np.exp(1j * theta)) for k in range(1, 12)]
-        rows = _group_rows([f], p, disc,
-                           lambda bases, z: _point_rows(bases, z, p, lambda r: 1.0, pts))[0]
-        for (_, a), (_, _, val) in zip(pts, rows):
+        pts = [(1.0 - 2.0 ** -k) * np.exp(1j * theta) for k in range(1, 12)]
+        row = _group_rows([f], p, disc, lambda bases, z: _point_rows(bases, z, p, pts))[0]
+        for a, val in zip(pts, row):
             rho = abs(a)
             norms._ray_frame(complex(a) / rho, z, x, y2)
             norms._mobius_weight(rho, x, y2, p, q)
@@ -288,16 +286,32 @@ def test_tiny_translate_points_read_the_a0_value(u):
     f, p = make_taylor([0, 1]), 0.5
     disc = grid_for_function(f, 24, extra_foci=(math.pi / 4,), panel_order=4)
     tiny = [1e-8, 1e-160, 1e-300, 5e-324]
-    pts = [(0, 0j)] + [(1, t * u) for t in tiny]
-    assert all(0.0 < abs(a) < 1e-7 for _, a in pts[1:])
-    rows = _group_rows([f], p, disc,
-                       lambda bases, z: _point_rows(bases, z, p, lambda r: 1.0, pts))[0]
-    v0 = rows[0][2]
-    for _, _, val in rows[1:]:
+    pts = [0j] + [t * u for t in tiny]
+    assert all(0.0 < abs(a) < 1e-7 for a in pts[1:])
+    row = _group_rows([f], p, disc, lambda bases, z: _point_rows(bases, z, p, pts))[0]
+    v0 = row[0]
+    for val in row[1:]:
         assert abs(val - v0) <= 1e-15 * v0
     t0 = translate_seminorm(f, p, 0.0)
     for t in tiny:
         assert abs(translate_seminorm(f, p, t * u) - t0) <= 1e-15 * t0
+
+
+@pytest.mark.parametrize("s", [0.0, 0.3])
+def test_scan_entries_weight_the_kernel_table(s):
+    # the kernels return bare seminorms; the scan labels each with its
+    # (level, a), in a_points() order on a uniform grid, and weights it
+    f, p = gap(0.5), 0.5
+    grid = ParamGrid(k_a=5, a_angle_cap=16, depth=12, base_panels=8)
+    disc = grid_for_function(f, grid.depth, growth_cap=min(grid.k_a + 1, 11))
+    pts = grid.a_points()
+    row = _group_rows([f], p, disc,
+                      lambda bases, z: norms._uniform_rows(bases, z, p, pts, disc))[0]
+    entries = general_morrey_norm(f, p, s, grid).entries
+    assert [e[:2] for e in entries] == pts
+    assert [e[2] for e in entries] == [(1.0 - abs(a)) ** s * v
+                                       for (_, a), v in zip(pts, row.tolist())]
+    assert all(type(e[2]) is float for e in entries)
 
 
 # -- dm norms -------------------------------------------------------------------
@@ -529,7 +543,7 @@ def test_box_sums_equal_per_node_loop_bitwise(spec, p_list, n_arcs):
     else:
         arcs = [Arc(0.1 + m * TWO_PI / 8, 1 / 16) for m in range(n_arcs)]
     offs = (-0.1,)
-    got = _box_sums(f, arcs, offs, _box_radial_plan(arcs[0].length, p_arr, 6, max_level))
+    got = _box_sums(f, arcs, offs, _box_radial_plan(arcs[0].length, tuple(p_list), 6, max_level))
     assert np.array_equal(got, _box_sums_per_node(f, p_arr, arcs, offs, 6, max_level))
 
 
@@ -540,7 +554,7 @@ def test_box_sums_keep_node_order_on_one_column(radial_order):
     f = make_power_kernel(0.9, 0.35)
     p_arr = np.array([0.5])
     arcs = [Arc(0.0, 1.0)]
-    plan = _box_radial_plan(1.0, p_arr, radial_order, None)
+    plan = _box_radial_plan(1.0, (0.5,), radial_order, None)
     got = _box_sums(f, arcs, (0.0,), plan)
     assert np.array_equal(got, _box_sums_per_node(f, p_arr, arcs, (0.0,), radial_order, None))
 
@@ -549,9 +563,9 @@ def test_box_sums_keep_node_order_on_one_column(radial_order):
     (1.0, [0.5], None), (2.0 ** -3, [0.3, 0.6], None), (2.0 ** -10, [0.3, 0.6], 12),
 ], ids=["one-exponent", "two-exponents", "cut-at-max-level"])
 def test_box_radial_plans_are_memoized_read_only(length, p_list, max_level):
-    plan = _box_radial_plan(length, np.array(p_list), 6, max_level)
-    assert _box_radial_plan(length, np.array(p_list), 6, max_level) is plan
-    fresh = norms._memo_box_radial_plan.__wrapped__(length, tuple(p_list), 6, max_level)
+    plan = _box_radial_plan(length, tuple(p_list), 6, max_level)
+    assert _box_radial_plan(length, tuple(p_list), 6, max_level) is plan
+    fresh = _box_radial_plan.__wrapped__(length, tuple(p_list), 6, max_level)
     assert fresh is not plan
     assert (plan.n_exponents, plan.deltas) == (fresh.n_exponents, fresh.deltas) == \
         (len(p_list), tuple(d for *_, d, _ in radial_panels(length, BOX_REL_DEPTH, 6, max_level)))
@@ -570,7 +584,7 @@ def test_box_sums_of_a_level_below_the_certified_depth_stay_zero():
     # no radial panel above that depth, and their sums stay zero
     f = parse_function_spec("gap:q=0.5,K=20", SpaceParams(0.5, 0.4))
     assert effective_depth(f, 10 ** 6) == 12
-    plan = _box_radial_plan(2.0 ** -12, np.array([0.3, 0.6]), 6, 12)
+    plan = _box_radial_plan(2.0 ** -12, (0.3, 0.6), 6, 12)
     assert plan.panels == () and plan.deltas == ()
     rows = box_quantity_pair(f, 0.3, 0.6, ParamGrid(k_arc=12, n_centers=4))
     assert all(q1 == 0.0 and q2 == 0.0 for arc, q1, q2 in rows if arc.length == 2.0 ** -12)

@@ -321,7 +321,7 @@ def test_refinement_convergence_polynomial():
 def test_box_monotonicity():
     # nested boxes about one centre, under |f'|^2 (1-|z|^2)^(1/2) > 0
     f = make_taylor([0, 1, 0.5])
-    vals = [float(np.sum(_box_sums(f, [Arc(0.2, ln)], (), _box_radial_plan(ln, np.array([0.5]), 6, None))))
+    vals = [float(np.sum(_box_sums(f, [Arc(0.2, ln)], (), _box_radial_plan(ln, (0.5,), 6, None))))
             for ln in [1 / 16, 1 / 8, 1 / 4, 1 / 2, 1.0]]
     assert all(vals[i] <= vals[i + 1] * (1 + 1e-9) for i in range(len(vals) - 1))
 

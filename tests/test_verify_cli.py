@@ -55,20 +55,24 @@ def test_parse_gap_and_log():
     assert g.label == "log1"
 
 
-@pytest.mark.parametrize(
-    "bad",
-    [
-        "mystery:1,2",
-        "taylor:abc",
-        "kernel:c=0.5+0i",
-        "kernel:c=zz,s=1",
-        "kernel:c=0.5+0i,s=auto",  # no params supplied
-        "gap:K=20",
-        "noseparator",
-    ],
-)
-def test_parse_errors_name_token(bad):
-    with pytest.raises(FunctionSpecError):
+PARSE_ERRORS = [
+    ("mystery:1,2", "mystery"),
+    ("taylor:abc", "abc"),
+    ("kernel:c=0.5+0i", "missing s"),
+    ("kernel:c=zz,s=1", "zz"),
+    ("kernel:c=0.5+0i,s=auto", "s=auto"),  # no params supplied
+    ("gap:K=20", "missing q"),
+    ("noseparator", "noseparator"),
+    # unknown and repeated keys were dropped, or the last one taken
+    ("gap:q=0.3,k=30", "unknown key 'k'"),
+    ("kernel:c=0.5,s=0.3,x=1", "unknown key 'x'"),
+    ("gap:q=0.3,K=30,q=0.5", "repeated key 'q'"),
+]
+
+
+@pytest.mark.parametrize("bad,match", PARSE_ERRORS, ids=[bad for bad, _ in PARSE_ERRORS])
+def test_parse_errors_name_token(bad, match):
+    with pytest.raises(FunctionSpecError, match=match):
         parse_function_spec(bad)
 
 
@@ -411,16 +415,33 @@ def test_cli_sweep_rejects_unread_flags(capsys):
         (["norm", "--quantity", "dp", "--function", "taylor:0,1", "--p", "1.5"], "1.5"),
         (["operator", "--kind", "jg", "--g", "taylor:1", "--lambda", "2"], "lam"),
         (["verify", "--task", "V42"], "V42"),
-        (["norm", "--quantity", "dp", "--function", "taylor:0,1", "--config", "BOGUS"], "bogus"),
+        (["norm", "--quantity", "dp", "--function", "taylor:0,1", "--config", 'json:{"bogus": 1}'],
+         "bogus"),
         (["sweep", "--function", "taylor:0,1", "--p-grid", "0.2:x:2"], "--p-grid"),
+        # a family of the constant alone passed V6 and read bounded-trend
+        (["verify", "--task", "V6", "--config", 'json:{"k_c": 0}'], "k_c"),
+        (["operator", "--kind", "jg", "--g", "log1", "--config", 'json:{"k_c": 0}'], "k_c"),
+        (["verify", "--task", "V6", "--config", 'json:{"c_directions": -1}'], "c_directions"),
+        # a negative seed failed after every task had run, naming no token
+        (["verify", "--task", "all", "--seed", "-1"], "seed"),
+        (["verify", "--task", "V9", "--workers", "-3"], "workers"),
+        (["norm", "--quantity", "dp", "--function", "taylor:0,1", "--config", 'json:"abc"'],
+         "config0.json"),
+        (["norm", "--quantity", "dp", "--function", "taylor:0,1", "--config", "json:[1, 2]"],
+         "config0.json"),
     ],
     ids=["no-boundary-trace", "bad-spec", "bad-p", "bad-lambda", "unknown-task",
-         "unknown-config-key", "bad-p-grid"],
+         "unknown-config-key", "bad-p-grid", "verify-k_c", "operator-k_c", "c_directions",
+         "seed", "workers", "config-string", "config-list"],
 )
 def test_cli_bad_input_exits_2_with_one_error_line(argv, token, tmp_path, capsys):
-    bogus = tmp_path / "bogus.json"
-    bogus.write_text(json.dumps({"bogus": 1}))
-    assert main([str(bogus) if a == "BOGUS" else a for a in argv]) == 2
+    # an argument "json:<text>" names a config file configN.json holding <text>
+    files = {}
+    for a in argv:
+        if a.startswith("json:"):
+            files[a] = tmp_path / f"config{len(files)}.json"
+            files[a].write_text(a[len("json:"):])
+    assert main([str(files.get(a, a)) for a in argv]) == 2
     assert token in _one_error_line(capsys.readouterr().err)
 
 
@@ -479,7 +500,9 @@ def test_cli_rejects_grid_sizes_below_their_floor(quantity, flag, value, token, 
 
 @pytest.mark.parametrize(
     "rule,token",
-    [("geometric", "missing r"), ("remark:v=1", "missing q"), ("geometric:r=x", "r='x'")],
+    [("geometric", "missing r"), ("remark:v=1", "missing q"), ("geometric:r=x", "r='x'"),
+     ("geometric:r=0.5,x=9", "unknown key 'x'"), ("geometric:r=0.5,r=0.6", "repeated key 'r'"),
+     ("zero:x=1", "unknown key 'x'")],
 )
 def test_cli_membership_coeff_rule_names_key(rule, token, capsys):
     rc = main(["membership", "--criterion", "gap-qp", "--q", "0.6", "--coeff-rule", rule])
