@@ -756,7 +756,7 @@ def _box_sums(f, arcs, offs, plan: _BoxRadialPlan):
     with the running sums stacked in front."""
     half = math.pi * arcs[0].length
     centers = np.array([a.center for a in arcs])
-    th, tw, bounds = window_nodes(-half, half, plan.deltas, offs,
+    th, tw, bounds = window_nodes(-half, half, plan.deltas, [offs] * len(plan.deltas),
                                   fitted_panels(-half, half, BOX_BASE_PANELS), BOX_PANEL_ORDER)
     e = np.exp(1j * (centers[:, None] + th[None, :]))
     sums = np.zeros((len(arcs), plan.n_exponents, TRACE_LEVEL_CAP + 2))
@@ -1014,7 +1014,8 @@ def _gpcm_nodes(w: complex, singular_angles, table_depth: int):
         offs.add(0.0)
     offs = tuple(sorted(offs))
     panels = list(radial_panels(1.0 - abs(w), GPCM_REL_DEPTH, GPCM_RADIAL_ORDER, table_depth))
-    th_all, tw_all, bounds = window_nodes(-h, h, [delta for _, _, delta, _ in panels], offs,
+    th_all, tw_all, bounds = window_nodes(-h, h, [delta for _, _, delta, _ in panels],
+                                          [offs] * len(panels),
                                           fitted_panels(-h, h, GPCM_BASE_PANELS), GPCM_PANEL_ORDER)
     rs, ths, wts = [], [], []
     for (rr, rw, _, _), lo, hi in zip(panels, bounds[:-1], bounds[1:]):

@@ -149,13 +149,16 @@ def window_nodes(wlo, whi, deltas, foci, panels, order):
     """The one graded angular rule: Gauss nodes of the window (wlo, whi) at
     each grading scale of ``deltas``, built in one pass.
 
-    Window k has Gauss panels of ``order`` nodes on :func:`graded_breakpoints`
-    of (wlo, whi) toward ``foci`` down to ``deltas[k]`` over ``panels``
-    background cells.  Returns (th, tw, bounds): the windows' nodes and
-    weights end to end, window k at ``th[bounds[k]:bounds[k + 1]]``; an empty
-    ``deltas`` gives empty arrays."""
-    foci = tuple(foci)
-    breaks = [graded_breakpoints(wlo, whi, d, foci, panels) for d in deltas]
+    ``foci`` holds one focus sequence per window.  Window k has Gauss panels
+    of ``order`` nodes on :func:`graded_breakpoints` of (wlo, whi) toward
+    ``foci[k]`` down to ``deltas[k]`` over ``panels`` background cells, so
+    its nodes are those of a one-window call, bit for bit.  Returns
+    (th, tw, bounds): the windows' nodes and weights end to end, window k at
+    ``th[bounds[k]:bounds[k + 1]]``; an empty ``deltas`` gives empty arrays.
+    A ``foci`` whose length differs from that of ``deltas`` raises
+    ValueError."""
+    breaks = [graded_breakpoints(wlo, whi, d, tuple(f), panels)
+              for d, f in zip(deltas, foci, strict=True)]
     bounds = [0]
     for b in breaks:
         bounds.append(bounds[-1] + (b.size - 1) * order)
@@ -236,7 +239,7 @@ class RadialAnnuliGrid:
         panels = list(radial_panels(1.0, self.depth, self.RADIAL_ORDER))
         if self.foci:
             th, tw, bounds = window_nodes(self.foci[0], self.foci[0] + TWO_PI,
-                                          [d for _, _, d, _ in panels], self.foci,
+                                          [d for _, _, d, _ in panels], [self.foci] * len(panels),
                                           self.base_panels, self.panel_order)
             e = np.exp(1j * th)
             rings = [(e[lo:hi], tw[lo:hi]) for lo, hi in zip(bounds[:-1], bounds[1:])]
@@ -365,7 +368,7 @@ def region_node_arrays(
         for r, wr in zip(rr.tolist(), rw.tolist()):
             # Gauss nodes lie above 1 - h, where the cosine is below 1
             half = math.acos(max((1.0 + r * r - h * h) / (2.0 * r), -1.0))
-            th, tw, _ = window_nodes(-half, half, (1.0 - r,), offs,
+            th, tw, _ = window_nodes(-half, half, (1.0 - r,), (offs,),
                                      fitted_panels(-half, half, LUNE_BASE_PANELS), panel_order)
             zs.append(r * np.exp(1j * (b + th)))
             ws.append((wr * r / math.pi) * tw)
@@ -407,6 +410,11 @@ def chord_gap(u_theta, v_theta):
 
 # Gauss nodes per dyadic t-panel of a boundary double integral
 ARC_T_ORDER = 8
+# Nodes per integrand call of a boundary double integral: whole t-panels are
+# stacked side by side until the next one would pass this many, and a panel
+# larger than it goes alone.  A whole arc in one call costs memory (+29 %
+# peak on the boundary benchmark) and saves no time.
+ARC_BLOCK = 4096
 
 
 def arc_double_integral(
@@ -426,24 +434,31 @@ def arc_double_integral(
     F takes two angle arrays that broadcast against each other (a stacked
     ``(ARC_T_ORDER, n)`` block against a ``(ARC_T_ORDER, n)`` or ``(n,)`` array)
     and returns nonnegative reals of the broadcast shape; it may blow up
-    like |u-v|^-beta (beta < 1) at the diagonal.  F must be symmetric,
-    F(u, v) = F(v, u): a proper arc integrates 2 F(u, v) over the half
-    u > v, and raises ValueError when F(v, u) differs from F(u, v) beyond
-    rtol 1e-12 on one row of nodes.  The difference angle t = u - v is
-    resolved on ``t_depth`` dyadic panels refining toward t=0 (and toward
-    t=2 pi for the full circle), so no node ever lands on the diagonal.
+    like |u-v|^-beta (beta < 1) at the diagonal.  Row k of a block holds the
+    k-th t-node of whole t-panels set side by side, their v-nodes as columns,
+    at most ``ARC_BLOCK`` nodes a call unless one panel alone holds more.
+    F must be symmetric, F(u, v) = F(v, u): a proper arc integrates
+    2 F(u, v) over the half u > v, and raises ValueError when F(v, u)
+    differs from F(u, v) beyond rtol 1e-12 on the first panel's first row.
+    The difference angle t = u - v is resolved on ``t_depth`` dyadic panels
+    refining toward t=0 (and toward t=2 pi for the full circle), so no node
+    ever lands on the diagonal.  A non-finite value raises
+    :class:`QuadratureError` naming the first such node in panel order.
 
-    On each t-panel the v-nodes (:func:`window_nodes`, ``s_base`` background
-    cells of ``s_order`` nodes) are graded toward ``v_foci`` (the v-side
-    roots) and toward their shifts by the panel's midpoint t (the u-side
-    roots), with finest cells of about a quarter of t: the integrand's
-    diagonal scale.  ``focus_width`` is the angular width of the
-    integrand's features at ``v_foci`` (an interior power kernel's
-    1 - |c|); the grading stops at a floor of a quarter of it, because
-    finer cells resolve nothing the integrand holds.  With the default 0.0
-    the grading follows t alone.  The error estimate is the geometric tail
-    of the t-panels.  A ``t_depth``, ``s_base`` or ``s_order`` below 1
-    raises ValueError, and so does ``resolution_check=True``: no re-run.
+    On each t-panel the v-nodes (``s_base`` background cells of ``s_order``
+    nodes) are graded toward ``v_foci`` (the v-side roots) and toward their
+    shifts by the panel's midpoint t (the u-side roots), with finest cells
+    of about a quarter of t: the integrand's diagonal scale.  Every panel's
+    v-rule comes from one :func:`window_nodes` call per arc, on (0, 2 pi)
+    for the full circle and in the units s of :func:`_s_layout` for a proper
+    arc.  ``focus_width`` is the angular width of the integrand's features
+    at ``v_foci`` (an interior power kernel's 1 - |c|); the grading stops at
+    a floor of a quarter of it, because finer cells resolve nothing the
+    integrand holds.  With the default 0.0 the grading follows t alone.  A
+    panel's sum is taken one t-node at a time, whatever block it sits in.
+    The error estimate is the geometric tail of the t-panels.  A
+    ``t_depth``, ``s_base`` or ``s_order`` below 1 raises ValueError, and so
+    does ``resolution_check=True``: no re-run.
     """
     if beta >= 1.0:
         raise ValueError("diagonal singularity exponent must satisfy beta < 1")
@@ -462,34 +477,62 @@ def arc_double_integral(
     t_floor = 64.0 * np.finfo(float).eps * TWO_PI
     t_depth = min(t_depth, max(8, int(math.log2(t_range / t_floor))))
 
-    total, panel_sums, n_nodes = 0.0, [], 0
-    for tlo, thi in _t_panels(t_range, full, t_depth):
-        tt, tw = _gauss_on(tlo, thi, ARC_T_ORDER)
-        t_mid = 0.5 * (tlo + thi)
-        if full:
-            foci = tuple(x for phi in v_foci for x in (phi, phi - t_mid))
-            gap = max(0.25 * min(t_mid, TWO_PI - t_mid), 0.25 * focus_width, 1e-9)
-            v, vw, _ = window_nodes(0.0, TWO_PI, (gap,), foci, s_base, s_order)
-            scale = tw
-        else:
-            s, vw = _s_layout(a0, L, t_mid, v_foci, focus_width, s_base, s_order)
-            # Gauss t-nodes are interior to (0, L], so every span L - t is positive
-            span = L - tt
-            v = a0 + s[None, :] * span[:, None]
-            scale = 2.0 * tw * span
-        u = v + tt[:, None]
+    tlo, thi = (np.array(e) for e in zip(*_t_panels(t_range, full, t_depth)))
+    x, w = _gauss(ARC_T_ORDER)
+    t_mid, half = 0.5 * (tlo + thi), 0.5 * (thi - tlo)
+    tt = t_mid[:, None] + half[:, None] * x  # (panels, ARC_T_ORDER)
+    tw = half[:, None] * w
+    mids = t_mid.tolist()
+    if full:
+        deltas = [max(0.25 * min(m, TWO_PI - m), 0.25 * focus_width, 1e-9) for m in mids]
+        foci = [tuple(g for phi in v_foci for g in (phi, phi - m)) for m in mids]
+        nodes, vw, bounds = window_nodes(0.0, TWO_PI, deltas, foci, s_base, s_order)
+        scale = tw
+    else:
+        deltas, foci = zip(*(_s_layout(a0, L, m, v_foci, focus_width) for m in mids))
+        nodes, vw, bounds = window_nodes(0.0, 1.0, deltas, foci, s_base, s_order)
+        # Gauss t-nodes are interior to (0, L], so every span L - t is positive
+        span = L - tt
+        scale = 2.0 * tw * span
+    counts = np.diff(bounds)
+
+    total, panel_sums = 0.0, []
+    for first, last in _panel_blocks(counts):
+        lo, reps = bounds[first], counts[first:last]
+        # column j of the block is v-node j of its panel, row k its k-th t-node
+        v = nodes[lo:bounds[last]]
+        if not full:
+            v = a0 + v * np.repeat(span[first:last].T, reps, axis=1)
+        u = v + np.repeat(tt[first:last].T, reps, axis=1)
         vals = np.asarray(F(u, v), dtype=float)
-        _check_finite(vals, v, "arc_double_integral")
-        if not full and not panel_sums:
-            _require_symmetric(F, u[0], v[0], vals[0])
-        panel = 0.0
-        for k in range(len(tt)):
-            panel += scale[k] * float(np.dot(vw, vals[k]))
-        n_nodes += vals.size
-        total += panel
-        panel_sums.append(panel)
+        cols = [slice(bounds[i] - lo, bounds[i + 1] - lo) for i in range(first, last)]
+        if not np.all(np.isfinite(vals)):
+            for c in cols:
+                _check_finite(vals[:, c], v[..., c], "arc_double_integral")
+        if not full and first == 0:
+            _require_symmetric(F, u[0, cols[0]], v[0, cols[0]], vals[0, cols[0]])
+        for i, c in zip(range(first, last), cols):
+            panel_vw = vw[bounds[i]:bounds[i + 1]]
+            panel = 0.0
+            for k in range(ARC_T_ORDER):
+                panel += scale[i, k] * float(np.dot(panel_vw, vals[k, c]))
+            total += panel
+            panel_sums.append(panel)
     err = _tail_estimate(np.array(panel_sums))
-    return QuadratureResult(float(total), float(err), tuple(panel_sums), n_nodes)
+    return QuadratureResult(float(total), float(err), tuple(panel_sums), ARC_T_ORDER * bounds[-1])
+
+
+def _panel_blocks(counts):
+    """Runs [first, last) of consecutive t-panels, ``counts[i]`` v-nodes each,
+    whose stacked nodes stay within ``ARC_BLOCK``; a larger panel runs alone."""
+    blocks, first, size = [], 0, 0
+    for i, n in enumerate(counts.tolist()):
+        if size and size + ARC_T_ORDER * n > ARC_BLOCK:
+            blocks.append((first, i))
+            first, size = i, 0
+        size += ARC_T_ORDER * n
+    blocks.append((first, len(counts)))
+    return blocks
 
 
 def _t_panels(t_range, full, depth):
@@ -516,11 +559,12 @@ def _require_symmetric(F, u, v, vals):
         )
 
 
-def _s_layout(a0, L, t_mid, v_foci, focus_width, s_base, s_order):
-    """v-nodes of a proper arc's t-panel in s = (v - a0) / (L - t_mid), on
-    [0, 1]: graded toward the v- and u-side roots of ``v_foci`` down to a
-    quarter of t_mid, but no finer than a quarter of ``focus_width``.  Their
-    images 2 pi away lie beyond one window width and add no breakpoints."""
+def _s_layout(a0, L, t_mid, v_foci, focus_width):
+    """The v-grading of a proper arc's t-panel in s = (v - a0) / (L - t_mid),
+    on [0, 1]: (delta_s, foci_s), graded toward the v- and u-side roots of
+    ``v_foci`` down to a quarter of t_mid, but no finer than a quarter of
+    ``focus_width``.  Their images 2 pi away lie beyond one window width and
+    add no breakpoints."""
     span = max(L - t_mid, 1e-300)
     foci_s = []
     for phi in v_foci:
@@ -530,7 +574,7 @@ def _s_layout(a0, L, t_mid, v_foci, focus_width, s_base, s_order):
                 if -0.25 < s < 1.25:
                     foci_s.append(s)
     delta_s = max(t_mid / span * 0.25, focus_width / span * 0.25, 1e-9)
-    return window_nodes(0.0, 1.0, (delta_s,), foci_s, s_base, s_order)[:2]
+    return delta_s, tuple(foci_s)
 
 
 # ---------------------------------------------------------------------------
@@ -598,8 +642,8 @@ class BoxMassTable:
         The boxes are taken in order of r_lo.  The cells and end fractions
         of an annulus are located once for all the boxes that reach it; the
         prefix of boxes with r_lo <= r0 reads the annulus's summed row, and
-        each slab adds its share to the boxes that start inside the annulus
-        and reach it."""
+        the boxes that start inside the annulus read its slab rows in one
+        gather, each slab's share added in slab order."""
         r_lo, lo, hi = (np.asarray(a, dtype=float) for a in (r_lo, lo, hi))
         if r_lo.ndim != 1 or lo.shape != r_lo.shape or hi.shape != r_lo.shape:
             raise ValueError("box_masses needs r_lo, lo and hi as 1-d arrays of one length, "
@@ -633,25 +677,29 @@ class BoxMassTable:
             # boxes from r0 or below take every slab whole
             w = int(np.searchsorted(r_lo[:m], r0, side="right"))
             out[:w] += _read_row(cum[-1], i_lo[:w], i_hi[:w], f_lo[:w], f_hi[:w], turns[:w])
-            for i, row in enumerate(cum[:-1]):
-                slo = r0 + i * h
-                shi = slo + h
-                k = int(np.searchsorted(r_lo[:m], shi))
-                if k <= w:
-                    continue
-                part = slice(w, k)
-                frac = np.clip((shi - r_lo[part]) / (shi - slo), 0.0, 1.0)
-                out[part] += frac * _read_row(row, i_lo[part], i_hi[part], f_lo[part],
-                                              f_hi[part], turns[part])
+            if m == w:
+                continue
+            # the boxes that start inside the annulus read all its slab rows
+            # in one gather, a slab they do not reach at fraction 0, and add
+            # them in slab order
+            part = slice(w, m)
+            slo = r0 + np.arange(self.SLABS)[:, None] * h
+            shi = slo + h
+            frac = np.clip((shi - r_lo[part]) / (shi - slo), 0.0, 1.0)
+            slabs = frac * _read_row(cum[:-1], i_lo[part], i_hi[part], f_lo[part], f_hi[part],
+                                     turns[part])
+            for share in slabs:
+                out[part] += share
         result = np.empty_like(out)
         result[order] = out
         return result
 
 
-def _read_row(row, i_lo, i_hi, f_lo, f_hi, turns):
-    """The mass of cumulative row ``row`` between two ends, each given as its
-    cell and covered fraction, plus ``turns`` whole turns."""
-    a, b = row[i_lo], row[i_hi]
-    part_hi = f_hi * (row[i_hi + 1] - b)
-    part_lo = f_lo * (row[i_lo + 1] - a)
-    return (b - a) + (part_hi - part_lo) + turns * row[-1]
+def _read_row(rows, i_lo, i_hi, f_lo, f_hi, turns):
+    """The mass of cumulative row ``rows`` (or of each row of a 2-d stack of
+    them) between two ends, each given as its cell and covered fraction,
+    plus ``turns`` whole turns."""
+    a, b = rows[..., i_lo], rows[..., i_hi]
+    part_hi = f_hi * (rows[..., i_hi + 1] - b)
+    part_lo = f_lo * (rows[..., i_lo + 1] - a)
+    return (b - a) + (part_hi - part_lo) + turns * rows[..., -1:]

@@ -167,17 +167,23 @@ def _fits(kind: str, v) -> bool:
 def resolve_config(path: Optional[str] = None, overrides: Optional[dict] = None) -> RunConfig:
     """defaults < one config file < overrides.  The file is ``path`` when
     given, else the one DIRIMOR_CONFIG names; a named file that does not
-    exist raises OSError, and one that holds no JSON object ValueError."""
+    exist raises OSError, and one that is not valid JSON or holds no JSON
+    object ValueError naming the file (as ``DIRIMOR_CONFIG=<path>`` when the
+    variable named it)."""
     cfg = RunConfig()
     env_path = os.environ.get("DIRIMOR_CONFIG")
+    name = f"config file {path}"
     if path is None and env_path:
         if not Path(env_path).exists():
             raise FileNotFoundError(f"DIRIMOR_CONFIG={env_path}: no such file")
-        path = env_path
+        path, name = env_path, f"DIRIMOR_CONFIG={env_path}"
     if path is not None:
-        data = json.loads(Path(path).read_text())
+        try:
+            data = json.loads(Path(path).read_text())
+        except json.JSONDecodeError as exc:
+            raise ValueError(f"{name}: not valid JSON: {exc}") from None
         if not isinstance(data, dict):
-            raise ValueError(f"config file {path}: expected a JSON object, got {data!r}")
+            raise ValueError(f"{name}: expected a JSON object, got {data!r}")
         cfg = cfg.with_overrides(data)
     if overrides:
         cfg = cfg.with_overrides(overrides)

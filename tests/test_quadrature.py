@@ -23,12 +23,19 @@ from dirimor.norms import (
     box_quantity_pair,
     derivative_density,
 )
+from dirimor import quadrature
 from dirimor.quadrature import (
+    ARC_BLOCK,
+    ARC_T_ORDER,
     Arc,
     BoxMassTable,
     QuadratureError,
     RadialAnnuliGrid,
+    _gauss_on,
     _panel_nodes,
+    _s_layout,
+    _t_panels,
+    _tail_estimate,
     arc_double_integral,
     chord_gap,
     fitted_panels,
@@ -236,17 +243,37 @@ def test_fitted_panels_count_the_window_width():
 ])
 def test_window_builder_equals_per_window_rules_bitwise(wlo, whi, foci):
     deltas = [(whi - wlo) / 2 * 2.0 ** -l for l in range(1, 17)]
-    th, tw, bounds = window_nodes(wlo, whi, deltas, foci, fitted_panels(wlo, whi, 6), 6)
+    th, tw, bounds = window_nodes(wlo, whi, deltas, [foci] * len(deltas),
+                                  fitted_panels(wlo, whi, 6), 6)
     assert len(bounds) == len(deltas) + 1 and bounds[-1] == th.size == tw.size
     for k, delta in enumerate(deltas):
         want_th, want_tw = _one_window(wlo, whi, delta, foci, 6, 6)
         assert np.array_equal(th[bounds[k]:bounds[k + 1]], want_th), k
         assert np.array_equal(tw[bounds[k]:bounds[k + 1]], want_tw), k
-    one_th, one_tw, _ = window_nodes(wlo, whi, deltas[3:4], foci, fitted_panels(wlo, whi, 6), 6)
+    one_th, one_tw, _ = window_nodes(wlo, whi, deltas[3:4], (foci,), fitted_panels(wlo, whi, 6), 6)
     assert np.array_equal(one_th, th[bounds[3]:bounds[4]])
     assert np.array_equal(one_tw, tw[bounds[3]:bounds[4]])
-    empty = window_nodes(wlo, whi, (), foci, 6, 6)
+    empty = window_nodes(wlo, whi, (), (), 6, 6)
     assert empty[0].size == empty[1].size == 0 and list(empty[2]) == [0]
+
+
+@pytest.mark.parametrize("wlo,whi", [(0.0, TWO_PI), (0.0, 1.0), (-math.pi / 16, math.pi / 16)])
+def test_window_builder_with_per_window_foci_equals_one_call_per_window(wlo, whi):
+    # each window graded toward foci of its own (none, one, several, some
+    # outside the window, as a boundary arc's t-panels ask) is the window a
+    # one-window call builds, bit for bit
+    rng = np.random.default_rng(28)
+    width = whi - wlo
+    deltas = [width * 2.0 ** -rng.uniform(1.0, 30.0) for _ in range(24)]
+    foci = [tuple(wlo + width * rng.uniform(-0.5, 1.5, k % 4)) for k in range(24)]
+    th, tw, bounds = window_nodes(wlo, whi, deltas, foci, 8, 8)
+    assert len(bounds) == len(deltas) + 1 and bounds[-1] == th.size == tw.size
+    for k, (delta, fk) in enumerate(zip(deltas, foci)):
+        want_th, want_tw, _ = window_nodes(wlo, whi, (delta,), (fk,), 8, 8)
+        assert np.array_equal(th[bounds[k]:bounds[k + 1]], want_th), k
+        assert np.array_equal(tw[bounds[k]:bounds[k + 1]], want_tw), k
+    with pytest.raises(ValueError):
+        window_nodes(wlo, whi, deltas, foci[:-1], 8, 8)
 
 
 @pytest.mark.parametrize("base_panels", [1, 3, 16, 80])
@@ -417,20 +444,30 @@ def test_double_integral_rotation_invariance():
     assert a == pytest.approx(b, rel=1e-12)
 
 
-def _integrand_calls(arc, t_depth):
-    calls = []
+def _block_sizes(arc, t_depth):
+    """(node count of each F call, the integral's nodes_used)."""
+    sizes = []
 
     def F(u, v):
-        calls.append(np.shape(u))
+        sizes.append(np.broadcast(u, v).size)
         return chord_gap(u, v) ** 0.5
 
-    arc_double_integral(F, arc, t_depth=t_depth)
-    return len(calls)
+    return sizes, arc_double_integral(F, arc, t_depth=t_depth).nodes_used
 
 
-def test_double_integral_one_call_per_t_panel():
-    assert _integrand_calls(Arc(0.7, 0.25), 36) <= 36 + 1
-    assert _integrand_calls(Arc(0.7, 1.0), 36) <= 2 * 36
+def test_double_integral_calls_F_once_per_block_of_t_panels():
+    # F sees whole t-panels stacked up to ARC_BLOCK nodes a call (it saw one
+    # call per t-panel), and a proper arc adds one call for its symmetry check
+    for arc, panels in ((Arc(0.7, 0.25), 36), (Arc(0.7, 1.0), 72)):
+        sizes, nodes = _block_sizes(arc, 36)
+        if arc.length < 1.0:
+            assert sizes.pop(1) == nodes // (ARC_T_ORDER * panels)  # one row of panel 0
+        assert sum(sizes) == nodes
+        # greedy stacking: no block passes ARC_BLOCK, and any two neighbours do
+        assert max(sizes) <= ARC_BLOCK
+        assert all(a + b > ARC_BLOCK for a, b in zip(sizes[:-1], sizes[1:]))
+        assert len(sizes) <= 2 * nodes // ARC_BLOCK + 1
+        assert len(sizes) <= panels // 7
 
 
 @pytest.mark.parametrize("kw,message", [
@@ -464,6 +501,85 @@ def test_double_integral_nan_near_diagonal_names_node(arc):
     assert loc.imag == 0.0
     offset = (loc.real - arc.center + math.pi) % TWO_PI - math.pi
     assert abs(offset) <= 0.5 * arc.radian_length
+
+
+def _per_panel_arc_integral(F, arc, *, t_depth, v_foci=(), focus_width=0.0):
+    """(value, error, level_sums, nodes_used) of a boundary double integral
+    built one t-panel at a time: one v-rule and one F call per panel, each
+    panel summed one t-node at a time.  The reference for the stacked blocks
+    of arc_double_integral."""
+    full = arc.length >= 1.0
+    L = arc.radian_length
+    a0 = arc.center - 0.5 * L
+    t_range = math.pi if full else L
+    t_floor = 64.0 * np.finfo(float).eps * TWO_PI
+    t_depth = min(t_depth, max(8, int(math.log2(t_range / t_floor))))
+    total, sums, n_nodes = 0.0, [], 0
+    for tlo, thi in _t_panels(t_range, full, t_depth):
+        tt, tw = _gauss_on(tlo, thi, ARC_T_ORDER)
+        t_mid = 0.5 * (tlo + thi)
+        if full:
+            foci = tuple(g for phi in v_foci for g in (phi, phi - t_mid))
+            gap = max(0.25 * min(t_mid, TWO_PI - t_mid), 0.25 * focus_width, 1e-9)
+            v, vw, _ = window_nodes(0.0, TWO_PI, (gap,), (foci,), 8, 8)
+            scale = tw
+        else:
+            delta_s, foci_s = _s_layout(a0, L, t_mid, v_foci, focus_width)
+            s, vw, _ = window_nodes(0.0, 1.0, (delta_s,), (foci_s,), 8, 8)
+            span = L - tt
+            v = a0 + s[None, :] * span[:, None]
+            scale = 2.0 * tw * span
+        vals = np.asarray(F(v + tt[:, None], v), dtype=float)
+        panel = 0.0
+        for k in range(ARC_T_ORDER):
+            panel += scale[k] * float(np.dot(vw, vals[k]))
+        n_nodes += vals.size
+        total += panel
+        sums.append(panel)
+    return float(total), float(_tail_estimate(np.array(sums))), tuple(sums), n_nodes
+
+
+def _boundary_integrand(spec, p=0.5):
+    f = parse_function_spec(spec)
+
+    def F(u, v):
+        return np.abs(f.boundary(u) - f.boundary(v)) ** 2 / chord_gap(u, v) ** (2.0 - p)
+    return f, F
+
+
+def _as_tuple(res):
+    return res.value, res.error, res.level_sums, res.nodes_used
+
+
+ARC_CASES = [Arc(0.0, 1.0), Arc(2.0, 1.0), Arc(1.3, 0.25), Arc(0.05, 0.125), Arc(4.0, 2.0 ** -5)]
+
+
+@pytest.mark.parametrize("t_depth", [36, 44])
+@pytest.mark.parametrize("spec", ["taylor:0,1,0.5,-0.25", "kernel:c=0.9+0i,s=0.35",
+                                  "gap:q=0.5,K=20"])
+def test_double_integral_equals_per_panel_reference_bitwise(spec, t_depth):
+    # the full circle and proper arcs, one across angle 0 (Arc(0.05, 0.125)),
+    # with the kernel's foci and width passed as the boundary scans pass them
+    f, F = _boundary_integrand(spec)
+    for arc in ARC_CASES:
+        got = arc_double_integral(F, arc, beta=0.5, t_depth=t_depth, v_foci=f.singular_angles,
+                                  focus_width=f.singular_width)
+        want = _per_panel_arc_integral(F, arc, t_depth=t_depth, v_foci=f.singular_angles,
+                                       focus_width=f.singular_width)
+        assert _as_tuple(got) == want, arc
+
+
+@pytest.mark.parametrize("spec", ["taylor:0,1,0.5,-0.25", "kernel:c=0.9+0i,s=0.35"])
+def test_double_integral_bits_do_not_hang_on_the_block_size(spec, monkeypatch):
+    # one t-panel a call and a whole arc in one call give the bits of the
+    # default blocks
+    f, F = _boundary_integrand(spec)
+    kw = {"beta": 0.5, "t_depth": 36, "v_foci": f.singular_angles,
+          "focus_width": f.singular_width}
+    want = [_as_tuple(arc_double_integral(F, arc, **kw)) for arc in ARC_CASES]
+    for block in (1, 10 ** 9):
+        monkeypatch.setattr(quadrature, "ARC_BLOCK", block)
+        assert [_as_tuple(arc_double_integral(F, arc, **kw)) for arc in ARC_CASES] == want
 
 
 # -- mass tables ----------------------------------------------------------------
@@ -690,6 +806,24 @@ def test_box_masses_equal_per_row_reference_bitwise():
     sizes = RadialAnnuliGrid(depth=depth, n_min=64, growth_cap=10).ring_sizes()
     assert sum(cum.nbytes for *_, cum in table._blocks) \
         == 8 * (BoxMassTable.SLABS + 1) * sum(n + 1 for n in sizes)
+
+
+def test_box_masses_equal_slab_by_slab_reference_on_deep_and_wound_boxes():
+    # boxes that start inside an annulus at every depth of the table read its
+    # slab rows in one gather; intervals of up to three whole turns, from
+    # anywhere on the line
+    density = _kernel_density()
+    depth = 10
+    table = BoxMassTable(density, depth=depth)
+    rng = np.random.default_rng(28)
+    r_lo = 1.0 - 2.0 ** -rng.uniform(0.0, depth + 1, 3000)
+    r_lo[:40] = 1.0 - 2.0 ** -np.arange(40) / 4  # slab and annulus edges, and beyond
+    lo = rng.uniform(-20.0, 20.0, 3000)
+    hi = lo + rng.uniform(0.0, 3.0 * TWO_PI, 3000)
+    hi[40:80] = lo[40:80] + TWO_PI * rng.integers(1, 4, 40)  # whole turns
+    got = table.box_masses(r_lo, lo, hi)
+    want, _ = _per_row_masses(density, depth, r_lo, lo, hi)
+    assert np.array_equal(got, want)
 
 
 def test_box_masses_of_whole_annuli_drift_from_the_slab_rows_at_rounding():

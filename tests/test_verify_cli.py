@@ -3,6 +3,7 @@
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -429,10 +430,13 @@ def test_cli_sweep_rejects_unread_flags(capsys):
          "config0.json"),
         (["norm", "--quantity", "dp", "--function", "taylor:0,1", "--config", "json:[1, 2]"],
          "config0.json"),
+        # text that is not JSON read an error line that named no file
+        (["norm", "--quantity", "dp", "--function", "taylor:0,1", "--config", 'json:{"k_a": 3,'],
+         "config0.json"),
     ],
     ids=["no-boundary-trace", "bad-spec", "bad-p", "bad-lambda", "unknown-task",
          "unknown-config-key", "bad-p-grid", "verify-k_c", "operator-k_c", "c_directions",
-         "seed", "workers", "config-string", "config-list"],
+         "seed", "workers", "config-string", "config-list", "config-not-json"],
 )
 def test_cli_bad_input_exits_2_with_one_error_line(argv, token, tmp_path, capsys):
     # an argument "json:<text>" names a config file configN.json holding <text>
@@ -811,3 +815,13 @@ def test_missing_env_config_file_is_bad_input(tmp_path, monkeypatch, capsys):
     explicit = tmp_path / "explicit.json"
     explicit.write_text(json.dumps({"k_a": 5}))
     assert resolve_config(str(explicit), None) == RunConfig(k_a=5)
+
+
+def test_env_config_file_that_is_not_json_is_named(tmp_path, monkeypatch, capsys):
+    bad = tmp_path / "bad.json"
+    bad.write_text('{"k_a": 3,')
+    monkeypatch.setenv("DIRIMOR_CONFIG", str(bad))
+    with pytest.raises(ValueError, match=rf"^DIRIMOR_CONFIG={re.escape(str(bad))}: not valid JSON"):
+        resolve_config(None, None)
+    assert main(["norm", "--quantity", "dp", "--function", "taylor:0,1"]) == 2
+    assert f"DIRIMOR_CONFIG={bad}" in _one_error_line(capsys.readouterr().err)
