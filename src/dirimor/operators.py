@@ -150,20 +150,16 @@ def apply_Mg(f: AnalyticFunction, g: AnalyticFunction) -> AnalyticFunction:
     )
 
 
-def _operator(kind: str) -> Callable:
-    """The apply function of an operator tag; rejects an unknown tag by name.
+def apply_operator(kind: str, f: AnalyticFunction, g: AnalyticFunction) -> AnalyticFunction:
+    """T f for the operator tag ``kind`` ("Jg", "Ig" or "Mg"); an unknown tag
+    raises ValueError naming it.
 
-    Looked up at call time, so a rebinding of ``apply_Jg`` and its siblings
-    (as a tracer does) reaches every caller."""
+    The operators are looked up at call time, so a rebinding of ``apply_Jg``
+    and its siblings (as a tracer does) reaches every caller."""
     ops = {JG: apply_Jg, IG: apply_Ig, MG: apply_Mg}
     if kind not in ops:
         raise ValueError(f"unknown operator kind {kind!r}; expected one of {sorted(ops)}")
-    return ops[kind]
-
-
-def apply_operator(kind: str, f: AnalyticFunction, g: AnalyticFunction) -> AnalyticFunction:
-    """T f for the operator tag ``kind`` ("Jg", "Ig" or "Mg")."""
-    return _operator(kind)(f, g)
+    return ops[kind](f, g)
 
 
 # ---------------------------------------------------------------------------
@@ -292,8 +288,7 @@ def ratio_scan(kind: str, g: AnalyticFunction, family: TestFamily) -> RatioScanR
     images go through one ``dm_norms_translate``, so the images that share
     a disc grid share its Mobius weights, and the I_g and J_g images share
     g's factor of |h'|^2, evaluated once per grid."""
-    apply = _operator(kind)
-    images = [apply(e.function, g) for e in family.entries]
+    images = [apply_operator(kind, e.function, g) for e in family.entries]
     reports = dm_norms_translate(images, family.params, family.norm_grid)
     rows = []
     per_level: dict = {}

@@ -31,13 +31,16 @@ The angular direction is either uniform (trapezoid; spectrally exact for
 trigonometric polynomials of degree below the node count) or graded:
 composite Gauss panels whose widths shrink geometrically toward a set of
 focus angles and their periodic images ``phi +- 2 pi``, down to the local
-radial scale ``1 - r``.  One builder, :func:`window_nodes`, lays out every
-graded rule: a graded disc grid's annuli (on the turn from its first focus,
-so that rotating a problem rotates its grid), the windows of boxes, point
-boxes and lunes (background cells from :func:`fitted_panels`), and the
-v-rules of boundary double integrals.  A piece that ends at angle 0 (or
-2 pi) is thus graded toward a focus just across that seam, and the window
-(-pi, pi) toward a focus at pi from both ends.
+radial scale ``1 - r``.  A window is one tuple ``(lo, hi, delta, foci,
+base_panels)``, and one builder, :func:`window_nodes`, lays out every graded
+rule from a list of them in one memoized :func:`graded_breakpoints` call:
+a graded disc grid's annuli (on the turn from its first focus, so that
+rotating a problem rotates its grid), the radial panels of a box or point
+box, the radial nodes of a lune (background cells from
+:func:`fitted_panels`), and the t-panels' v-rules of a boundary double
+integral.  A piece that ends at angle 0 (or 2 pi) is thus graded toward a
+focus just across that seam, and the window (-pi, pi) toward a focus at pi
+from both ends.
 
 Every integration returns the per-dyadic-level contributions along with the
 value; scan-type callers use these prefixes to expose divergence trends as
@@ -46,6 +49,7 @@ a function of radial depth.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from functools import lru_cache, cached_property
@@ -83,60 +87,55 @@ def _gauss_on(a: float, b: float, order: int):
     return mid + half * x, half * w
 
 
-def _panel_nodes(breaks: np.ndarray, order: int):
-    """Gauss nodes/weights on each cell of a sorted breakpoint array."""
-    x, w = _gauss(order)
-    half = 0.5 * np.diff(breaks)
-    nodes = breaks[:-1, None] + half[:, None] * (x[None, :] + 1.0)
-    wts = half[:, None] * w[None, :]
-    return nodes.ravel(), wts.ravel()
-
-
 # ---------------------------------------------------------------------------
 # Angular layouts
 # ---------------------------------------------------------------------------
 
 
-# The box benchmark asks for 640 distinct windows in 6,839 calls; four
-# dm_seminorm_box scans at the default ParamGrid() miss all 10,048 calls (each
-# asks in one cyclic order); V3 at dmbench/verify_config.json asks for 1,728
-# windows and hits none, and a memo large enough to keep them would hold
-# windows that no scan asks for again.
+# Distinct layouts in the calls asked for: a round of the box benchmark, 58
+# in 474; a dm_seminorm_box scan at the default ParamGrid(), 157 in 157, all
+# of which the next scan with the same focus offsets asks for again; V4, V1
+# and V5 at the default config, 172 in 863, 301 in 1,007 and 294 in 1,977.
 @lru_cache(maxsize=1024)
-def graded_breakpoints(lo, hi, delta, foci, base_panels):
-    """Sorted panel breakpoints on [lo, hi], graded toward the given angles.
+def graded_breakpoints(windows):
+    """Sorted panel breakpoints of each window of ``windows``, graded toward
+    its focus angles: one read-only array per window.
 
-    Each focus and its images phi +- 2 pi within one window width of
-    [lo, hi] contribute breakpoints at geometric offsets delta/2, delta,
-    2 delta, ... on both sides, on top of ``base_panels`` uniform background
-    cells.  The finest panels adjacent to a focus have width ~delta/2.
+    A window is one tuple ``(lo, hi, delta, foci, base_panels)``.  Each
+    focus and its images phi +- 2 pi within one window width of [lo, hi]
+    contribute breakpoints at geometric offsets delta/2, delta, 2 delta, ...
+    on both sides, on top of ``base_panels`` uniform background cells.  The
+    finest panels adjacent to a focus have width ~delta/2.
 
-    Results are memoized on the arguments (``foci`` must be a tuple) and
-    returned read-only, since one array is shared by every caller and
-    thread that asks for the same breakpoints.
+    Layouts are memoized on the whole tuple of windows (``foci`` must be a
+    tuple), and their arrays are read-only, since they are shared by every
+    caller and thread that asks for the same layout.
     """
-    width = hi - lo
-    pts = [np.linspace(lo, hi, max(1, int(base_panels)) + 1)]
-    delta = max(float(delta), 1e-12)
-    for phi in foci:
-        for p in (phi - TWO_PI, phi, phi + TWO_PI):
-            if p < lo - width or p > hi + width:
-                continue
-            offs = [0.0]
-            step = 0.5 * delta
-            while step < width:
-                offs.append(step)
-                step *= 2.0
-            cand = np.concatenate([p - np.array(offs), p + np.array(offs)])
-            cand = cand[(cand > lo) & (cand < hi)]
-            pts.append(cand)
-    b = np.unique(np.concatenate(pts))
-    keep = np.concatenate([[True], np.diff(b) > delta * 2.0 ** -10])
-    b = b[keep]
-    if b[-1] != hi:
-        b = np.append(b[:-1] if hi - b[-1] < delta * 2.0 ** -10 else b, hi)
-    b.flags.writeable = False
-    return b
+    out = []
+    for lo, hi, delta, foci, base_panels in windows:
+        width = hi - lo
+        pts = [np.linspace(lo, hi, max(1, int(base_panels)) + 1)]
+        delta = max(float(delta), 1e-12)
+        for phi in foci:
+            for p in (phi - TWO_PI, phi, phi + TWO_PI):
+                if p < lo - width or p > hi + width:
+                    continue
+                offs = [0.0]
+                step = 0.5 * delta
+                while step < width:
+                    offs.append(step)
+                    step *= 2.0
+                cand = np.concatenate([p - np.array(offs), p + np.array(offs)])
+                cand = cand[(cand > lo) & (cand < hi)]
+                pts.append(cand)
+        b = np.unique(np.concatenate(pts))
+        keep = np.concatenate([[True], np.diff(b) > delta * 2.0 ** -10])
+        b = b[keep]
+        if b[-1] != hi:
+            b = np.append(b[:-1] if hi - b[-1] < delta * 2.0 ** -10 else b, hi)
+        b.flags.writeable = False
+        out.append(b)
+    return tuple(out)
 
 
 def fitted_panels(wlo, whi, base_panels):
@@ -145,31 +144,24 @@ def fitted_panels(wlo, whi, base_panels):
     return max(4, min(base_panels, int(math.ceil((whi - wlo) / (TWO_PI / 64))) + 3))
 
 
-def window_nodes(wlo, whi, deltas, foci, panels, order):
-    """The one graded angular rule: Gauss nodes of the window (wlo, whi) at
-    each grading scale of ``deltas``, built in one pass.
+def window_nodes(windows, order):
+    """The one graded angular rule: Gauss nodes of every window of the list
+    ``windows``, laid out by one :func:`graded_breakpoints` call.
 
-    ``foci`` holds one focus sequence per window.  Window k has Gauss panels
-    of ``order`` nodes on :func:`graded_breakpoints` of (wlo, whi) toward
-    ``foci[k]`` down to ``deltas[k]`` over ``panels`` background cells, so
-    its nodes are those of a one-window call, bit for bit.  Returns
-    (th, tw, bounds): the windows' nodes and weights end to end, window k at
-    ``th[bounds[k]:bounds[k + 1]]``; an empty ``deltas`` gives empty arrays.
-    A ``foci`` whose length differs from that of ``deltas`` raises
-    ValueError."""
-    breaks = [graded_breakpoints(wlo, whi, d, tuple(f), panels)
-              for d, f in zip(deltas, foci, strict=True)]
-    bounds = [0]
-    for b in breaks:
-        bounds.append(bounds[-1] + (b.size - 1) * order)
-    if len(breaks) < 2:
-        th, tw = _panel_nodes(breaks[0], order) if breaks else (np.empty(0), np.empty(0))
-        return th, tw, bounds
-    th, tw = _panel_nodes(np.concatenate(breaks), order)
-    # the step from one window's last breakpoint to the next one's first is no cell
-    keep = np.ones((len(th) // order, order), dtype=bool)
-    keep[np.cumsum([b.size for b in breaks[:-1]]) - 1] = False
-    return th[keep.ravel()], tw[keep.ravel()], bounds
+    Each window ``(lo, hi, delta, foci, base_panels)`` gets Gauss panels of
+    ``order`` nodes on its own breakpoints, so its nodes are those of a list
+    holding it alone, bit for bit.  Returns (th, tw, bounds): the windows'
+    nodes and weights end to end, window k at ``th[bounds[k]:bounds[k + 1]]``;
+    an empty list gives empty arrays."""
+    breaks = graded_breakpoints(tuple(windows))
+    # the cells of every window, each (b[i], b[i + 1]); none joins two windows
+    lo = np.concatenate([np.empty(0), *(b[:-1] for b in breaks)])
+    half = 0.5 * (np.concatenate([np.empty(0), *(b[1:] for b in breaks)]) - lo)
+    x, w = _gauss(order)
+    th = lo[:, None] + half[:, None] * (x[None, :] + 1.0)
+    tw = half[:, None] * w[None, :]
+    bounds = list(itertools.accumulate((order * (b.size - 1) for b in breaks), initial=0))
+    return th.ravel(), tw.ravel(), bounds
 
 
 def radial_panels(d: float, depth: int, order: int, max_level: Optional[int] = None):
@@ -223,6 +215,8 @@ class RadialAnnuliGrid:
     base_panels: int = 16
 
     def __post_init__(self):
+        # a window's foci are part of its layout's memo key
+        object.__setattr__(self, "foci", tuple(self.foci))
         if self.depth < 2:
             raise ValueError("grid depth must be at least 2")
         for name in ("panel_order", "base_panels"):
@@ -238,9 +232,9 @@ class RadialAnnuliGrid:
     def _nodes(self):
         panels = list(radial_panels(1.0, self.depth, self.RADIAL_ORDER))
         if self.foci:
-            th, tw, bounds = window_nodes(self.foci[0], self.foci[0] + TWO_PI,
-                                          [d for _, _, d, _ in panels], [self.foci] * len(panels),
-                                          self.base_panels, self.panel_order)
+            lo = self.foci[0]
+            th, tw, bounds = window_nodes([(lo, lo + TWO_PI, d, self.foci, self.base_panels)
+                                           for _, _, d, _ in panels], self.panel_order)
             e = np.exp(1j * th)
             rings = [(e[lo:hi], tw[lo:hi]) for lo, hi in zip(bounds[:-1], bounds[1:])]
         else:  # one ring at a time: a uniform grid's angles are many
@@ -358,22 +352,30 @@ def region_node_arrays(
     radial node r the lune is the one interval b +- acos((1 + r^2 - h^2) / 2r),
     the full turn when the cosine is <= -1; it is integrated on its own window
     about b, graded toward the offsets of ``foci`` down to 1 - r.  Returns
-    (z, w, abs_level), each node's level int(-log2(1 - r)).
+    (z, w, abs_level), each node's level int(-log2(1 - r)); the windows of
+    all radial nodes are laid out in one :func:`window_nodes` call.  A
+    ``rel_depth``, ``radial_order`` or ``panel_order`` below 1 raises
+    ValueError naming it.
     """
     if not h > 0.0:
         raise ValueError(f"lune chord radius h must be positive, got {h}")
+    for name, value in (("rel_depth", rel_depth), ("panel_order", panel_order)):
+        if value < 1:
+            raise ValueError(f"{name} must be at least 1, got {value}")
     offs = tuple((ph - b + math.pi) % TWO_PI - math.pi for ph in foci)
-    zs, ws, lv = [], [], []
-    for rr, rw, _, _ in radial_panels(min(h, 1.0), rel_depth, radial_order):
-        for r, wr in zip(rr.tolist(), rw.tolist()):
-            # Gauss nodes lie above 1 - h, where the cosine is below 1
-            half = math.acos(max((1.0 + r * r - h * h) / (2.0 * r), -1.0))
-            th, tw, _ = window_nodes(-half, half, (1.0 - r,), (offs,),
-                                     fitted_panels(-half, half, LUNE_BASE_PANELS), panel_order)
-            zs.append(r * np.exp(1j * (b + th)))
-            ws.append((wr * r / math.pi) * tw)
-            lv.append(np.full(th.size, int(-math.log2(max(1.0 - r, 1e-300))), dtype=np.int32))
-    return np.concatenate(zs), np.concatenate(ws), np.concatenate(lv)
+    panels = list(radial_panels(min(h, 1.0), rel_depth, radial_order))
+    rr, rw = np.concatenate([p[0] for p in panels]), np.concatenate([p[1] for p in panels])
+    windows, levels = [], []
+    for r in rr.tolist():
+        # Gauss nodes lie above 1 - h, where the cosine is below 1
+        half = math.acos(max((1.0 + r * r - h * h) / (2.0 * r), -1.0))
+        windows.append((-half, half, 1.0 - r, offs, fitted_panels(-half, half, LUNE_BASE_PANELS)))
+        levels.append(int(-math.log2(max(1.0 - r, 1e-300))))
+    th, tw, bounds = window_nodes(windows, panel_order)
+    counts = np.diff(bounds)
+    z = np.repeat(rr, counts) * np.exp(1j * (b + th))
+    w = np.repeat(rw * rr / math.pi, counts) * tw
+    return z, w, np.repeat(np.array(levels, dtype=np.int32), counts)
 
 
 def integrate_lune(
@@ -387,10 +389,7 @@ def integrate_lune(
     panel_order: int = 8,
 ) -> QuadratureResult:
     """Integral of a field against dm over the lune {z : |e^{ib} - z| < h},
-    on the nodes of :func:`region_node_arrays`.  A ``panel_order`` below 1
-    raises ValueError."""
-    if panel_order < 1:
-        raise ValueError(f"panel_order must be at least 1, got {panel_order}")
+    on the nodes of :func:`region_node_arrays`."""
     z, w, lv = region_node_arrays(b, h, rel_depth=rel_depth, radial_order=radial_order,
                                   foci=foci, panel_order=panel_order)
     vals = np.asarray(field(z), dtype=float)
@@ -484,13 +483,13 @@ def arc_double_integral(
     tw = half[:, None] * w
     mids = t_mid.tolist()
     if full:
-        deltas = [max(0.25 * min(m, TWO_PI - m), 0.25 * focus_width, 1e-9) for m in mids]
-        foci = [tuple(g for phi in v_foci for g in (phi, phi - m)) for m in mids]
-        nodes, vw, bounds = window_nodes(0.0, TWO_PI, deltas, foci, s_base, s_order)
+        nodes, vw, bounds = window_nodes(
+            [(0.0, TWO_PI, max(0.25 * min(m, TWO_PI - m), 0.25 * focus_width, 1e-9),
+              tuple(g for phi in v_foci for g in (phi, phi - m)), s_base) for m in mids], s_order)
         scale = tw
     else:
-        deltas, foci = zip(*(_s_layout(a0, L, m, v_foci, focus_width) for m in mids))
-        nodes, vw, bounds = window_nodes(0.0, 1.0, deltas, foci, s_base, s_order)
+        nodes, vw, bounds = window_nodes(
+            [(0.0, 1.0, *_s_layout(a0, L, m, v_foci, focus_width), s_base) for m in mids], s_order)
         # Gauss t-nodes are interior to (0, L], so every span L - t is positive
         span = L - tt
         scale = 2.0 * tw * span

@@ -50,13 +50,13 @@ from dirimor.operators import IG, JG, apply_Jg, apply_operator
 from dirimor.quadrature import (
     Arc,
     BoxMassTable,
-    _panel_nodes,
     arc_double_integral,
     chord_gap,
     fitted_panels,
     graded_breakpoints,
     integrate_lune,
     radial_panels,
+    window_nodes,
 )
 from dirimor.verify import RunConfig, _boundary_suite, build_suite, parse_function_spec
 
@@ -503,6 +503,20 @@ def test_box_pair_inequality_nodewise():
 
 
 
+def test_box_scan_layouts_are_memoized_across_scans():
+    # a scan of the default grid asks for one layout per batch of boxes, and
+    # a second scan with the same focus offsets asks for the same layouts;
+    # memoized one window at a time, its 2,512 windows, asked for in the same
+    # cyclic order, evicted each other from the memo and missed every call
+    params, grid = SpaceParams(0.5, 0.4), ParamGrid()
+    dm_seminorm_box(parse_function_spec("kernel:c=0.9+0i,s=auto", params), params, grid)
+    before = graded_breakpoints.cache_info()
+    dm_seminorm_box(parse_function_spec("kernel:c=0.5+0i,s=auto", params), params, grid)
+    after = graded_breakpoints.cache_info()
+    assert after.misses == before.misses
+    assert after.hits > before.hits
+
+
 def _box_sums_per_node(f, p_arr, arcs, offs, radial_order, max_level):
     """_box_sums one radial node and one exponent at a time: the reference."""
     length = arcs[0].length
@@ -511,7 +525,7 @@ def _box_sums_per_node(f, p_arr, arcs, offs, radial_order, max_level):
     sums = np.zeros((len(arcs), len(p_arr), TRACE_LEVEL_CAP + 2))
     for rr, rw, delta, j_abs in radial_panels(length, BOX_REL_DEPTH, radial_order, max_level):
         nb = fitted_panels(-half, half, norms.BOX_BASE_PANELS)
-        th, tw = _panel_nodes(graded_breakpoints(-half, half, delta, offs, nb), BOX_PANEL_ORDER)
+        th, tw, _ = window_nodes([(-half, half, delta, offs, nb)], BOX_PANEL_ORDER)
         j_abs = min(j_abs, TRACE_LEVEL_CAP + 1)
         e = np.exp(1j * (centers[:, None] + th[None, :]))
         d2 = f.deriv_abs2(rr[:, None, None] * e)

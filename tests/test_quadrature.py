@@ -29,10 +29,11 @@ from dirimor.quadrature import (
     ARC_T_ORDER,
     Arc,
     BoxMassTable,
+    LUNE_BASE_PANELS,
     QuadratureError,
     RadialAnnuliGrid,
+    _gauss,
     _gauss_on,
-    _panel_nodes,
     _s_layout,
     _t_panels,
     _tail_estimate,
@@ -43,6 +44,7 @@ from dirimor.quadrature import (
     integrate_disc,
     integrate_lune,
     radial_panels,
+    region_node_arrays,
     window_nodes,
 )
 from dirimor.verify import parse_function_spec
@@ -199,6 +201,55 @@ def test_lune_rejects_panel_order_below_one_by_name():
         integrate_lune(lambda z: np.ones(z.shape), 0.0, 0.5, panel_order=0)
 
 
+@pytest.mark.parametrize("kw", [{"rel_depth": 0}, {"rel_depth": -2},
+                                {"panel_order": 0}, {"panel_order": -1}])
+@pytest.mark.parametrize("lune", [region_node_arrays,
+                                  lambda *a, **kw: integrate_lune(np.abs, *a, **kw)])
+def test_lune_nodes_reject_rule_sizes_below_one_by_name(lune, kw):
+    # rel_depth 0 failed in numpy's concatenate and panel_order 0 in its
+    # Gauss rule, naming no argument
+    (name, value), = kw.items()
+    with pytest.raises(ValueError, match=rf"^{name} must be at least 1, got {value}$"):
+        lune(0.0, 0.5, **kw)
+
+
+def _per_node_lune(b, h, *, rel_depth=28, radial_order=8, foci=(), panel_order=8):
+    """A lune's (z, w, abs_level) one radial node at a time, each node's
+    window from a window_nodes call of its own: the reference for the one
+    layout call of region_node_arrays."""
+    offs = tuple((ph - b + math.pi) % TWO_PI - math.pi for ph in foci)
+    zs, ws, lv = [], [], []
+    for rr, rw, _, _ in radial_panels(min(h, 1.0), rel_depth, radial_order):
+        for r, wr in zip(rr.tolist(), rw.tolist()):
+            half = math.acos(max((1.0 + r * r - h * h) / (2.0 * r), -1.0))
+            window = (-half, half, 1.0 - r, offs, fitted_panels(-half, half, LUNE_BASE_PANELS))
+            th, tw, _ = window_nodes([window], panel_order)
+            zs.append(r * np.exp(1j * (b + th)))
+            ws.append((wr * r / math.pi) * tw)
+            lv.append(np.full(th.size, int(-math.log2(max(1.0 - r, 1e-300))), dtype=np.int32))
+    return np.concatenate(zs), np.concatenate(ws), np.concatenate(lv)
+
+
+@pytest.mark.parametrize("b,h", [(0.0, 0.5), (0.0, 2.0 ** -12), (2.5, 0.5), (1.0, 1.5),
+                                 (0.0, 3.0)])
+@pytest.mark.parametrize("kw", [
+    dict(rel_depth=24, radial_order=6, panel_order=6, foci=(0.0,)),  # V3's lunes
+    {},
+])
+def test_lune_nodes_equal_per_node_windows_bitwise(b, h, kw, monkeypatch):
+    # every radial node's window comes from one layout call, and each node's
+    # nodes, weights and level are those of its own window
+    calls = []
+    builder = quadrature.window_nodes
+    monkeypatch.setattr(quadrature, "window_nodes",
+                        lambda *a: calls.append(a) or builder(*a))
+    got = region_node_arrays(b, h, **kw)
+    assert len(calls) == 1
+    monkeypatch.undo()
+    for g, want in zip(got, _per_node_lune(b, h, **kw)):
+        assert g.dtype == want.dtype and np.array_equal(g, want)
+
+
 @pytest.mark.parametrize("h", [0.0, -0.5, float("nan")])
 def test_lune_rejects_nonpositive_h(h):
     with pytest.raises(ValueError, match="h must be positive"):
@@ -217,10 +268,18 @@ def test_point_box_geometry():
         assert float(np.sum(wt)) == pytest.approx(area, rel=1e-12), w
 
 
+def _panel_nodes(breaks, order):
+    """Gauss nodes and weights on each cell of one sorted breakpoint array."""
+    x, w = _gauss(order)
+    half = 0.5 * np.diff(breaks)
+    return (breaks[:-1, None] + half[:, None] * (x + 1.0)).ravel(), (half[:, None] * w).ravel()
+
+
 def _one_window(wlo, whi, delta, foci, base_panels, order):
     """A fitted window's nodes straight from its breakpoints, with the
     window's background cells (fitted_panels)."""
-    breaks = graded_breakpoints(wlo, whi, delta, tuple(foci), fitted_panels(wlo, whi, base_panels))
+    (breaks,) = graded_breakpoints(((wlo, whi, delta, tuple(foci),
+                                     fitted_panels(wlo, whi, base_panels)),))
     return _panel_nodes(breaks, order)
 
 
@@ -243,17 +302,17 @@ def test_fitted_panels_count_the_window_width():
 ])
 def test_window_builder_equals_per_window_rules_bitwise(wlo, whi, foci):
     deltas = [(whi - wlo) / 2 * 2.0 ** -l for l in range(1, 17)]
-    th, tw, bounds = window_nodes(wlo, whi, deltas, [foci] * len(deltas),
-                                  fitted_panels(wlo, whi, 6), 6)
+    windows = [(wlo, whi, delta, foci, fitted_panels(wlo, whi, 6)) for delta in deltas]
+    th, tw, bounds = window_nodes(windows, 6)
     assert len(bounds) == len(deltas) + 1 and bounds[-1] == th.size == tw.size
     for k, delta in enumerate(deltas):
         want_th, want_tw = _one_window(wlo, whi, delta, foci, 6, 6)
         assert np.array_equal(th[bounds[k]:bounds[k + 1]], want_th), k
         assert np.array_equal(tw[bounds[k]:bounds[k + 1]], want_tw), k
-    one_th, one_tw, _ = window_nodes(wlo, whi, deltas[3:4], (foci,), fitted_panels(wlo, whi, 6), 6)
+    one_th, one_tw, _ = window_nodes(windows[3:4], 6)
     assert np.array_equal(one_th, th[bounds[3]:bounds[4]])
     assert np.array_equal(one_tw, tw[bounds[3]:bounds[4]])
-    empty = window_nodes(wlo, whi, (), (), 6, 6)
+    empty = window_nodes([], 6)
     assert empty[0].size == empty[1].size == 0 and list(empty[2]) == [0]
 
 
@@ -266,14 +325,13 @@ def test_window_builder_with_per_window_foci_equals_one_call_per_window(wlo, whi
     width = whi - wlo
     deltas = [width * 2.0 ** -rng.uniform(1.0, 30.0) for _ in range(24)]
     foci = [tuple(wlo + width * rng.uniform(-0.5, 1.5, k % 4)) for k in range(24)]
-    th, tw, bounds = window_nodes(wlo, whi, deltas, foci, 8, 8)
+    windows = [(wlo, whi, delta, fk, 8) for delta, fk in zip(deltas, foci)]
+    th, tw, bounds = window_nodes(windows, 8)
     assert len(bounds) == len(deltas) + 1 and bounds[-1] == th.size == tw.size
-    for k, (delta, fk) in enumerate(zip(deltas, foci)):
-        want_th, want_tw, _ = window_nodes(wlo, whi, (delta,), (fk,), 8, 8)
+    for k, window in enumerate(windows):
+        want_th, want_tw, _ = window_nodes([window], 8)
         assert np.array_equal(th[bounds[k]:bounds[k + 1]], want_th), k
         assert np.array_equal(tw[bounds[k]:bounds[k + 1]], want_tw), k
-    with pytest.raises(ValueError):
-        window_nodes(wlo, whi, deltas, foci[:-1], 8, 8)
 
 
 @pytest.mark.parametrize("base_panels", [1, 3, 16, 80])
@@ -284,7 +342,7 @@ def test_graded_disc_grid_equals_per_annulus_build_bitwise(foci, base_panels):
     g = RadialAnnuliGrid(depth=14, foci=foci, panel_order=4, base_panels=base_panels)
     zs, ws, lv = [], [], []
     for j, (rr, rw, delta, _) in enumerate(radial_panels(1.0, g.depth, g.RADIAL_ORDER)):
-        breaks = graded_breakpoints(foci[0], foci[0] + TWO_PI, delta, foci, base_panels)
+        (breaks,) = graded_breakpoints(((foci[0], foci[0] + TWO_PI, delta, foci, base_panels),))
         th, tw = _panel_nodes(breaks, g.panel_order)
         zs.append((rr[:, None] * np.exp(1j * th[None, :])).ravel())
         ws.append(((rw * rr)[:, None] * tw[None, :] / math.pi).ravel())
@@ -521,11 +579,11 @@ def _per_panel_arc_integral(F, arc, *, t_depth, v_foci=(), focus_width=0.0):
         if full:
             foci = tuple(g for phi in v_foci for g in (phi, phi - t_mid))
             gap = max(0.25 * min(t_mid, TWO_PI - t_mid), 0.25 * focus_width, 1e-9)
-            v, vw, _ = window_nodes(0.0, TWO_PI, (gap,), (foci,), 8, 8)
+            v, vw, _ = window_nodes([(0.0, TWO_PI, gap, foci, 8)], 8)
             scale = tw
         else:
             delta_s, foci_s = _s_layout(a0, L, t_mid, v_foci, focus_width)
-            s, vw, _ = window_nodes(0.0, 1.0, (delta_s,), (foci_s,), 8, 8)
+            s, vw, _ = window_nodes([(0.0, 1.0, delta_s, foci_s, 8)], 8)
             span = L - tt
             v = a0 + s[None, :] * span[:, None]
             scale = 2.0 * tw * span
@@ -887,7 +945,12 @@ def test_breakpoints_cached_read_only_and_list_foci_accepted():
     field = lambda z: np.abs(z) ** 2
     as_list = integrate_lune(field, 0.3, 0.25, foci=[0.0]).value
     assert as_list == integrate_lune(field, 0.3, 0.25, foci=(0.0,)).value
-    b = graded_breakpoints(0.0, TWO_PI, 2.0 ** -6, (1.0,), 16)
-    assert b is graded_breakpoints(0.0, TWO_PI, 2.0 ** -6, (1.0,), 16)
-    with pytest.raises(ValueError):
-        b[0] = 1.0
+    grid = RadialAnnuliGrid(depth=6, foci=[0.5, 2.0], panel_order=4)
+    for got, want in zip(grid.nodes(), RadialAnnuliGrid(depth=6, foci=(0.5, 2.0), panel_order=4).nodes()):
+        assert np.array_equal(got, want)
+    layout =((0.0, TWO_PI, 2.0 ** -6, (1.0,), 16), (0.0, 1.0, 2.0 ** -9, (), 4))
+    b = graded_breakpoints(layout)
+    assert b is graded_breakpoints(layout)
+    for breaks in b:
+        with pytest.raises(ValueError):
+            breaks[0] = 1.0
