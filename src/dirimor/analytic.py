@@ -416,20 +416,24 @@ def make_gap_series(
             f"at radius {GAP_R_MAX}"
         )
     a = np.array([complex(coeff_rule(k)) for k in range(1, K + 1)])
+    # the derivative's coefficients a_k 2^k, each part scaled on its own: a
+    # power of 2 moves no bits, so (a_k 2^k) z^(2^k) is (a_k z^(2^k)) 2^k
+    scale = 2.0 ** np.arange(1, K + 1)
+    a_scaled = np.empty_like(a)
+    a_scaled.real, a_scaled.imag = a.real * scale, a.imag * scale
 
     def _sum_terms(z, with_factors):
         # in place: the same operations, in the same order, as
-        # power = power * power; acc = acc + a_k * power (* 2^k)
+        # power = power * power; acc = acc + c_k * power
         z = np.asarray(z, dtype=complex)
+        coeffs = a_scaled if with_factors else a
         acc = np.zeros_like(z)
         term = np.empty_like(z)
         power = z * z  # z^(2^1); squared in place to z^(2^k)
         for k in range(1, K + 1):
             if k > 1:
                 power *= power
-            np.multiply(a[k - 1], power, out=term)
-            if with_factors:
-                term *= 2.0 ** k
+            np.multiply(coeffs[k - 1], power, out=term)
             acc += term
         return acc if acc.ndim else acc[()]
 

@@ -251,7 +251,6 @@ def grid_for_function(
     f: AnalyticFunction,
     depth: int = 28,
     *,
-    extra_foci: tuple = (),
     panel_order: int = 6,
     base_panels: int = 16,
     growth_cap: int = 0,
@@ -264,7 +263,7 @@ def grid_for_function(
     exactly; graded panels would sample it incoherently.
     """
     depth = effective_depth(f, depth)
-    foci = tuple(sorted(set(f.singular_angles) | set(extra_foci)))
+    foci = tuple(sorted(set(f.singular_angles)))
     if foci and not f.oscillatory:
         return RadialAnnuliGrid(
             depth=depth, foci=foci, panel_order=panel_order, base_panels=base_panels
@@ -369,12 +368,16 @@ def translate_seminorm(
         return math.sqrt(max(res.value, 0.0))
     if route != "weight":
         raise ValueError(f"unknown route {route!r}")
-    extra = (float(np.angle(a)) % TWO_PI,) if a != 0 else ()
-    grid = grid_for_function(
-        f, depth, extra_foci=extra, panel_order=panel_order,
-        base_panels=base_panels, growth_cap=_growth_for_radius(abs(a)),
-    )
-    return float(_group_rows([f], p, grid, lambda bases, z: _point_rows(bases, z, p, [a]))[0, 0])
+    if a == 0 or f.oscillatory:
+        grid = grid_for_function(f, depth, panel_order=panel_order, base_panels=base_panels,
+                                 growth_cap=_growth_for_radius(abs(a)))
+        rows = _group_rows([(f, PLAIN_VIEW)], p, grid,
+                           lambda bases, z, lo: _point_rows(bases, z, p, [[a]]))
+    else:
+        disc, view = _ray_disc(f, float(np.angle(a)) % TWO_PI, depth, panel_order, base_panels)
+        rows = _group_rows([(f, view)], p, disc,
+                           lambda bases, z, lo: _point_rows(bases, z, p, [[abs(a)]]))
+    return float(rows[0][0])
 
 
 def _growth_for_radius(r: float) -> int:
@@ -386,8 +389,53 @@ def _growth_for_radius(r: float) -> int:
 # Gauss order of the graded angular panels of translate scans
 TRANSLATE_PANEL_ORDER = 4
 # Members of a translate-scan group whose bases are held at once; each block
-# shares one Mobius weight per point, and a small block bounds the memory
+# shares one Mobius weight per radius (or point), and a small block bounds
+# the memory
 MEMBER_BLOCK = 2
+# The view (u, mirrored) that reads a disc grid's nodes as they are
+PLAIN_VIEW = (1.0 + 0.0j, False)
+
+
+def _angle_key(phi: float) -> float:
+    """phi mod 2 pi to 12 decimals, as ``ParamGrid.a_points_by_direction``
+    keys directions, so that angles apart by last bits share a key; one
+    that rounds up to 2 pi reads 0."""
+    key = round(phi % TWO_PI, 12)
+    return 0.0 if key >= round(TWO_PI, 12) else key
+
+
+def _ray_disc(f: AnalyticFunction, theta: float, depth: int, panel_order: int,
+              base_panels: int):
+    """(disc, view): the graded disc grid of f's translate seminorms at the
+    points r e^{i theta}, built in the frame of their ray, and the view
+    (u, mirrored) in which a scan reads f on the grid's nodes zeta: at
+    u zeta, or at u conj(zeta) when mirrored, with u = e^{i theta}.
+
+    Rotating the disc by theta leaves dm unchanged and turns the point
+    r e^{i theta} into the real r.  So the grid has the foci 0 and
+    (sigma - theta) mod 2 pi for each singular angle sigma of f, each keyed
+    by :func:`_angle_key`, and background cells anchored at 0.  Conjugation
+    leaves dm and the Mobius weight of a real r unchanged too: when the
+    mirror set {-phi} sorts before the foci, the grid is that mirror's, and
+    the view is mirrored.  Every (function, direction) whose foci agree up
+    to reflection thus reads one grid."""
+    foci = tuple(sorted({0.0} | {_angle_key(sigma - theta) for sigma in f.singular_angles}))
+    mirror = tuple(sorted({0.0} | {_angle_key(theta - sigma) for sigma in f.singular_angles}))
+    disc = RadialAnnuliGrid(depth=effective_depth(f, depth), foci=min(foci, mirror),
+                            panel_order=panel_order, base_panels=base_panels)
+    return disc, (cmath.exp(1j * theta), mirror < foci)
+
+
+def _viewed(z, view):
+    """The nodes z read in ``view`` (u, mirrored): u z, or u conj(z) when
+    mirrored; z itself in the plain view."""
+    u, mirrored = view
+    if not mirrored:
+        return z if u == 1 else u * z
+    zv = np.conj(z)
+    if u != 1:
+        zv *= u
+    return zv
 
 
 def _translate_scan(
@@ -401,106 +449,144 @@ def _translate_scan(
     a-grid of weight_of_a(|a|) times the translate seminorm of f at a, on
     disc grids of the grid's ``depth`` and ``base_panels``.
 
-    Non-oscillatory functions (polynomials and kernels alike) get one graded
-    grid per scan direction, with that direction as an extra focus; the
-    |f'|^2 evaluation is reused across the radii of the direction.
+    Non-oscillatory functions (polynomials and kernels alike) are scanned
+    direction by direction, each direction on the graded grid of
+    :func:`_ray_disc`, built in the frame of its ray and read in the
+    member's view: a point a = r e^{i theta} reads the real radius r of its
+    level, and the |f'|^2 evaluation is reused across the radii of the
+    direction.  The point a = 0 keeps f's own grid (:func:`grid_for_function`).
     Oscillatory functions keep a single uniform grid, dense enough in angle
     for the deepest Mobius weight scanned, and scan ``grid.a_points()`` on it
     through ``_uniform_rows``: a level whose direction count divides every
     ring size of that grid takes the rotation-shift route, any other level
     the per-point loop of ``_point_rows``.
 
-    Functions whose grids for a direction (or whose uniform grids) are equal
-    form one group, scanned on one build of the grid by ``_group_rows``: the
-    radial weight and each symbol factor are evaluated once per grid, each
-    ray frame once per direction and block of MEMBER_BLOCK members, and
-    each Mobius weight once per point and block.  The kernels return
-    seminorm tables; this scan alone weights each seminorm s into the entry
-    (level, a, weight_of_a(|a|) s).  Each function's entries come in the
-    order of its own scan: direction by direction, or ``grid.a_points()``
-    order on a uniform grid; the first maximum wins.  Each report is named
+    The members (function, direction) of the scan that read equal grids form
+    one group, scanned on one build of the grid by ``_group_rows``: so a
+    focus-free function scans all its directions on one grid, and one with a
+    singular direction needs one grid per direction up to reflection about
+    it.  The radial weight is evaluated once per grid, each view's nodes and
+    symbol factors once per run of members in that view, the real-axis frame
+    once per block of MEMBER_BLOCK members, and each Mobius weight once per
+    radius (or point) and block.  The kernels return seminorm rows; this
+    scan alone weights each seminorm s into the entry (level, a,
+    weight_of_a(|a|) s).  Each function's entries come in the order of its
+    own scan: direction by direction, or ``grid.a_points()`` order on a
+    uniform grid; the first maximum wins.  Each report is named
     ``desc["scan"]``, and its grid is ``desc`` plus the settings the scan read.
     """
-    entries = [[] for _ in fs]
+    directions = grid.a_points_by_direction()
+    radius: dict = {}  # each level's radius, |a| of its first point (a = r on angle 0)
+    for level, a in grid.a_points():
+        radius.setdefault(level, abs(a))
+    rows: dict = {}  # (function, direction index or None for the uniform scan) -> seminorm row
 
-    def scan(discs, pts, run):
-        """Extend function i's entries by its weighted row of run(bases, z,
-        disc) at pts, for each (i, grid) of discs; equal grids are built once,
-        one at a time (popped, so a grid's nodes are freed before the next)."""
-        weights = np.array([weight_of_a(abs(a)) for _, a in pts])
-        groups: dict = {}
-        for i, disc in discs:
-            groups.setdefault(disc, []).append(i)
+    def scan(groups, run):
+        """Rows of run(bases, z, disc, block) for each group of members
+        (i, d, view) of ``groups``, keyed on the grid they read; each grid is
+        built once, one at a time (popped, so its nodes are freed before
+        the next grid's are built)."""
         while groups:
-            disc, members = groups.popitem()
-            table = _group_rows([fs[i] for i in members], p, disc,
-                                lambda bases, z: run(bases, z, disc)) * weights
-            for i, row in zip(members, table.tolist()):
-                entries[i].extend((level, a, v) for (level, a), v in zip(pts, row))
+            disc, group = groups.popitem()
+            table = _group_rows([(fs[i], view) for i, _, view in group], p, disc,
+                                lambda bases, z, lo: run(bases, z, disc, group[lo:lo + len(bases)]))
+            rows.update(zip([(i, d) for i, d, _ in group], table))
 
-    focal = [i for i, f in enumerate(fs) if not f.oscillatory]
-    for _, pts in grid.a_points_by_direction():
-        ang = next((float(np.angle(a)) % TWO_PI for _, a in pts if a != 0), None)
-        extra = (ang,) if ang is not None else ()
-        scan([(i, grid_for_function(fs[i], grid.depth, extra_foci=extra,
-                                    panel_order=TRANSLATE_PANEL_ORDER,
-                                    base_panels=grid.base_panels)) for i in focal],
-             pts, lambda bases, z, disc: _point_rows(bases, z, p, [a for _, a in pts]))
+    focal: dict = {}
+    for d, (key, pts) in enumerate(directions):
+        theta = float(np.angle(pts[0][1])) % TWO_PI
+        for i, f in enumerate(fs):
+            if f.oscillatory:
+                continue
+            if key is None:
+                disc, view = grid_for_function(f, grid.depth, panel_order=TRANSLATE_PANEL_ORDER,
+                                               base_panels=grid.base_panels), PLAIN_VIEW
+            else:
+                disc, view = _ray_disc(f, theta, grid.depth, TRANSLATE_PANEL_ORDER, grid.base_panels)
+            focal.setdefault(disc, []).append((i, d, view))
+    scan(focal, lambda bases, z, disc, block: _point_rows(
+        bases, z, p, [[radius[level] for level, _ in directions[d][1]] for _, d, _ in block]))
     cap = min(grid.k_a + 1, 11)
     pts = grid.a_points()
-    scan([(i, grid_for_function(f, grid.depth, growth_cap=cap))
-          for i, f in enumerate(fs) if f.oscillatory],
-         pts, lambda bases, z, disc: _uniform_rows(bases, z, p, pts, disc))
+    uniform: dict = {}
+    for i, f in enumerate(fs):
+        if f.oscillatory:
+            uniform.setdefault(grid_for_function(f, grid.depth, growth_cap=cap), []).append(
+                (i, None, PLAIN_VIEW))
+    scan(uniform, lambda bases, z, disc, block: _uniform_rows(bases, z, p, pts, disc))
+
+    # (row key, points, weights) of each part of a scan, in scan order
+    spans = [(d, dpts, np.array([weight_of_a(abs(a)) for _, a in dpts]))
+             for d, (_, dpts) in enumerate(directions)]
+    whole = [(None, pts, np.array([weight_of_a(abs(a)) for _, a in pts]))]
     desc = {**desc, "k_a": grid.k_a, "a_angle_cap": grid.a_angle_cap,
             "depth": grid.depth, "base_panels": grid.base_panels}
-    return [_scan_report(desc["scan"], es, desc, "k_a", offset=abs(f.at_zero()))
-            for f, es in zip(fs, entries)]
+    reports = []
+    for i, f in enumerate(fs):
+        entries = [(level, a, v) for d, dpts, weights in (whole if f.oscillatory else spans)
+                   for (level, a), v in zip(dpts, (rows[i, d] * weights).tolist())]
+        reports.append(_scan_report(desc["scan"], entries, desc, "k_a", offset=abs(f.at_zero())))
+    return reports
 
 
-def _group_rows(fs, p, disc, run) -> np.ndarray:
-    """The seminorm table of fs on the disc grid ``disc``, a row per function:
-    the tables of run(bases, z) for blocks of MEMBER_BLOCK members, stacked.
+def _group_rows(members, p, disc, run) -> list:
+    """The seminorm rows of the members (f, view) on the disc grid ``disc``,
+    one per member: the rows of run(bases, z, lo) for the blocks of
+    MEMBER_BLOCK members from index lo, end to end.
 
-    A base is |f'|^2 (1-|z|^2)^p w, built in place in the operation order of
-    ``derivative_density(f, p)(z) * w``, so it matches that bit for bit.
-    The radial weight and each symbol factor (keyed on the symbol) are
-    evaluated once per grid, after the first |f'|^2 that needs them, and
-    dropped before the last block is scanned; a block's bases are freed
-    before the next block's are built.  run allocates its own work arrays
-    (a ray frame and a weight, 24 bytes per node, and a row when a block
-    holds more than one base) after the block's bases are built."""
+    A member reads f on the grid's nodes zeta in its view (:func:`_viewed`).
+    Its base is |f'|^2 (1-|zeta|^2)^p w, built in place in the operation
+    order of ``derivative_density(f, p)(zeta) * w``, so a member in the
+    plain view matches that bit for bit.  The radial weight is evaluated
+    once per grid, and each symbol factor of a view (keyed on the symbol)
+    once per run of consecutive members in that view, after the first
+    |f'|^2 that needs them; the view's nodes are built once per block.
+    Before a block is scanned its view's nodes are dropped, its symbol
+    factors too when the next block starts in another view, and the radial
+    weight before the last block.  A block's bases are freed before the
+    next block's are built.  run allocates its own work arrays (a frame and
+    a weight, 24 bytes per node, and a row when a block holds more than one
+    base) after the block's bases are built."""
     z, w, _ = disc.nodes()
-    shared: dict = {}
+    radial = view_now = None
+    at: dict = {}  # view_now's nodes (key None) and symbol factors
 
-    def once(key, make):
-        if key not in shared:
-            shared[key] = make()
-        return shared[key]
-
-    def base(f):
+    def base(f, view):
+        nonlocal radial, view_now, at
+        if view != view_now:
+            view_now, at = view, {}
+        if None not in at:
+            at[None] = _viewed(z, view)
         own, symbol = f.deriv_abs2_factors()
-        d2 = own(z)
+        d2 = own(at[None])
         if symbol is not None:
-            d2 *= once(symbol, lambda: symbol(z))
-        d2 *= once(None, lambda: (1.0 - np.abs(z) ** 2) ** p)  # the radial weight
+            if symbol not in at:
+                at[symbol] = symbol(at[None])
+            d2 *= at[symbol]
+        if radial is None:
+            radial = (1.0 - np.abs(z) ** 2) ** p
+        d2 *= radial
         d2 *= w
         return d2
 
-    tables = []
-    for lo in range(0, len(fs), MEMBER_BLOCK):
-        bases = [base(f) for f in fs[lo:lo + MEMBER_BLOCK]]
-        if lo + MEMBER_BLOCK >= len(fs):
-            shared.clear()
-        tables.append(run(bases, z))
+    rows = []
+    for lo in range(0, len(members), MEMBER_BLOCK):
+        bases = [base(f, view) for f, view in members[lo:lo + MEMBER_BLOCK]]
+        after = members[lo + MEMBER_BLOCK:lo + MEMBER_BLOCK + 1]
+        if not after or after[0][1] != view_now:
+            view_now, at = None, {}
+        else:  # run's work arrays take the place of the view's nodes
+            del at[None]
+        if not after:
+            radial = None
+        rows.extend(run(bases, z, lo))
         del bases
-    return np.concatenate(tables)
+    return rows
 
 
 # Below this |a| the Mobius weight is 1 in double precision, and a point
 # reads as a = 0 (the ray frame's 1/|a| would overflow near |a| = 1e-154)
 TINY_A = 2.0 ** -54
-# Points whose unit vectors a/|a| differ by at most this share a ray frame
-FRAME_TOL = 4e-16
 # Nodes per block of a ray frame's build: the complex buffer stays in cache
 FRAME_BLOCK = 16384
 
@@ -533,33 +619,41 @@ def _mobius_weight(rho, x, y2, p, q):
     return q
 
 
-def _point_rows(bases, z, p, points) -> np.ndarray:
-    """The seminorm table of the bases at the translate ``points``: cell
-    [i, j] is sqrt(max(np.sum(base_i * q_j), 0)), with one Mobius weight q_j
-    per point shared by the bases, each taking its product in a work row;
-    the last base's product overwrites q, which that point needs no more,
-    so a single base needs no row.  The weight is read in the frame of the
-    point's ray (:func:`_ray_frame`), built once for consecutive points whose
-    unit vectors agree within FRAME_TOL (so once for a scan direction).  The
-    frame (x, y2), q and the row are allocated at the first point with
-    |a| >= TINY_A; a point below that takes the a = 0 sum, bit for bit."""
-    sem2 = np.empty((len(bases), len(points)))
+def _point_rows(bases, z, p, points) -> list:
+    """The seminorm rows of the bases at their translate points: cell j of
+    row i is sqrt(max(np.sum(base_i * q), 0)) for the Mobius weight q of
+    the point ``points[i][j]``.
+
+    Each distinct point's weight is built once and shared by the bases that
+    read it, each taking its product in a work row; the last one's product
+    overwrites q, which that point needs no more.  The weight is read in
+    the frame of the point's ray (:func:`_ray_frame`), built again only when
+    the unit vector a/|a| changes: once per block on a grid built in a
+    ray's frame, whose points are real radii (:func:`_ray_disc`), once per
+    point on a uniform grid.  The frame (x, y2), q and the row are allocated
+    at the first point with |a| >= TINY_A; a point below that takes the
+    a = 0 sum, bit for bit."""
+    readers: dict = {}
+    for i, pts in enumerate(points):
+        for j, a in enumerate(pts):
+            readers.setdefault(a, []).append((i, j))
+    sem2 = [np.empty(len(pts)) for pts in points]
     u0 = None
-    for j, a in enumerate(points):
+    for a, cells in readers.items():
         rho = abs(a)
         if rho >= TINY_A:
             u = complex(a) / rho  # each part rounded once, whatever a's type
             if u0 is None:
                 x, y2, q = np.empty(z.shape), np.empty(z.shape), np.empty(z.shape)
                 row = np.empty(z.shape) if len(bases) > 1 else None
-            if u0 is None or abs(u - u0) > FRAME_TOL:
+            if u != u0:
                 _ray_frame(u, z, x, y2)
                 u0 = u
             _mobius_weight(rho, x, y2, p, q)
-        for i, b in enumerate(bases):
-            sem2[i, j] = np.sum(b if rho < TINY_A else
-                                np.multiply(b, q, out=q if i == len(bases) - 1 else row))
-    return np.sqrt(np.maximum(sem2, 0.0))
+        for k, (i, j) in enumerate(cells):
+            sem2[i][j] = np.sum(bases[i] if rho < TINY_A else
+                                np.multiply(bases[i], q, out=q if k == len(cells) - 1 else row))
+    return [np.sqrt(np.maximum(s2, 0.0)) for s2 in sem2]
 
 
 def _uniform_rows(bases, z, p, pts, disc) -> np.ndarray:
@@ -587,7 +681,7 @@ def _uniform_rows(bases, z, p, pts, disc) -> np.ndarray:
         orbit = [a for _, a in group]
         n = len(orbit)
         if level == 0 or any(size % n for size in rings):
-            blocks.append(_point_rows(bases, z, p, orbit))
+            blocks.append(np.array(_point_rows(bases, z, p, [orbit] * len(bases))))
             continue
         rho = abs(orbit[0])
         w0, y2 = np.empty(z.shape), np.empty(z.shape)

@@ -32,15 +32,16 @@ trigonometric polynomials of degree below the node count) or graded:
 composite Gauss panels whose widths shrink geometrically toward a set of
 focus angles and their periodic images ``phi +- 2 pi``, down to the local
 radial scale ``1 - r``.  A window is one tuple ``(lo, hi, delta, foci,
-base_panels)``, and one builder, :func:`window_nodes`, lays out every graded
-rule from a list of them in one memoized :func:`graded_breakpoints` call:
-a graded disc grid's annuli (on the turn from its first focus, so that
-rotating a problem rotates its grid), the radial panels of a box or point
-box, the radial nodes of a lune (background cells from
-:func:`fitted_panels`), and the t-panels' v-rules of a boundary double
-integral.  A piece that ends at angle 0 (or 2 pi) is thus graded toward a
-focus just across that seam, and the window (-pi, pi) toward a focus at pi
-from both ends.
+base_panels)``, and one layout, :func:`_lay_out`, places the panels of every
+graded rule from a list of them; :func:`_gauss_panels` maps them to Gauss
+nodes.  :func:`window_nodes` does both through the memoized
+:func:`graded_breakpoints` for a graded disc grid's annuli (on the turn
+from its first focus, so that rotating a problem rotates its grid), the
+radial panels of a box or point box and the t-panels' v-rules of a boundary
+double integral; the radial nodes of a lune (background cells from
+:func:`fitted_panels`), whose layouts recur rarely, skip the memo.  A piece
+that ends at angle 0 (or 2 pi) is thus graded toward a focus just across
+that seam, and the window (-pi, pi) toward a focus at pi from both ends.
 
 Every integration returns the per-dyadic-level contributions along with the
 value; scan-type callers use these prefixes to expose divergence trends as
@@ -92,24 +93,15 @@ def _gauss_on(a: float, b: float, order: int):
 # ---------------------------------------------------------------------------
 
 
-# Distinct layouts in the calls asked for: a round of the box benchmark, 58
-# in 474; a dm_seminorm_box scan at the default ParamGrid(), 157 in 157, all
-# of which the next scan with the same focus offsets asks for again; V4, V1
-# and V5 at the default config, 172 in 863, 301 in 1,007 and 294 in 1,977.
-@lru_cache(maxsize=1024)
-def graded_breakpoints(windows):
+def _lay_out(windows):
     """Sorted panel breakpoints of each window of ``windows``, graded toward
-    its focus angles: one read-only array per window.
+    its focus angles: one array per window.
 
     A window is one tuple ``(lo, hi, delta, foci, base_panels)``.  Each
     focus and its images phi +- 2 pi within one window width of [lo, hi]
     contribute breakpoints at geometric offsets delta/2, delta, 2 delta, ...
     on both sides, on top of ``base_panels`` uniform background cells.  The
     finest panels adjacent to a focus have width ~delta/2.
-
-    Layouts are memoized on the whole tuple of windows (``foci`` must be a
-    tuple), and their arrays are read-only, since they are shared by every
-    caller and thread that asks for the same layout.
     """
     out = []
     for lo, hi, delta, foci, base_panels in windows:
@@ -133,9 +125,24 @@ def graded_breakpoints(windows):
         b = b[keep]
         if b[-1] != hi:
             b = np.append(b[:-1] if hi - b[-1] < delta * 2.0 ** -10 else b, hi)
-        b.flags.writeable = False
         out.append(b)
     return tuple(out)
+
+
+# Distinct layouts in the calls asked for: a round of the box benchmark, 58
+# in 474; a dm_seminorm_box scan at the default ParamGrid(), 157 in 157, all
+# of which the next scan with the same focus offsets asks for again; V4, V1
+# and V5 at the default config, 172 in 863, 301 in 1,007 and 294 in 1,977.
+@lru_cache(maxsize=1024)
+def graded_breakpoints(windows):
+    """The layout of :func:`_lay_out`, memoized on the whole tuple of
+    windows (``foci`` must be a tuple).  Its arrays are read-only, since
+    they are shared by every caller and thread that asks for the same
+    layout."""
+    breaks = _lay_out(windows)
+    for b in breaks:
+        b.flags.writeable = False
+    return breaks
 
 
 def fitted_panels(wlo, whi, base_panels):
@@ -146,14 +153,20 @@ def fitted_panels(wlo, whi, base_panels):
 
 def window_nodes(windows, order):
     """The one graded angular rule: Gauss nodes of every window of the list
-    ``windows``, laid out by one :func:`graded_breakpoints` call.
+    ``windows``, laid out by one memoized :func:`graded_breakpoints` call
+    and mapped by :func:`_gauss_panels`.
 
     Each window ``(lo, hi, delta, foci, base_panels)`` gets Gauss panels of
     ``order`` nodes on its own breakpoints, so its nodes are those of a list
     holding it alone, bit for bit.  Returns (th, tw, bounds): the windows'
     nodes and weights end to end, window k at ``th[bounds[k]:bounds[k + 1]]``;
     an empty list gives empty arrays."""
-    breaks = graded_breakpoints(tuple(windows))
+    return _gauss_panels(graded_breakpoints(tuple(windows)), order)
+
+
+def _gauss_panels(breaks, order):
+    """(th, tw, bounds) of Gauss panels of ``order`` nodes on the cells of
+    each breakpoint array of ``breaks``, as :func:`window_nodes` returns."""
     # the cells of every window, each (b[i], b[i + 1]); none joins two windows
     lo = np.concatenate([np.empty(0), *(b[:-1] for b in breaks)])
     half = 0.5 * (np.concatenate([np.empty(0), *(b[1:] for b in breaks)]) - lo)
@@ -353,7 +366,7 @@ def region_node_arrays(
     the full turn when the cosine is <= -1; it is integrated on its own window
     about b, graded toward the offsets of ``foci`` down to 1 - r.  Returns
     (z, w, abs_level), each node's level int(-log2(1 - r)); the windows of
-    all radial nodes are laid out in one :func:`window_nodes` call.  A
+    all radial nodes are laid out in one :func:`_lay_out` call.  A
     ``rel_depth``, ``radial_order`` or ``panel_order`` below 1 raises
     ValueError naming it.
     """
@@ -371,7 +384,9 @@ def region_node_arrays(
         half = math.acos(max((1.0 + r * r - h * h) / (2.0 * r), -1.0))
         windows.append((-half, half, 1.0 - r, offs, fitted_panels(-half, half, LUNE_BASE_PANELS)))
         levels.append(int(-math.log2(max(1.0 - r, 1e-300))))
-    th, tw, bounds = window_nodes(windows, panel_order)
+    # laid out without the memo: a lune's layout is asked for once and is
+    # large (tens of kB), so memoizing it only fills the memo
+    th, tw, bounds = _gauss_panels(_lay_out(windows), panel_order)
     counts = np.diff(bounds)
     z = np.repeat(rr, counts) * np.exp(1j * (b + th))
     w = np.repeat(rw * rr / math.pi, counts) * tw

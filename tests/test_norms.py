@@ -12,6 +12,7 @@ from dirimor.norms import (
     BOX_PANEL_ORDER,
     BOX_REL_DEPTH,
     GPCM_TABLE_DEPTH,
+    PLAIN_VIEW,
     TRACE_LEVEL_CAP,
     NormReport,
     ParamGrid,
@@ -50,6 +51,7 @@ from dirimor.operators import IG, JG, apply_Jg, apply_operator
 from dirimor.quadrature import (
     Arc,
     BoxMassTable,
+    RadialAnnuliGrid,
     arc_double_integral,
     chord_gap,
     fitted_panels,
@@ -138,50 +140,68 @@ def test_translate_two_routes_agree(f, a):
     assert abs(v1 - v2) / v1 < 1e-5
 
 
-def _plain_seminorm(f, p, a, grid, u=None):
+def _plain_seminorm(f, p, a, grid, u=None, view=PLAIN_VIEW):
     # the Mobius weight in the frame of the ray through u (default a/|a|,
-    # in Python's complex arithmetic):
+    # in Python's complex arithmetic), f read on the grid's nodes in view:
     # with zeta = conj(u) z = x + iy and rho = |a|,
     # |1 - conj(a) z|^2 = rho^2 ((1/rho - x)^2 + y^2)
     z, w, _ = grid.nodes()
-    base = f.deriv_abs2(z) * (1.0 - np.abs(z) ** 2) ** p * w
+    base = f.deriv_abs2(norms._viewed(z, view)) * (1.0 - np.abs(z) ** 2) ** p * w
     rho = abs(a)
     zeta = np.conj(complex(a) / rho if u is None else u) * z
     q = (1.0 - rho * rho) / (rho * rho) / ((1.0 / rho - zeta.real) ** 2 + zeta.imag ** 2)
     return math.sqrt(max(float(np.sum(base * q ** p)), 0.0))
 
 
+def _ray_disc_group(f):
+    """(disc, members, radii lists) of a group on the grid of f's rays at
+    pi/4 and 7 pi/4 (f singular at 0): more than MEMBER_BLOCK members, in
+    the mirrored view of the first ray and the plain one of the second, each
+    at radii of its own."""
+    disc, first = norms._ray_disc(f, math.pi / 4, 24, 4, 16)
+    other, second = norms._ray_disc(f, 7 * math.pi / 4, 24, 4, 16)
+    assert other == disc and first[1] and not second[1]
+    radii = [1.0 - 2.0 ** -k for k in range(1, 11)]
+    members = [(g, first) for g in (f, f.scaled(0.5 + 2j), make_taylor([1, 2, 0, 1]))]
+    members += [(f, second), (f.scaled(0.5 + 2j), second)]
+    return disc, members, [radii, radii[2:], radii, radii[::2], radii]
+
+
 @pytest.mark.parametrize("p", [0.5, 0.3])
-@pytest.mark.parametrize(
-    "f, scan_grid",
-    [
-        (make_power_kernel(0.9, 0.15),
-         dict(extra_foci=(math.pi / 4,), panel_order=4)),  # graded
-        (gap(0.5), dict(growth_cap=11)),  # uniform
-    ],
-    ids=["graded", "uniform"],
-)
-def test_scan_group_equals_plain_weight_bitwise(f, scan_grid, p):
+@pytest.mark.parametrize("kind", ["graded", "uniform"])
+def test_scan_group_equals_plain_weight_bitwise(kind, p):
     # the work-array reduction must reproduce the plain expression bit for
-    # bit, for a group of one and for a group of more than MEMBER_BLOCK; the
-    # points of one ray share the frame of the first
-    disc = grid_for_function(f, 24, **scan_grid)
-    pts = [(1.0 - 2.0 ** -k) * np.exp(1j * math.pi / 4) for k in range(1, 11)]
-    u = complex(pts[0]) / abs(pts[0])
-    group = [f, f.scaled(0.5 + 2j), make_taylor([1, 2, 0, 1]), f]
-    assert len(group) > norms.MEMBER_BLOCK
-    for fs in ([f], group):
-        table = _group_rows(fs, p, disc, lambda bases, z: _point_rows(bases, z, p, pts))
-        assert table.shape == (len(fs), len(pts))
-        for g, got in zip(fs, table):
+    # bit, for a group of one and for a group of more than MEMBER_BLOCK: on
+    # a grid built in a ray's frame at each member's real radii, in its
+    # view; on a uniform grid at the points of one ray, each in its frame
+    if kind == "graded":
+        f = make_power_kernel(0.9, 0.15)
+        disc, members, points = _ray_disc_group(f)
+        plain = lambda g, view, r: _plain_seminorm(g, p, r, disc, 1.0, view)
+    else:
+        f = gap(0.5)
+        disc = grid_for_function(f, 24, growth_cap=11)
+        members = [(g, PLAIN_VIEW) for g in (f, f.scaled(0.5 + 2j), make_taylor([1, 2, 0, 1]), f)]
+        points = [[(1.0 - 2.0 ** -k) * np.exp(1j * math.pi / 4) for k in range(1, 11)]] * 4
+        plain = lambda g, view, a: _plain_seminorm(g, p, a, disc)
+    assert len(members) > norms.MEMBER_BLOCK
+    for group in (members[:1], members):
+        rows = _group_rows(group, p, disc, lambda bases, z, lo: _point_rows(
+            bases, z, p, points[lo:lo + len(bases)]))
+        assert [len(row) for row in rows] == [len(pts) for pts in points[:len(group)]]
+        for (g, view), pts, got in zip(group, points, rows):
             for a, val in zip(pts, got):
-                assert val == _plain_seminorm(g, p, a, disc, u)
-    for a in pts:
-        # the grid translate_seminorm builds for a
-        own = grid_for_function(f, 24, extra_foci=(float(np.angle(a)) % (2 * math.pi),),
-                                panel_order=4, growth_cap=_growth_for_radius(abs(a)))
-        assert translate_seminorm(f, p, a, route="weight", depth=24, panel_order=4) == \
-            _plain_seminorm(f, p, a, own)
+                assert val == plain(g, view, a)
+    for k in range(1, 11):
+        # the grid (and view) translate_seminorm reads for a
+        a = (1.0 - 2.0 ** -k) * np.exp(1j * math.pi / 4)
+        if kind == "graded":
+            own, view = norms._ray_disc(f, float(np.angle(a)) % TWO_PI, 24, 4, 16)
+            want = _plain_seminorm(f, p, abs(a), own, 1.0, view)
+        else:
+            own = grid_for_function(f, 24, panel_order=4, growth_cap=_growth_for_radius(abs(a)))
+            want = _plain_seminorm(f, p, a, own)
+        assert translate_seminorm(f, p, a, route="weight", depth=24, panel_order=4) == want
 
 
 def _shift_and_loop(monkeypatch, f, grid, p=0.5):
@@ -190,17 +210,17 @@ def _shift_and_loop(monkeypatch, f, grid, p=0.5):
     disc = grid_for_function(f, grid.depth, growth_cap=min(grid.k_a + 1, 11))
     pts = grid.a_points()
     level_of = {a: level for level, a in pts}
-    loop = _group_rows([f], p, disc,
-                       lambda bases, z: _point_rows(bases, z, p, [a for _, a in pts]))[0]
+    loop = _group_rows([(f, PLAIN_VIEW)], p, disc,
+                       lambda bases, z, lo: _point_rows(bases, z, p, [[a for _, a in pts]]))[0]
     looped = set()
 
     def spy(bases, z, p, points):
-        looped.update(level_of[a] for a in points)
+        looped.update(level_of[a] for row in points for a in row)
         return _point_rows(bases, z, p, points)
 
     monkeypatch.setattr(norms, "_point_rows", spy)
-    shift = _group_rows([f], p, disc,
-                        lambda bases, z: norms._uniform_rows(bases, z, p, pts, disc))[0]
+    shift = _group_rows([(f, PLAIN_VIEW)], p, disc,
+                        lambda bases, z, lo: norms._uniform_rows(bases, z, p, pts, disc))[0]
     assert shift.shape == loop.shape == (len(pts),)
     return shift, loop, looped
 
@@ -250,30 +270,36 @@ def _complex_weight(a, z, p):
 
 
 @pytest.mark.parametrize("p", [0.5, 0.3])
-@pytest.mark.parametrize(
-    "f, scan_grid",
-    [
-        (make_power_kernel(0.9, 0.15),
-         dict(extra_foci=(math.pi / 4,), panel_order=4)),  # graded
-        (gap(0.5), dict(growth_cap=11)),  # uniform
-    ],
-    ids=["graded", "uniform"],
-)
-def test_ray_frame_weight_matches_complex_expression(f, scan_grid, p):
+@pytest.mark.parametrize("kind", ["graded", "uniform"])
+def test_ray_frame_weight_matches_complex_expression(kind, p):
     # the ray frame moves weights and seminorms at rounding only, out to
-    # |a| = 1 - 2^-11, on and off the grid's focus direction
-    disc = grid_for_function(f, 28, **scan_grid)
-    z, w, _ = disc.nodes()
-    base = f.deriv_abs2(z) * (1.0 - np.abs(z) ** 2) ** p * w
-    x, y2, q = np.empty(z.shape), np.empty(z.shape), np.empty(z.shape)
-    for theta in (math.pi / 4, 2.0):
+    # |a| = 1 - 2^-11, on three rays: on a uniform grid in each point's own
+    # frame, and on the grid built in each ray's frame (in the mirrored view
+    # on the first two rays, in the plain one on the third) at the nodes
+    # where the member reads f
+    f = make_power_kernel(0.9, 0.15) if kind == "graded" else gap(0.5)
+    uniform = grid_for_function(f, 28, growth_cap=11)
+    for theta in (math.pi / 4, 2.0, 5.0):
         pts = [(1.0 - 2.0 ** -k) * np.exp(1j * theta) for k in range(1, 12)]
-        row = _group_rows([f], p, disc, lambda bases, z: _point_rows(bases, z, p, pts))[0]
+        if kind == "graded":
+            disc, view = norms._ray_disc(f, theta, 28, 4, 16)
+            row = _group_rows([(f, view)], p, disc, lambda bases, z, lo: _point_rows(
+                bases, z, p, [[abs(a) for a in pts]]))[0]
+            frame = 1.0  # the real axis: a reads its radius
+        else:
+            disc, view = uniform, PLAIN_VIEW
+            row = _group_rows([(f, view)], p, disc,
+                              lambda bases, z, lo: _point_rows(bases, z, p, [pts]))[0]
+            frame = None
+        z, w, _ = disc.nodes()
+        at = norms._viewed(z, view)
+        base = f.deriv_abs2(at) * (1.0 - np.abs(z) ** 2) ** p * w
+        x, y2, q = np.empty(z.shape), np.empty(z.shape), np.empty(z.shape)
         for a, val in zip(pts, row):
             rho = abs(a)
-            norms._ray_frame(complex(a) / rho, z, x, y2)
+            norms._ray_frame(complex(a) / rho if frame is None else frame, z, x, y2)
             norms._mobius_weight(rho, x, y2, p, q)
-            want = _complex_weight(a, z, p)
+            want = _complex_weight(a, at, p)
             assert np.max(np.abs(q - want) / want) <= 1e-12
             plain = math.sqrt(float(np.sum(base * want)))
             assert abs(val - plain) <= 1e-14 * plain
@@ -284,11 +310,12 @@ def test_tiny_translate_points_read_the_a0_value(u):
     # 1/|a| overflows near |a| = 1e-154; below 2^-54 the weight is 1 in
     # double precision, so such points must read as a = 0, not overflow
     f, p = make_taylor([0, 1]), 0.5
-    disc = grid_for_function(f, 24, extra_foci=(math.pi / 4,), panel_order=4)
+    disc, view = norms._ray_disc(f, math.pi / 4, 24, 4, 16)
     tiny = [1e-8, 1e-160, 1e-300, 5e-324]
     pts = [0j] + [t * u for t in tiny]
     assert all(0.0 < abs(a) < 1e-7 for a in pts[1:])
-    row = _group_rows([f], p, disc, lambda bases, z: _point_rows(bases, z, p, pts))[0]
+    row = _group_rows([(f, view)], p, disc, lambda bases, z, lo: _point_rows(
+        bases, z, p, [[abs(a) for a in pts]]))[0]
     v0 = row[0]
     for val in row[1:]:
         assert abs(val - v0) <= 1e-15 * v0
@@ -305,8 +332,8 @@ def test_scan_entries_weight_the_kernel_table(s):
     grid = ParamGrid(k_a=5, a_angle_cap=16, depth=12, base_panels=8)
     disc = grid_for_function(f, grid.depth, growth_cap=min(grid.k_a + 1, 11))
     pts = grid.a_points()
-    row = _group_rows([f], p, disc,
-                      lambda bases, z: norms._uniform_rows(bases, z, p, pts, disc))[0]
+    row = _group_rows([(f, PLAIN_VIEW)], p, disc,
+                      lambda bases, z, lo: norms._uniform_rows(bases, z, p, pts, disc))[0]
     entries = general_morrey_norm(f, p, s, grid).entries
     assert [e[:2] for e in entries] == pts
     assert [e[2] for e in entries] == [(1.0 - abs(a)) ** s * v
@@ -1145,16 +1172,167 @@ def test_batched_translate_scan_equals_one_scan_per_function():
     images.append(images[1].scaled(0.5 + 2j))
     fs += images
     grid = ParamGrid(k_a=4, a_angle_cap=8, depth=12, base_panels=8)
-    # the I_g images by log1 share the direction-0 grid, a group larger than
-    # one member block
-    assert len({grid_for_function(f, grid.depth, extra_foci=(0.0,),
-                                  panel_order=norms.TRANSLATE_PANEL_ORDER,
-                                  base_panels=grid.base_panels) for f in images[:4]}) == 1
+    # the I_g images by log1 share the direction-0 grid and view, a group
+    # larger than one member block
+    assert len({norms._ray_disc(f, 0.0, grid.depth, norms.TRANSLATE_PANEL_ORDER,
+                                grid.base_panels) for f in images[:4]}) == 1
     assert norms.MEMBER_BLOCK < 4
     batched = [r.as_dict() for r in dm_norms_translate(fs, params, grid)]
     single = [dm_norm_translate(f, params, grid).as_dict() for f in fs]
     assert batched == single
     assert batched[1] == batched[8]
+
+
+def _per_direction_reference(fs, p, grid):
+    """Each function's translate seminorms on a grid per direction, one
+    (level, a, seminorm) list per function: a = 0 on the function's own
+    grid, and each direction theta on a grid graded toward the function's
+    singular angles and theta, anchored at the smallest of them, with the
+    Mobius weight as its complex expression."""
+    grids: dict = {}
+    out = []
+    for f in fs:
+        entries = []
+        for key, pts in grid.a_points_by_direction():
+            if key is None:
+                disc = grid_for_function(f, grid.depth, panel_order=norms.TRANSLATE_PANEL_ORDER,
+                                         base_panels=grid.base_panels)
+            else:
+                theta = float(np.angle(pts[0][1])) % TWO_PI
+                foci = tuple(sorted(set(f.singular_angles) | {theta}))
+                disc = grids.setdefault(foci, RadialAnnuliGrid(
+                    depth=effective_depth(f, grid.depth), foci=foci,
+                    panel_order=norms.TRANSLATE_PANEL_ORDER, base_panels=grid.base_panels))
+            z, w, _ = disc.nodes()
+            base = f.deriv_abs2(z) * (1.0 - np.abs(z) ** 2) ** p * w
+            for level, a in pts:
+                weight = _complex_weight(a, z, p) if a != 0 else 1.0
+                entries.append((level, a, math.sqrt(max(float(np.sum(base * weight)), 0.0))))
+        out.append(entries)
+    return out
+
+
+def _cells_line_up(f, a, base_panels):
+    """True when the background cells of the grid of a's ray, anchored at
+    arg a, are those of the reference grid, anchored at the smallest of f's
+    singular angles and arg a."""
+    theta = float(np.angle(a)) % TWO_PI
+    shift = (theta - min(set(f.singular_angles) | {theta})) / (TWO_PI / base_panels)
+    return abs(shift - round(shift)) < 1e-9
+
+
+TRANSLATE_EXPONENT = SpaceParams(0.5, 0.4).translate_exponent
+FRAME_SCAN_FUNCTIONS = [
+    make_taylor([0, 1]), make_taylor([1, 2, 0, 1]),
+    *(make_power_kernel(c, TRANSLATE_EXPONENT) for c in (0.5, 0.99, 1.0, 0.9 * np.exp(0.3j))),
+    log_kernel(), apply_operator(IG, make_power_kernel(0.75j, TRANSLATE_EXPONENT), log_kernel()),
+]
+
+
+@pytest.mark.parametrize("cap", [3, 8, 12, 64])
+def test_frame_scan_matches_per_direction_reference(cap):
+    # the scan in each ray's frame reads every seminorm of the per-direction
+    # scan: within rounding (1e-12) where the two grids' 16 background
+    # cells line up, and within quadrature drift (1e-7) where re-anchoring
+    # them moves the cells; a = 0 keeps its grid and its bits
+    params, fs = SpaceParams(0.5, 0.4), FRAME_SCAN_FUNCTIONS
+    grid = ParamGrid(k_a=4, a_angle_cap=cap, depth=12, base_panels=16)
+    reports = dm_norms_translate(fs, params, grid)
+    s = params.translate_exponent
+    lined_up = shifted = 0
+    for f, rep, want in zip(fs, reports, _per_direction_reference(fs, params.p, grid)):
+        assert [e[:2] for e in rep.entries] == [e[:2] for e in want]
+        for (level, a, got), (_, _, sem) in zip(rep.entries, want):
+            ref = (1.0 - abs(a) ** 2) ** s * sem
+            if a == 0:
+                assert got == ref
+            elif _cells_line_up(f, a, grid.base_panels):
+                lined_up += 1
+                assert abs(got - ref) <= 1e-12 * ref, (f.label, a)
+            else:
+                shifted += 1
+                assert abs(got - ref) <= 1e-7 * ref, (f.label, a)
+    assert lined_up and (shifted or cap == 8)
+
+
+@pytest.mark.parametrize("cap, poly_discs, kernel_discs", [(8, 2, 5), (64, 2, 33)])
+def test_frame_scan_builds_one_disc_per_foci_set_up_to_reflection(monkeypatch, cap,
+                                                                   poly_discs, kernel_discs):
+    # a polynomial scans every direction on one grid (and a = 0 on its own);
+    # a kernel singular at angle 0 needs one grid per pair of directions
+    # theta and -theta, the rays at 0 and pi one each, and a = 0 shares the
+    # grid of the ray at 0.  At cap 64 the directions 2 pi (64 - m) / 64 and
+    # -2 pi m / 64 differ in their last bits and still share a grid
+    from functools import cached_property
+
+    built = []
+    nodes_fn = RadialAnnuliGrid.__dict__["_nodes"].func
+
+    def counted(g):
+        built.append(g)
+        return nodes_fn(g)
+
+    prop = cached_property(counted)
+    prop.__set_name__(RadialAnnuliGrid, "_nodes")
+    monkeypatch.setattr(RadialAnnuliGrid, "_nodes", prop)
+    weights = []
+    mobius = norms._mobius_weight
+    monkeypatch.setattr(norms, "_mobius_weight", lambda *a: weights.append(a[0]) or mobius(*a))
+    params = SpaceParams(0.5, 0.4)
+    grid = ParamGrid(k_a=10, a_angle_cap=cap, depth=8)
+    counts = {}
+    for name, f in (("poly", make_taylor([0, 1])), ("kernel", make_power_kernel(0.9, 0.15))):
+        built.clear()
+        weights.clear()
+        dm_norm_translate(f, params, grid)
+        counts[name] = (len(built), len(weights))
+    # weights: one per radius and block of MEMBER_BLOCK directions; the
+    # polynomial's blocks pair two directions on its one grid
+    n_weights = {8: (40, 50), 64: (304, 290)}[cap]
+    assert counts == {"poly": (poly_discs, n_weights[0]), "kernel": (kernel_discs, n_weights[1])}
+
+
+def test_translate_scan_frees_each_grid_before_building_the_next(monkeypatch):
+    # a batched scan holds one grid's nodes at a time: when a grid is built,
+    # no grid built before it is still alive, in the ray-frame groups and in
+    # the uniform ones
+    import weakref
+    from functools import cached_property
+
+    built, alive = [], []
+    nodes_fn = RadialAnnuliGrid.__dict__["_nodes"].func
+
+    def counted(g):
+        alive.append(sum(ref() is not None for ref in built))
+        built.append(weakref.ref(g))
+        return nodes_fn(g)
+
+    prop = cached_property(counted)
+    prop.__set_name__(RadialAnnuliGrid, "_nodes")
+    monkeypatch.setattr(RadialAnnuliGrid, "_nodes", prop)
+    params = SpaceParams(0.5, 0.4)
+    fs = [make_taylor([0, 1]), make_power_kernel(0.9, 0.15), log_kernel(), gap(0.5),
+          gap(0.5).scaled(2.0), make_taylor([0, 0, 1])]
+    dm_norms_translate(fs, params, ParamGrid(k_a=3, a_angle_cap=8, depth=8, base_panels=8))
+    assert len(alive) > 1 and max(alive) == 0
+
+
+def test_rotated_kernel_scan_equals_the_kernel_scan_entry_for_entry():
+    # the 0.9 kernel rotated by pi/2 reads, on the ray a quarter turn on,
+    # the grid of the 0.9 kernel's ray in the same view: the two scans agree
+    # entry for entry up to the rounding of the views' rotations
+    params = SpaceParams(0.5, 0.4)
+    grid = ParamGrid(k_a=10, a_angle_cap=8, depth=16)
+    s = params.translate_exponent
+    base, turned = dm_norms_translate(
+        [make_power_kernel(0.9, s), make_power_kernel(0.9j, s)], params, grid)
+    step = lambda a: round(float(np.angle(a)) / (TWO_PI / 8)) % 8  # the direction index
+    at = {(level, step(a)): v for level, a, v in turned.entries}
+    assert len(at) == len(base.entries)
+    for level, a, v in base.entries:
+        w = at[level, (step(a) + 2) % 8 if a != 0 else 0]
+        assert abs(w - v) <= 1e-13 * v
+    assert abs(turned.value - base.value) <= 1e-13 * base.value
 
 
 def test_refined_scan_traces_the_base_scan_bitwise():

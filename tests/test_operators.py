@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from dirimor.analytic import SpaceParams, log_kernel, make_power_kernel, make_taylor
+from dirimor import norms
 from dirimor.norms import TRANSLATE_PANEL_ORDER, ParamGrid, dm_norms_translate, grid_for_function
 from dirimor.operators import (
     IG,
@@ -213,28 +214,34 @@ def test_family_builds_one_grid_per_distinct_key(monkeypatch):
     fam = small_family(k_c=3, n_directions=2)
 
     kernels = [e.function for e in fam.entries[1:]]
-    keys = set()
-    for key, pts in SMALL_GRID.a_points_by_direction():
-        foci = () if key is None else (float(np.angle(pts[0][1])) % (2 * math.pi),)
-        keys |= {(key, grid_for_function(f, SMALL_GRID.depth, extra_foci=foci,
-                                         panel_order=TRANSLATE_PANEL_ORDER,
-                                         base_panels=SMALL_GRID.base_panels))
-                 for f in kernels}
     assert not any(f.oscillatory for f in kernels)
+    directions = SMALL_GRID.a_points_by_direction()
+    keys = {_scan_member(f, key, pts)[0] for key, pts in directions for f in kernels}
     assert len(built) == len(keys)
-    assert len(keys) < len(kernels) * len(SMALL_GRID.a_points_by_direction())
+    # the directions symmetric about a kernel's singular angle share a grid
+    assert len(keys) < len(kernels) * len(directions) // 2
+
+
+def _scan_member(f, key, pts):
+    """(grid, view) in which a translate scan on SMALL_GRID reads f at the
+    points pts of one direction (key None: the point a = 0)."""
+    if key is None:
+        return grid_for_function(f, SMALL_GRID.depth, panel_order=TRANSLATE_PANEL_ORDER,
+                                 base_panels=SMALL_GRID.base_panels), norms.PLAIN_VIEW
+    return norms._ray_disc(f, float(np.angle(pts[0][1])) % (2 * math.pi), SMALL_GRID.depth,
+                           TRANSLATE_PANEL_ORDER, SMALL_GRID.base_panels)
 
 
 def test_ratio_scan_shares_symbol_factor_and_mobius_weights(monkeypatch):
-    # the I_g images of one family share each direction's disc grid: log1's
-    # |g|^2 is evaluated once per grid built (not once per image), each ray
-    # frame once per (direction, grid) and block of MEMBER_BLOCK images, and
-    # each Mobius weight once per (point, grid) and block
+    # the I_g images of one family share the grid of each ray up to
+    # reflection: log1's |g|^2 is evaluated once per (grid, view) built (not
+    # once per image), the frame of the real axis once per block of
+    # MEMBER_BLOCK members holding a point a != 0, and each Mobius weight
+    # once per radius and such block
     import dataclasses
     from collections import Counter
     from functools import cached_property
 
-    from dirimor import norms
     from dirimor.quadrature import RadialAnnuliGrid
 
     fam = small_family(k_c=3, n_directions=1)
@@ -254,35 +261,47 @@ def test_ratio_scan_shares_symbol_factor_and_mobius_weights(monkeypatch):
     prop = cached_property(counted)
     prop.__set_name__(RadialAnnuliGrid, "_nodes")
     monkeypatch.setattr(RadialAnnuliGrid, "_nodes", prop)
-    frames, weights = Counter(), Counter()
-    frame_of = {}  # id of a frame's x -> (unit vector, grid nodes) it was last built for
+    frames, weights = [], Counter()
     ray_frame, mobius = norms._ray_frame, norms._mobius_weight
 
     def counted_frame(u, z, x, y2):
-        frames[round(float(np.angle(u)) % (2 * math.pi), 12), id(z)] += 1
-        frame_of[id(x)] = (u, z)
+        frames.append((u, id(z)))
         return ray_frame(u, z, x, y2)
 
     def counted_weight(rho, x, y2, p, q):
-        u, z = frame_of[id(x)]
-        weights[rho * u, id(z)] += 1
+        weights[rho, len(frames)] += 1
         return mobius(rho, x, y2, p, q)
 
     monkeypatch.setattr(norms, "_ray_frame", counted_frame)
     monkeypatch.setattr(norms, "_mobius_weight", counted_weight)
     ratio_scan(IG, g, fam)
 
-    assert len(built) == len(SMALL_GRID.a_points_by_direction())
-    on_grids = [id(z) for z in symbol_args if any(z is nodes for nodes in built)]
-    assert sorted(on_grids) == sorted(id(z) for z in built)
-    assert {z for _, z in weights} <= {id(z) for z in built}
-    assert len(weights) == len(SMALL_GRID.a_points()) - 1  # a = 0 needs no weight
-    assert max(weights.values()) == math.ceil(len(fam.entries) / norms.MEMBER_BLOCK)
-    assert norms.MEMBER_BLOCK < len(fam.entries)
-    # one frame per direction (a = 0 has none), on that direction's grid
+    # the scan's groups: members (view, direction key) per grid, in
+    # direction order, scanned in blocks of MEMBER_BLOCK
+    images = [apply_operator(IG, e.function, log1) for e in fam.entries]
+    directions = SMALL_GRID.a_points_by_direction()
+    groups: dict = {}
+    for key, pts in directions:
+        for f in images:
+            grid, view = _scan_member(f, key, pts)
+            groups.setdefault(grid, []).append((view, key))
+    blocks = [members[lo:lo + norms.MEMBER_BLOCK] for members in groups.values()
+              for lo in range(0, len(members), norms.MEMBER_BLOCK)]
+    framed = [b for b in blocks if any(key is not None for _, key in b)]
+    assert len(built) == len(groups) < len(directions)
+    # symbol factors: one per (grid, view), on that view's nodes (other
+    # calls read g elsewhere, such as the images' values at 0)
+    on_grids = [z for z in symbol_args if np.shape(z) in {b.shape for b in built}]
+    assert len(on_grids) == sum(len({v for v, _ in members}) for members in groups.values())
+    assert len({id(z) for z in on_grids}) == len(on_grids)
+    # frames: the real axis of a built grid, once per block with a radius
+    assert len(frames) == len(framed)
+    assert {u for u, _ in frames} == {1.0}
     assert {z for _, z in frames} <= {id(z) for z in built}
-    assert len(frames) == len(SMALL_GRID.a_points_by_direction()) - 1
-    assert set(frames.values()) == {math.ceil(len(fam.entries) / norms.MEMBER_BLOCK)}
+    # weights: one per radius of a level k >= 1 in each such block
+    assert all(n == 1 for n in weights.values())
+    assert len(weights) == len(framed) * SMALL_GRID.k_a
+    assert norms.MEMBER_BLOCK < len(fam.entries)
 
 
 def test_family_norms_reproduced_by_its_own_grid():

@@ -237,14 +237,15 @@ def _per_node_lune(b, h, *, rel_depth=28, radial_order=8, foci=(), panel_order=8
     {},
 ])
 def test_lune_nodes_equal_per_node_windows_bitwise(b, h, kw, monkeypatch):
-    # every radial node's window comes from one layout call, and each node's
-    # nodes, weights and level are those of its own window
-    calls = []
-    builder = quadrature.window_nodes
-    monkeypatch.setattr(quadrature, "window_nodes",
-                        lambda *a: calls.append(a) or builder(*a))
+    # every radial node's window comes from one layout call, which skips the
+    # layout memo, and each node's nodes, weights and level are those of its
+    # own window
+    calls, memo = [], []
+    builder, memoized = quadrature._lay_out, quadrature.graded_breakpoints
+    monkeypatch.setattr(quadrature, "_lay_out", lambda *a: calls.append(a) or builder(*a))
+    monkeypatch.setattr(quadrature, "graded_breakpoints", lambda *a: memo.append(a) or memoized(*a))
     got = region_node_arrays(b, h, **kw)
-    assert len(calls) == 1
+    assert len(calls) == 1 and not memo
     monkeypatch.undo()
     for g, want in zip(got, _per_node_lune(b, h, **kw)):
         assert g.dtype == want.dtype and np.array_equal(g, want)
